@@ -87,6 +87,8 @@ def cmd_roots(args):
 
 
 def _admissible(rs, args):
+    if args.p is None or args.q is None:
+        raise CliError(f"{args.command} needs both --p and --q", EXIT_VALIDATION)
     try:
         return affine.make_admissible_level(rs, args.p, args.q)
     except affine.AffineDataError as e:
@@ -125,6 +127,8 @@ def cmd_weights(args):
 def cmd_char(args):
     rs = _root_system(args)
     order = args.order
+    if order < 0:
+        raise CliError("--order must be a non-negative integer", EXIT_VALIDATION)
     if args.kind == "w-vacuum":
         series = qseries.w_vacuum_character(qseries.principal_w_weights(rs), order)
         payload = {"config": vars_config(args), **series.to_json()}
@@ -196,17 +200,14 @@ def cmd_smatrix(args):
             probe = None
             if args.probe == "alt":
                 probe = modular.alternate_probe(rs)
-            if args.checkpoint or args.workers > 1:
-                sm = modular.subregular_S_streamed(
-                    lv,
-                    x_probe=probe,
-                    checkpoint=args.checkpoint,
-                    checkpoint_every=args.checkpoint_every,
-                    workers=args.workers,
-                    progress=True,
-                )
-            else:
-                sm = modular.subregular_S(lv, x_probe=probe)
+            sm = modular.subregular_S(
+                lv,
+                x_probe=probe,
+                checkpoint=args.checkpoint,
+                checkpoint_every=args.checkpoint_every,
+                workers=args.workers,
+                progress=True,
+            )
     except modular.SMatrixError as e:
         code = EXIT_TOLERANCE if e.residual is not None else EXIT_VALIDATION
         raise CliError(str(e), code)
@@ -233,11 +234,21 @@ def cmd_smatrix(args):
     _emit(payload, args, f"smatrix_{args.type}.json")
 
 
+def _read_smatrix(path) -> modular.SMatrix:
+    """An S-matrix file written by ``affw smatrix``; anything else is a CliError."""
+    try:
+        with open(path, "r") as fh:
+            data = json.load(fh)
+        m = np.array([[complex(re, im) for re, im in row] for row in data["matrix"]])
+        if m.ndim != 2 or m.shape[0] != m.shape[1] or len(data["labels"]) != m.shape[0]:
+            raise ValueError("matrix must be square with one row per label")
+        return modular.SMatrix(data["labels"], m, data.get("normalization", "unitary"), {})
+    except (OSError, ValueError, KeyError, TypeError) as e:
+        raise CliError(f"cannot read an S-matrix from {path}: {e}", EXIT_VALIDATION)
+
+
 def cmd_fusion(args):
-    with open(getattr(args, "from"), "r") as fh:
-        data = json.load(fh)
-    m = np.array([[complex(re, im) for re, im in row] for row in data["matrix"]])
-    sm = modular.SMatrix(data["labels"], m, data.get("normalization", "unitary"), {})
+    sm = _read_smatrix(getattr(args, "from"))
     try:
         table = fusion.verlinde(sm)
     except fusion.FusionError as e:
@@ -257,7 +268,7 @@ def cmd_fusion(args):
         return
     payload = {
         "config": vars_config(args),
-        "labels": data["labels"],
+        "labels": sm.labels,
         "vacuum": table.vacuum,
         "max_coefficient": table.max_coefficient,
         "rounding_residual": table.rounding_residual,

@@ -8,16 +8,19 @@ and Weyl elements are integer matrices acting on fundamental-weight
 coordinates.  The bilinear form is normalised so the highest root has squared
 length 2.
 
-Weyl groups are never materialised: :func:`weyl_stream` walks the orbit tree
-of the Weyl vector with a canonical-parent rule, which visits every group
-element exactly once using memory proportional to the longest element.
+Weyl groups are never materialised: :func:`weyl_blocks` walks the orbit tree
+of the Weyl vector with a canonical-parent rule, one layer slice at a time as
+integer numpy blocks, which visits every group element exactly once using
+memory proportional to the longest element.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Sequence
+from typing import Iterator, NamedTuple, Optional, Sequence
+
+import numpy as np
 
 __all__ = [
     "CartanType",
@@ -25,9 +28,11 @@ __all__ = [
     "RootSystem",
     "Root",
     "Weight",
+    "WeylBlock",
     "WeylElement",
     "build_root_system",
     "inner_product",
+    "weyl_blocks",
     "weyl_stream",
     "dot_action",
     "exponents",
@@ -538,26 +543,77 @@ def dot_action(rs: RootSystem, w: WeylElement, lam: Weight) -> Weight:
     return w.act(lam + rs.weyl_vector) - rs.weyl_vector
 
 
-def weyl_stream(rs: RootSystem) -> Iterator[WeylElement]:
-    """Yield every Weyl group element exactly once, depth-first and deterministic.
+class WeylBlock(NamedTuple):
+    """A slice of one depth layer of the Weyl orbit tree.
 
-    Walks the orbit tree of the (regular) Weyl vector: node v = w(rho) has
-    children s_i(v) for exactly those i with v_i > 0 whose canonical parent
-    rule (reflect at the first negative coordinate) points back through i.
-    No element set is kept, so memory stays O(longest element), which is what
-    permits scanning W(E8) without materialising it.
+    Row b holds one element w_b of length ``depth``: ``points[b] = w_b(rho)``
+    and ``matrices[b]`` is w_b on fundamental-weight coordinates, so every
+    element of the block has parity ``(-1)**depth``.
     """
+
+    points: np.ndarray    # (B, n) int64
+    matrices: np.ndarray  # (B, n, n) int64
+    depth: int
+
+    @property
+    def parity(self) -> int:
+        return -1 if self.depth % 2 else 1
+
+
+WEYL_BLOCK_ROWS = 256  # larger slices gain little speed and cost peak memory
+
+
+def weyl_blocks(
+    rs: RootSystem,
+    start: Optional[WeylBlock] = None,
+    max_depth: Optional[int] = None,
+    rows: int = WEYL_BLOCK_ROWS,
+) -> Iterator[WeylBlock]:
+    """Yield every element of the subtree below ``start`` exactly once, in blocks.
+
+    The orbit tree of the (regular) Weyl vector: node v = w(rho) has child
+    s_k(v) for exactly those k with v_k > 0 whose canonical parent rule
+    (reflect at the first negative coordinate) points back through k.  The
+    children of a block under all simple reflections are computed together
+    and cut into slices of at most ``rows`` elements; slices are taken
+    depth-first, so at most ``rank`` pending slices per layer are held and
+    memory is bounded by ``rows * rank * (length of w0 + 1)`` elements, never
+    by the width of a layer.  ``start`` defaults to the identity (the whole
+    group); ``max_depth`` stops that many layers below it.  The order is
+    deterministic.
+    """
+    a = np.array(rs.cartan_matrix, dtype=np.int64)
     n = rs.rank
-    rho = tuple(1 for _ in range(n))
-    ident = rs.identity_element()
-    stack: list[tuple[tuple[int, ...], WeylElement]] = [(rho, ident)]
-    refl = [rs.simple_reflection(i) for i in range(n)]
+    if start is None:
+        start = WeylBlock(np.ones((1, n), np.int64), np.eye(n, dtype=np.int64)[None], 0)
+    last = None if max_depth is None else start.depth + max_depth
+    stack = [start]
     while stack:
-        v, w = stack.pop()
-        yield w
-        # Descend in reverse so children come out in ascending i order.
-        for i in range(n - 1, -1, -1):
-            if v[i] > 0:
-                u = rs.reflect_coords(i, v)
-                if next(j for j, c in enumerate(u) if c < 0) == i:
-                    stack.append((u, refl[i] * w))
+        blk = stack.pop()
+        yield blk
+        if blk.depth == last:
+            continue
+        # u[b, k] = s_k(v_b); keep (b, k) when v_bk > 0 and the first
+        # negative coordinate of u[b, k] is k (the canonical parent rule)
+        u = blk.points[:, None, :] - blk.points[:, :, None] * a
+        k, b = np.nonzero(((blk.points > 0) & (np.argmax(u < 0, axis=2) == np.arange(n))).T)
+        points, m = u[b, k], blk.matrices[b]
+        # s_k acts by lam_j -> lam_j - lam_k a_kj on every column
+        mats = m - a[k][:, :, None] * m[np.arange(len(b)), k][:, None, :]
+        for s in reversed(range(0, len(b), rows)):
+            stack.append(WeylBlock(points[s : s + rows], mats[s : s + rows], blk.depth + 1))
+
+
+def weyl_stream(rs: RootSystem) -> Iterator[WeylElement]:
+    """Yield every Weyl group element exactly once, in a deterministic order.
+
+    One :class:`WeylElement` per row of :func:`weyl_blocks`: elements come out
+    block by block, each block a slice of one length layer, with lengths
+    ascending along each branch of the walk.  Memory is bounded by the
+    pending slices, at most ``WEYL_BLOCK_ROWS * rank * (length of w0 + 1)``
+    elements and never |W|, which is what permits scanning W(E8) without
+    materialising it.
+    """
+    for blk in weyl_blocks(rs):
+        for m in blk.matrices.tolist():
+            yield WeylElement(tuple(map(tuple, m)), blk.parity)

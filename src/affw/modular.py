@@ -19,24 +19,29 @@ accumulates integers and adds no floating-point drift.
 
 from __future__ import annotations
 
+import copy
+import json
 import math
+import os
+import sys
+import zlib
+from collections import deque
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
-from pathlib import Path
 from typing import Optional, Sequence
 
 import numpy as np
 
 from .affine import (
     AdmissibleLevel,
-    PrincipalLabel,
     SubregularLabel,
     alpha_star,
     enumerate_P_plus_k,
     principal_labels,
     subregular_labels,
 )
-from .liealg import Root, RootSystem, Weight, WeylElement
+from .liealg import WEYL_BLOCK_ROWS, Root, RootSystem, Weight, WeylBlock, WeylElement, weyl_blocks
 
 __all__ = [
     "SMatrix",
@@ -50,6 +55,7 @@ __all__ = [
 ]
 
 NORMALIZATION_TOL = 1e-8
+CHECKPOINT_FORMAT = 2  # bump when the bucket or chunk layout changes
 
 
 class SMatrixError(ValueError):
@@ -97,10 +103,7 @@ class SMatrix:
 
 def _gram_int(rs: RootSystem) -> tuple[np.ndarray, int]:
     """Integer matrix D*G and the common denominator D of the Gram matrix."""
-    den = 1
-    for row in rs.gram:
-        for x in row:
-            den = den * x.denominator // math.gcd(den, x.denominator)
+    den = math.lcm(*(x.denominator for row in rs.gram for x in row))
     mg = np.array(
         [[int(x * den) for x in row] for row in rs.gram], dtype=np.int64
     )
@@ -121,58 +124,100 @@ def _weight_ints(ws: Sequence[Weight]) -> np.ndarray:
     return np.array(arr, dtype=np.int64)
 
 
+# -- batched Weyl sums ---------------------------------------------------------
+
+SLICE_TERMS = 1 << 18  # bucket increments per walker slice (bounds temporaries)
+CHUNK_DEPTH = 3  # subregular chunks: the layers above, then one subtree per node here
+
+
+class _Buckets:
+    """Integer buckets of ``sum_w c(w) exp(-2 pi i coef (w(left_i), right_j))``.
+
+    ``acc[i, j, r]`` adds the integer weight c(w) of every element w with
+    ``coef * (w(left_i), right_j) = r / den (mod 1)``.  The weight is the
+    parity eps(w); with ``star = (alpha_*, x)`` it is eps(y) <y(alpha_*), x>
+    on the half group ``y(alpha_*) > 0`` and zero elsewhere.
+    """
+
+    def __init__(self, rs: RootSystem, left, right, coef: Fraction, star=None):
+        mg, dg = _gram_int(rs)
+        self.den = coef.denominator * dg
+        self.left = left
+        # (n, m): coef (v, right_j) = v . u[:, j] / den
+        self.u = coef.numerator * (mg @ right.T)
+        self.acc = np.zeros((len(left), len(right), self.den), dtype=np.int64)
+        self.slots = (np.arange(self.acc[..., 0].size) * self.den).reshape(self.acc.shape[:2])
+        self.star = None
+        if star is not None:
+            alpha_st, x_probe = star
+            x = np.array([int(c) for c in x_probe], dtype=np.int64)
+            self.w0 = int(np.array(alpha_st.root_coords) @ x)
+            if self.w0 == 0:
+                raise SMatrixError("probe x is orthogonal to alpha_*")
+            # the simple-root coordinates of a weight f are f A^{-1}
+            ainv = rs.cartan_inverse
+            scale = math.lcm(*(c.denominator for row in ainv for c in row))
+            to_roots = np.array([[int(c * scale) for c in row] for row in ainv], dtype=np.int64)
+            self.star = (_weight_ints([alpha_st.weight])[0], to_roots, scale, x)
+
+    def add(self, blk: WeylBlock) -> None:
+        mats, weights = blk.matrices, blk.parity
+        if self.star is not None:
+            alpha_w, to_roots, scale, x = self.star
+            roots = (mats @ alpha_w) @ to_roots // scale  # y(alpha_*) on simple roots
+            keep = roots.sum(axis=1) > 0
+            mats = mats[keep]
+            weights = np.repeat(blk.parity * (roots[keep] @ x), self.slots.size)
+        # coef (w(left_i), right_j) den = left_i . (w^T u)_j
+        dots = self.left @ (mats.transpose(0, 2, 1) @ self.u)
+        idx = (dots % self.den + self.slots).ravel()
+        if np.isscalar(weights):
+            self.acc += weights * np.bincount(idx, minlength=self.acc.size).reshape(self.acc.shape)
+        else:
+            # bincount adds in float64, exactly: a slice adds a few thousand
+            # integers |<y(alpha_*), x>| <= ht(theta) max(x), far below 2**53
+            hits = np.bincount(idx, weights, minlength=self.acc.size)
+            self.acc += hits.astype(np.int64).reshape(self.acc.shape)
+
+    def fresh(self) -> "_Buckets":
+        """Empty buckets sharing these constants (a chunk's private table)."""
+        twin = copy.copy(self)
+        twin.acc = np.zeros_like(self.acc)
+        return twin
+
+    def value(self) -> np.ndarray:
+        table = _phase_table(self.den)
+        vals = np.einsum("ijd,d->ij", self.acc, table)
+        return vals if self.star is None else vals / self.w0
+
+
+def _walk(rs: RootSystem, sums: Sequence[_Buckets], **where) -> int:
+    """Feed every Weyl block below ``where`` (see :func:`weyl_blocks`) to ``sums``."""
+    terms = sum(s.slots.size for s in sums)
+    rows = max(1, min(WEYL_BLOCK_ROWS, SLICE_TERMS // terms))
+    seen = 0
+    for blk in weyl_blocks(rs, rows=rows, **where):
+        seen += len(blk.points)
+        for s in sums:
+            s.add(blk)
+    return seen
+
+
 def _alternating_sum_matrix(
     rs: RootSystem, left: np.ndarray, right: np.ndarray, coef: Fraction
 ) -> np.ndarray:
-    """``A[i,j] = sum_w eps(w) exp(-2 pi i coef (w(left_i), right_j))``.
-
-    One pass over the Weyl group; the left vectors ride along the orbit walk
-    so no matrices are multiplied.  Exponents are bucketed as integers mod
-    the table size.
-    """
-    mg, dg = _gram_int(rs)
-    n = rs.rank
-    den = coef.denominator * dg
-    num = coef.numerator
-    u = (mg @ right.T).T  # (m, n) integer: pairing (v, right_j) = v . u_j / dg
-    nl, m = left.shape[0], right.shape[0]
-    acc = np.zeros((nl, m, den), dtype=np.int64)
-    cartan = rs.cartan_matrix
-
-    rho = tuple(1 for _ in range(n))
-    stack = [(rho, 1, [tuple(int(c) for c in left[i]) for i in range(nl)])]
-    while stack:
-        v, parity, vecs = stack.pop()
-        for i in range(nl):
-            vi = vecs[i]
-            for j in range(m):
-                dot = 0
-                uj = u[j]
-                for a in range(n):
-                    dot += vi[a] * uj[a]
-                acc[i, j, (num * dot) % den] += parity
-        for k in range(n - 1, -1, -1):
-            if v[k] > 0:
-                ak = cartan[k]
-                vk = v[k]
-                nv = tuple(c - vk * ak[t] for t, c in enumerate(v))
-                if next(t for t, c in enumerate(nv) if c < 0) == k:
-                    stack.append(
-                        (
-                            nv,
-                            -parity,
-                            [
-                                tuple(c - x[k] * ak[t] for t, c in enumerate(x))
-                                for x in vecs
-                            ],
-                        )
-                    )
-    table = _phase_table(den)
-    return np.einsum("ijd,d->ij", acc, table)
+    """``A[i,j] = sum_w eps(w) exp(-2 pi i coef (w(left_i), right_j))``."""
+    acc = _Buckets(rs, left, right, coef)
+    _walk(rs, [acc])
+    return acc.value()
 
 
 def _cross_phase(rs: RootSystem, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """``P[i,j] = exp(2 pi i [(a_i, b_j) + (b_i... )])`` one-sided; callers combine."""
+    """One-sided phase ``P[i,j] = exp(2 pi i (a_i, b_j))``.
+
+    Callers multiply ``_cross_phase(a, b) * _cross_phase(b, a)`` to get the
+    symmetric cross phase ``exp(2 pi i [(a_i, b_j) + (b_i, a_j)])``.
+    """
     mg, dg = _gram_int(rs)
     dots = (a @ mg @ b.T) % dg  # exponent (a_i, b_j) mod 1 times dg
     return np.exp(2j * np.pi * dots / dg)
@@ -241,8 +286,9 @@ def fkw_principal(lv: AdmissibleLevel) -> SMatrix:
     nus = _weight_ints([l.nu for l in labels])
     etas = _weight_ints([l.eta for l in labels])
     p, q = lv.p, lv.q
-    f_nu = _alternating_sum_matrix(rs, nus, nus, Fraction(q, p))
-    f_eta = _alternating_sum_matrix(rs, etas, etas, Fraction(p, q))
+    sums = [_Buckets(rs, nus, nus, Fraction(q, p)), _Buckets(rs, etas, etas, Fraction(p, q))]
+    _walk(rs, sums)
+    f_nu, f_eta = (acc.value() for acc in sums)
     cross = _cross_phase(rs, nus, etas) * _cross_phase(rs, etas, nus)
     raw = cross * f_nu * f_eta
     prov = {
@@ -272,35 +318,20 @@ def alternate_probe(rs: RootSystem) -> tuple[int, ...]:
 
 def _element_mapping(rs: RootSystem, src: Weight, dst: Weight) -> WeylElement:
     """Some w with w(src) = dst, by BFS over the (small) W-orbit of src."""
-    from collections import deque
-
-    start = src.coords
-    if start == dst.coords:
-        return rs.identity_element()
-    seen: dict[tuple, tuple] = {start: ()}
-    queue = deque([start])
-    target = dst.coords
+    words: dict[tuple, tuple] = {src.coords: ()}  # reflections applied, first to last
+    queue = deque([src.coords])
     while queue:
         v = queue.popleft()
+        if v == dst.coords:
+            w = rs.identity_element()
+            for i in words[v]:
+                w = rs.simple_reflection(i) * w
+            return w
         for i in range(rs.rank):
             u = rs.reflect_coords(i, v)
-            if u in seen:
-                continue
-            seen[u] = (i, v)
-            if u == target:
-                word = []
-                cur = u
-                while seen[cur]:
-                    i, prev = seen[cur]
-                    word.append(i)
-                    cur = prev
-                w = rs.identity_element()
-                for i in reversed(word):
-                    w = rs.simple_reflection(i) * w
-                # word was collected target-to-source, so the product above
-                # is s_{i_last} ... s_{i_first} and maps src to dst
-                return w
-            queue.append(u)
+            if u not in words:
+                words[u] = words[v] + (i,)
+                queue.append(u)
     raise SMatrixError("weights are not in one Weyl orbit")
 
 
@@ -339,65 +370,10 @@ def _half_group_kernel_matrix(
     right: np.ndarray,
 ) -> np.ndarray:
     """``K[i,j] = sum_{y(alpha_*)>0} eps(y) <y(alpha_*),x>/<alpha_*,x>
-    e^{-2 pi i (p/q)(y(left_i), right_j)}``.
-
-    Single orbit walk with the alpha_* root riding along in root coordinates
-    (positive iff all coordinates >= 0); integer exponent bucketing.
-    """
-    mg, dg = _gram_int(rs)
-    n = rs.rank
-    den = Fraction(p, q).denominator * dg
-    num = Fraction(p, q).numerator
-    u = (mg @ right.T).T
-    nl, m = left.shape[0], right.shape[0]
-    acc = np.zeros((nl, m, den), dtype=np.int64)
-    cartan = rs.cartan_matrix
-    x = tuple(int(c) for c in x_probe)
-    star_rc = tuple(int(c) for c in rs.weight_to_root(alpha_st.weight))
-    w0 = sum(a * b for a, b in zip(star_rc, x))
-    if w0 == 0:
-        raise SMatrixError("probe x is orthogonal to alpha_*")
-
-    rho = tuple(1 for _ in range(n))
-    seeds = [tuple(int(c) for c in left[i]) for i in range(nl)]
-    stack = [(rho, 1, star_rc, seeds)]
-    while stack:
-        v, parity, arc, vecs = stack.pop()
-        if all(c >= 0 for c in arc):
-            wt = parity * sum(a * b for a, b in zip(arc, x))
-            for i in range(nl):
-                vi = vecs[i]
-                for j in range(m):
-                    dot = 0
-                    uj = u[j]
-                    for a in range(n):
-                        dot += vi[a] * uj[a]
-                    acc[i, j, (num * dot) % den] += wt
-        for k in range(n - 1, -1, -1):
-            if v[k] > 0:
-                ak = cartan[k]
-                vk = v[k]
-                nv = tuple(c - vk * ak[t] for t, c in enumerate(v))
-                if next(t for t, c in enumerate(nv) if c < 0) == k:
-                    # reflect the root coordinates of y(alpha_*):
-                    # r'_k = r_k - sum_i r_i a_{ik}
-                    pairing = sum(arc[t] * cartan[t][k] for t in range(n))
-                    narc = tuple(
-                        c - pairing * int(t == k) for t, c in enumerate(arc)
-                    )
-                    stack.append(
-                        (
-                            nv,
-                            -parity,
-                            narc,
-                            [
-                                tuple(c - xv[k] * ak[t] for t, c in enumerate(xv))
-                                for xv in vecs
-                            ],
-                        )
-                    )
-    table = _phase_table(den)
-    return np.einsum("ijd,d->ij", acc, table) / w0
+    e^{-2 pi i (p/q)(y(left_i), right_j)}``."""
+    acc = _Buckets(rs, left, right, Fraction(p, q), star=(alpha_st, x_probe))
+    _walk(rs, [acc])
+    return acc.value()
 
 
 def degenerate_kernel(
@@ -421,16 +397,67 @@ def degenerate_kernel(
     return complex(k[0, 0])
 
 
+def _chunks(rs: RootSystem) -> list[dict]:
+    """Split the walk: the layers above CHUNK_DEPTH, then each subtree rooted
+    at that depth.  Every group element lands in exactly one chunk."""
+    chunks = [{"max_depth": CHUNK_DEPTH - 1}]
+    for blk in weyl_blocks(rs, max_depth=CHUNK_DEPTH):
+        if blk.depth == CHUNK_DEPTH:
+            chunks += [
+                {"start": WeylBlock(blk.points[r : r + 1], blk.matrices[r : r + 1], blk.depth)}
+                for r in range(len(blk.points))
+            ]
+    return chunks
+
+
+def _checkpoint_load(path: str, fingerprint: dict) -> dict:
+    try:
+        with np.load(path) as data:
+            state = {k: data[k] for k in data.files}
+        stored = json.loads(str(state.pop("fingerprint", "{}")))
+    except (OSError, ValueError) as e:
+        raise SMatrixError(f"checkpoint {path} is not a readable affw checkpoint: {e}")
+    for key, want in fingerprint.items():
+        if stored.get(key) != want:
+            raise SMatrixError(
+                f"checkpoint {path} belongs to another job: {key} is "
+                f"{stored.get(key)!r} there, {want!r} here"
+            )
+    return state
+
+
+def _checkpoint_save(path: str, fingerprint: dict, **state) -> None:
+    """Write next to ``path`` and rename, so a crash keeps the last checkpoint."""
+    tmp = f"{path}.tmp"
+    with open(tmp, "wb") as fh:
+        np.savez_compressed(fh, fingerprint=json.dumps(fingerprint, sort_keys=True), **state)
+    os.replace(tmp, path)
+
+
 def subregular_S(
     lv: AdmissibleLevel,
     alpha_st: Optional[Root] = None,
     x_probe: Optional[Sequence[int]] = None,
+    checkpoint: Optional[str] = None,
+    checkpoint_every: int = 10_000_000,
+    workers: int = 1,
+    progress: bool = False,
 ) -> SMatrix:
     """Subregular S-matrix: degenerate kernel times the full-Weyl nu factor.
 
     Entries ``eps(y_i) eps(y_j) e^{2 pi i [(e_i, nu_j) + (nu_i, e_j)]}
     K(e_i, e_j) F(nu_i, nu_j)`` over the conservative weights e_i, then
     normalised to unitary.
+
+    One walk over W fills the integer buckets of both K and F; F is summed
+    on the distinct nu only (a single global constant when p = h_check, as
+    for E8 at (30, 29)).  The walk is split into chunks that ``workers``
+    threads take in any order: the buckets are integers, so the result does
+    not depend on the order or the number of workers.  With ``checkpoint``
+    (npz) the buckets and finished chunks are saved every
+    ``checkpoint_every`` elements and at the end, and a rerun of the same
+    job resumes from them; a checkpoint of any other job is refused.
+    ``progress`` reports the elements done out of |W| on stderr.
     """
     rs = lv.root_system
     if alpha_st is None:
@@ -445,361 +472,82 @@ def subregular_S(
     cons, eps_y = conservative_weights(lv, labels, alpha_st)
     es = _weight_ints(cons)
     nus = _weight_ints([l.nu for l in labels])
+    nu_rows, nu_of = np.unique(nus, axis=0, return_inverse=True)
+    nu_of = nu_of.ravel()
     p, q = lv.p, lv.q
-    kern = _half_group_kernel_matrix(rs, alpha_st, x_probe, p, q, es, es)
-    f_nu = _alternating_sum_matrix(rs, nus, nus, Fraction(q, p))
+    kern = _Buckets(rs, es, es, Fraction(p, q), star=(alpha_st, x_probe))
+    f_nu = _Buckets(rs, nu_rows, nu_rows, Fraction(q, p))
+    node = alpha_st.root_coords.index(1) + 1
+
+    # one chunk (the whole group) unless the walk is shared or saved
+    chunks = _chunks(rs) if checkpoint or workers > 1 else [{}]
+    done = np.zeros(len(chunks), dtype=bool)
+    seen = 0
+    fingerprint = {
+        "format": CHECKPOINT_FORMAT,
+        "type": str(rs.cartan_type),
+        "p": p,
+        "q": q,
+        "probe": [int(c) for c in x_probe],
+        "alpha_star_node": node,
+        "den": [kern.den, f_nu.den],
+        "labels": zlib.crc32(repr([(l.nu.coords, l.eta.coords, l.wall_id) for l in labels]).encode()),
+        "chunks": len(chunks),
+    }
+    if checkpoint and os.path.exists(checkpoint):
+        state = _checkpoint_load(checkpoint, fingerprint)
+        kern.acc, f_nu.acc, done = state["kernel"], state["nu"], state["done"]
+        seen = int(state["count"])
+
+    def save():
+        _checkpoint_save(checkpoint, fingerprint, kernel=kern.acc, nu=f_nu.acc, done=done, count=seen)
+
+    def walk_chunk(where):
+        part = [kern.fresh(), f_nu.fresh()]
+        return part, _walk(rs, part, **where)
+
+    since = 0
+    todo = np.flatnonzero(~done)
+    pool = ThreadPoolExecutor(max(1, int(workers)))
+    try:
+        # results merge in chunk order, so a checkpoint is the same whatever the timing
+        for c, (parts, n) in zip(todo, pool.map(walk_chunk, [chunks[c] for c in todo])):
+            kern.acc += parts[0].acc
+            f_nu.acc += parts[1].acc
+            done[c] = True
+            seen += n
+            since += n
+            if checkpoint and since >= checkpoint_every:
+                save()
+                since = 0
+            if progress:
+                print(f"subregular {rs.cartan_type} ({p},{q}): {seen}/{rs.weyl_order} "
+                      "Weyl elements", file=sys.stderr, flush=True)
+    finally:
+        pool.shutdown(cancel_futures=True)  # an error or interrupt drops the chunks not started
+    if checkpoint:
+        save()
+
+    k = kern.value()
+    f = f_nu.value()[np.ix_(nu_of, nu_of)]
     cross = _cross_phase(rs, es, nus) * _cross_phase(rs, nus, es)
     sign = np.array(eps_y, dtype=float)
-    raw = sign[:, None] * sign[None, :] * cross * kern * f_nu
-    nu_degenerate = len({tuple(l.nu.coords) for l in labels}) == 1
+    raw = sign[:, None] * sign[None, :] * cross * k * f
     prov = {
         "constructor": "subregular_S",
         "type": str(rs.cartan_type),
         "p": p,
         "q": q,
         "vacuum": 0,
-        "alpha_star_node": alpha_st.root_coords.index(1) + 1,
+        "alpha_star_node": node,
         "probe": tuple(x_probe),
-        "nu_factor_degenerate": nu_degenerate,
-        "kernel": kern,
-        "nu_factor": f_nu,
+        "nu_factor_degenerate": len(nu_rows) == 1,
+        "weyl_elements": seen,
+        "kernel": k,
+        "nu_factor": f,
     }
     return _normalize(raw, labels, prov)
 
 
-def subregular_S_streamed(
-    lv: AdmissibleLevel,
-    alpha_st: Optional[Root] = None,
-    x_probe: Optional[Sequence[int]] = None,
-    checkpoint: Optional[str] = None,
-    checkpoint_every: int = 10_000_000,
-    chunk_depth: int = 3,
-    progress: bool = False,
-    workers: int = 1,
-) -> SMatrix:
-    """Subregular S via the chunked streamed kernel (the E8 long-run path).
-
-    When every label shares one nu (p = h_check) the nu factor is a global
-    constant and is absorbed by the normalisation, which is what makes the
-    E8 job a single pass over the Weyl group.
-    """
-    rs = lv.root_system
-    if alpha_st is None:
-        alpha_st = alpha_star(rs)
-    kern, labels, eps_y = streamed_half_group_kernel(
-        lv,
-        alpha_st,
-        x_probe,
-        checkpoint=checkpoint,
-        checkpoint_every=checkpoint_every,
-        chunk_depth=chunk_depth,
-        progress=progress,
-        workers=workers,
-    )
-    cons, _ = conservative_weights(lv, labels, alpha_st)
-    es = _weight_ints(cons)
-    nus = _weight_ints([l.nu for l in labels])
-    nu_degenerate = len({tuple(l.nu.coords) for l in labels}) == 1
-    if nu_degenerate:
-        f_nu = np.ones((len(labels), len(labels)), dtype=complex)
-    else:
-        f_nu = _alternating_sum_matrix(rs, nus, nus, Fraction(lv.q, lv.p))
-    cross = _cross_phase(rs, es, nus) * _cross_phase(rs, nus, es)
-    sign = np.array(eps_y, dtype=float)
-    raw = sign[:, None] * sign[None, :] * cross * kern * f_nu
-    prov = {
-        "constructor": "subregular_S_streamed",
-        "type": str(rs.cartan_type),
-        "p": lv.p,
-        "q": lv.q,
-        "vacuum": 0,
-        "alpha_star_node": alpha_st.root_coords.index(1) + 1,
-        "nu_factor_degenerate": nu_degenerate,
-    }
-    return _normalize(raw, labels, prov)
-
-
-# -- long-running streamed kernel (E8 scale) -----------------------------------
-
-
-def _orbit_chunk_roots(rs: RootSystem, seeds, star_rc, depth: int):
-    """Split the orbit walk into chunks: single nodes above ``depth``, whole
-    subtrees from ``depth`` down.  Every group element lands in exactly one
-    chunk."""
-    n = rs.rank
-    cartan = rs.cartan_matrix
-    rho = tuple(1 for _ in range(n))
-    frontier = [(rho, 1, star_rc, [tuple(s) for s in seeds])]
-    for _ in range(depth):
-        out = []
-        for v, parity, arc, vecs in frontier:
-            yield (v, parity, arc, vecs, False)
-            for k in range(n):
-                if v[k] > 0:
-                    ak = cartan[k]
-                    nv = tuple(c - v[k] * ak[t] for t, c in enumerate(v))
-                    if next(t for t, c in enumerate(nv) if c < 0) == k:
-                        pairing = sum(arc[t] * cartan[t][k] for t in range(n))
-                        narc = tuple(
-                            c - pairing * int(t == k) for t, c in enumerate(arc)
-                        )
-                        out.append(
-                            (
-                                nv,
-                                -parity,
-                                narc,
-                                [
-                                    tuple(c - x[k] * ak[t] for t, c in enumerate(x))
-                                    for x in vecs
-                                ],
-                            )
-                        )
-        frontier = out
-    yield from ((v, p_, a, vc, True) for v, p_, a, vc in frontier)
-
-
-def streamed_half_group_kernel(
-    lv: AdmissibleLevel,
-    alpha_st: Optional[Root] = None,
-    x_probe: Optional[Sequence[int]] = None,
-    checkpoint: Optional[str] = None,
-    checkpoint_every: int = 10_000_000,
-    chunk_depth: int = 3,
-    progress: bool = False,
-    workers: int = 1,
-) -> tuple[np.ndarray, list[SubregularLabel], list[int]]:
-    """Degenerate kernel matrix via a chunked, checkpointed Weyl walk.
-
-    Intended for the E8 long run: the orbit tree is split into subtrees at
-    ``chunk_depth``; workers own private integer accumulator tables that are
-    merged per completed subtree (order-free associative reduction), and
-    partial state goes to ``checkpoint`` (npz) so the run can resume.  Uses
-    numba (nogil) when importable, else a pure-Python walk.
-    """
-    import threading
-
-    rs = lv.root_system
-    if alpha_st is None:
-        alpha_st = alpha_star(rs)
-    if x_probe is None:
-        x_probe = default_probe(rs)
-    labels = subregular_labels(lv, alpha_st)
-    cons, eps_y = conservative_weights(lv, labels, alpha_st)
-    es = _weight_ints(cons)
-    mg, dg = _gram_int(rs)
-    p, q = lv.p, lv.q
-    den = Fraction(p, q).denominator * dg
-    num = Fraction(p, q).numerator
-    u = (mg @ es.T).T
-    nl = es.shape[0]
-    star_rc = tuple(int(c) for c in rs.weight_to_root(alpha_st.weight))
-    x = tuple(int(c) for c in x_probe)
-    w0 = sum(a * b for a, b in zip(star_rc, x))
-    if w0 == 0:
-        raise SMatrixError("probe x is orthogonal to alpha_*")
-
-    chunks = list(
-        _orbit_chunk_roots(rs, [tuple(int(c) for c in row) for row in es], star_rc, chunk_depth)
-    )
-    acc = np.zeros((nl, nl, den), dtype=np.int64)
-    done = np.zeros(len(chunks), dtype=bool)
-    count = 0
-    if checkpoint and Path(checkpoint).exists():
-        data = np.load(checkpoint)
-        acc = data["acc"]
-        done = data["done"]
-        count = int(data["count"])
-
-    cartan = np.array(rs.cartan_matrix, dtype=np.int64)
-    xv = np.array(x, dtype=np.int64)
-    uv = np.ascontiguousarray(u)
-    walker = _chunk_walker()
-
-    todo = [ci for ci in range(len(chunks)) if not done[ci]]
-    lock = threading.Lock()
-    state = {"count": count, "since": 0, "cursor": 0, "error": None}
-
-    def save():
-        if checkpoint:
-            np.savez_compressed(checkpoint, acc=acc, done=done, count=state["count"])
-
-    def worker():
-        nonlocal acc
-        local = np.zeros_like(acc)
-        while True:
-            with lock:
-                if state["error"] is not None or state["cursor"] >= len(todo):
-                    return
-                ci = todo[state["cursor"]]
-                state["cursor"] += 1
-            v, parity, arc, vecs, is_leaf = chunks[ci]
-            local[:] = 0
-            visited = walker(
-                np.array(v, dtype=np.int64),
-                np.int64(parity),
-                np.array(arc, dtype=np.int64),
-                np.array(vecs, dtype=np.int64),
-                cartan,
-                xv,
-                uv,
-                np.int64(num),
-                np.int64(den),
-                local,
-                bool(is_leaf),
-            )
-            with lock:
-                if visited < 0:
-                    state["error"] = SMatrixError("orbit walk exceeded its stack bound")
-                    return
-                acc += local
-                done[ci] = True
-                state["count"] += int(visited)
-                state["since"] += int(visited)
-                if checkpoint and state["since"] >= checkpoint_every:
-                    save()
-                    state["since"] = 0
-                if progress:
-                    print(
-                        f"chunk {ci + 1}/{len(chunks)}: {state['count']} elements",
-                        flush=True,
-                    )
-
-    nworkers = max(1, int(workers))
-    if nworkers == 1:
-        worker()
-    else:
-        threads = [threading.Thread(target=worker) for _ in range(nworkers)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-    if state["error"] is not None:
-        raise state["error"]
-    save()
-
-    table = _phase_table(den)
-    kern = np.einsum("ijd,d->ij", acc, table) / w0
-    return kern, labels, eps_y
-
-
-def _walk_chunk_py(v0, parity0, arc0, vecs0, cartan, xv, u, num, den, acc, descend):
-    """Pure-Python subtree walk; mirrors the numba kernel exactly."""
-    n = v0.shape[0]
-    nl = vecs0.shape[0]
-    stack = [(tuple(v0), int(parity0), tuple(arc0), [tuple(r) for r in vecs0])]
-    visited = 0
-    first = True
-    while stack:
-        v, parity, arc, vecs = stack.pop()
-        visited += 1
-        if all(c >= 0 for c in arc):
-            wt = parity * sum(a * b for a, b in zip(arc, xv))
-            for i in range(nl):
-                vi = vecs[i]
-                for j in range(nl):
-                    dot = 0
-                    for a in range(n):
-                        dot += vi[a] * u[j][a]
-                    acc[i, j, (num * dot) % den] += wt
-        if first and not descend:
-            break
-        first = False
-        for k in range(n - 1, -1, -1):
-            if v[k] > 0:
-                ak = cartan[k]
-                nv = tuple(c - v[k] * ak[t] for t, c in enumerate(v))
-                neg = -1
-                for t, c in enumerate(nv):
-                    if c < 0:
-                        neg = t
-                        break
-                if neg == k:
-                    pairing = sum(arc[t] * cartan[t][k] for t in range(n))
-                    narc = tuple(c - pairing * int(t == k) for t, c in enumerate(arc))
-                    stack.append(
-                        (
-                            nv,
-                            -parity,
-                            narc,
-                            [tuple(c - r[k] * ak[t] for t, c in enumerate(r)) for r in vecs],
-                        )
-                    )
-    return visited
-
-
-def _chunk_walker():
-    """Return the compiled subtree walker, or the Python fallback."""
-    try:
-        from numba import njit
-    except ImportError:
-        return _walk_chunk_py
-
-    @njit(cache=True, nogil=True)
-    def walk(v0, parity0, arc0, vecs0, cartan, xv, u, num, den, acc, descend):
-        n = v0.shape[0]
-        nl = vecs0.shape[0]
-        maxdepth = 2048
-        vs = np.zeros((maxdepth, n), dtype=np.int64)
-        arcs = np.zeros((maxdepth, n), dtype=np.int64)
-        pars = np.zeros(maxdepth, dtype=np.int64)
-        mats = np.zeros((maxdepth, nl, n), dtype=np.int64)
-        vs[0, :] = v0
-        arcs[0, :] = arc0
-        pars[0] = parity0
-        mats[0, :, :] = vecs0
-        top = 1
-        visited = 0
-        first = True
-        while top > 0:
-            top -= 1
-            v = vs[top].copy()
-            arc = arcs[top].copy()
-            parity = pars[top]
-            vecs = mats[top].copy()
-            visited += 1
-            pos = True
-            for t in range(n):
-                if arc[t] < 0:
-                    pos = False
-                    break
-            if pos:
-                wt = 0
-                for t in range(n):
-                    wt += arc[t] * xv[t]
-                wt *= parity
-                for i in range(nl):
-                    for j in range(nl):
-                        dot = 0
-                        for a in range(n):
-                            dot += vecs[i, a] * u[j, a]
-                        acc[i, j, (num * dot) % den] += wt
-            if first and not descend:
-                break
-            first = False
-            for k in range(n - 1, -1, -1):
-                if v[k] > 0:
-                    neg = -1
-                    for t in range(n):
-                        c = v[t] - v[k] * cartan[k, t]
-                        if c < 0:
-                            neg = t
-                            break
-                    if neg == k:
-                        if top >= maxdepth:
-                            return -1
-                        for t in range(n):
-                            vs[top, t] = v[t] - v[k] * cartan[k, t]
-                        pairing = 0
-                        for t in range(n):
-                            pairing += arc[t] * cartan[t, k]
-                        for t in range(n):
-                            arcs[top, t] = arc[t]
-                        arcs[top, k] -= pairing
-                        pars[top] = -parity
-                        for i in range(nl):
-                            for t in range(n):
-                                mats[top, i, t] = vecs[i, t] - vecs[i, k] * cartan[k, t]
-                        top += 1
-        return visited
-
-    return walk
+# the earlier name of the checkpointed long-run path, kept for its callers
+subregular_S_streamed = subregular_S

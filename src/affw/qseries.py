@@ -401,7 +401,7 @@ def _coroot_ball(rs: RootSystem, bound: Fraction) -> list[Weight]:
             [[rs.cartan_matrix[i][j] for j in range(rs.rank)] for i in range(rs.rank)]
         )
     ]
-    gram = [[rs.bilinear(a.weight if False else a, b) for b in basis] for a in basis]
+    gram = [[rs.bilinear(a, b) for b in basis] for a in basis]
     # crude box bound from the diagonal
     import itertools
 

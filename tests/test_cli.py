@@ -102,6 +102,41 @@ def test_smatrix_subregular_d6(tmp_path):
     assert data["labels"][0]["wall"] in (3, 4)
 
 
+def test_smatrix_progress_goes_to_stderr(capsys):
+    rc = main(["smatrix", "--variant", "subregular", "--type", "D4", "--p", "7", "--q", "5",
+               "--workers", "2"])
+    assert rc == 0
+    out = capsys.readouterr()
+    data = json.loads(out.out)
+    assert len(data["labels"]) == 8
+    progress = out.err.strip().splitlines()
+    assert progress and progress[-1].endswith("192/192 Weyl elements")
+
+
+def test_bad_input_exits_cleanly(tmp_path, capsys):
+    pairs = tmp_path / "pairs.json"
+    pairs.write_text(json.dumps({"labels": [0, 1], "matrix": [[1, 0], [0, 1]]}))
+    ragged = tmp_path / "ragged.json"
+    ragged.write_text(json.dumps({"labels": [0, 1], "matrix": [[[1, 0], [0, 0]], [[0, 0]]]}))
+    garbage = tmp_path / "garbage.json"
+    garbage.write_text("not json")
+    table = [
+        ["smatrix", "--variant", "principal", "--type", "A1", "--p", "3"],
+        ["smatrix", "--variant", "subregular", "--type", "D4", "--q", "5"],
+        ["char", "--type", "A1", "--level", "1", "--order", "-1"],
+        ["fusion", "--from", str(pairs)],
+        ["fusion", "--from", str(ragged)],
+        ["fusion", "--from", str(garbage)],
+        ["fusion", "--from", str(tmp_path / "missing.json")],
+    ]
+    for argv in table:
+        rc = main(argv)
+        err = capsys.readouterr().err.strip().splitlines()
+        assert rc in (2, 3, 4), argv
+        assert len(err) == 1, (argv, err)
+        assert json.loads(err[0])["exit_code"] == rc
+
+
 def test_char_irreducible(tmp_path):
     out = tmp_path / "c.json"
     rc = main(["char", "--type", "A1", "--level", "1", "--order", "6", "--out", str(out)])

@@ -1,16 +1,19 @@
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from affw.liealg import (
     CartanType,
     LieAlgebraError,
     Weight,
+    WeylBlock,
     build_root_system,
     dot_action,
     exponents,
     inner_product,
+    weyl_blocks,
     weyl_stream,
 )
 
@@ -108,7 +111,7 @@ def test_simple_reflection_permutes_positive_roots():
 
 
 def test_weyl_stream_counts_and_signs():
-    for name in ("A1", "A2", "B2", "A3", "G2", "D4"):
+    for name in ("A1", "A2", "B2", "A3", "G2", "D4", "F4", "E6"):
         rs = build_root_system(CartanType.parse(name))
         seen = set()
         sign_sum = 0
@@ -130,15 +133,62 @@ def test_weyl_stream_reentrant():
 
 
 def test_length_parity_is_determinant_on_roots():
-    rs = build_root_system(CartanType.parse("B2"))
-    for w in weyl_stream(rs):
-        # det of the action on root-basis coordinates equals the parity
-        import numpy as np
-
-        m = np.array(w.matrix, dtype=float)
+    for name in ("B2", "A3", "G2", "D4"):
+        rs = build_root_system(CartanType.parse(name))
         a = np.array(rs.cartan_matrix, dtype=float)
-        root_action = np.linalg.inv(a.T) @ m @ a.T
-        assert round(np.linalg.det(root_action)) == w.length_parity
+        for w in weyl_stream(rs):
+            # det of the action on root-basis coordinates equals the parity
+            m = np.array(w.matrix, dtype=float)
+            root_action = np.linalg.inv(a.T) @ m @ a.T
+            assert round(np.linalg.det(root_action)) == w.length_parity
+
+
+def test_weyl_stream_matches_the_generated_group():
+    """The walk against a closure of the simple reflections under products."""
+    for name in ("A3", "B3", "G2", "D4"):
+        rs = build_root_system(CartanType.parse(name))
+        gens = [rs.simple_reflection(i) for i in range(rs.rank)]
+        group = {rs.identity_element().matrix: 1}
+        frontier = [rs.identity_element()]
+        while frontier:
+            nxt = []
+            for w in frontier:
+                for s in gens:
+                    sw = s * w
+                    if sw.matrix not in group:
+                        group[sw.matrix] = sw.length_parity
+                        nxt.append(sw)
+            frontier = nxt
+        assert {w.matrix: w.length_parity for w in weyl_stream(rs)} == group
+
+
+def test_weyl_blocks_e7_count_and_parity():
+    rs = build_root_system(CartanType.parse("E7"))
+    count = parity_sum = 0
+    for blk in weyl_blocks(rs):
+        count += len(blk.points)
+        parity_sum += blk.parity * len(blk.points)
+    assert count == rs.weyl_order == 2_903_040
+    assert parity_sum == 0
+
+
+def test_weyl_blocks_subtrees_partition_the_group():
+    """The top layers plus the subtrees below one depth cover W exactly once."""
+    rs = build_root_system(CartanType.parse("D5"))
+    top = list(weyl_blocks(rs, max_depth=3))
+    pieces = [b.matrices for b in top if b.depth < 3]
+    for b in top:
+        assert b.depth <= 3
+        if b.depth == 3:
+            for r in range(len(b.points)):
+                start = WeylBlock(b.points[r : r + 1], b.matrices[r : r + 1], 3)
+                pieces += [s.matrices for s in weyl_blocks(rs, start=start, rows=7)]
+    mats = np.concatenate(pieces)
+    assert len(mats) == rs.weyl_order
+    assert len({m.tobytes() for m in mats}) == rs.weyl_order
+    assert {m.tobytes() for m in mats} == {
+        np.array(w.matrix, dtype=np.int64).tobytes() for w in weyl_stream(rs)
+    }
 
 
 def test_reflection_involution_and_sign_multiplicativity():

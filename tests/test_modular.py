@@ -1,5 +1,6 @@
 import math
 import os
+import sys
 
 import numpy as np
 import pytest
@@ -14,7 +15,6 @@ from affw.modular import (
     degenerate_kernel,
     fkw_principal,
     kac_peterson,
-    streamed_half_group_kernel,
     subregular_S,
     _half_group_kernel_matrix,
     _weight_ints,
@@ -276,8 +276,9 @@ def test_streamed_kernel_matches_direct():
     cons, _ = conservative_weights(lv, labs)
     es = _weight_ints(cons)
     direct = _half_group_kernel_matrix(rs, alpha_star(rs), default_probe(rs), 7, 5, es, es)
-    streamed, labs2, eps2 = streamed_half_group_kernel(lv, chunk_depth=2)
-    assert [tuple(l.eta.coords) for l in labs2] == [tuple(l.eta.coords) for l in labs]
+    sm = subregular_S(lv, workers=2)  # walked in subtree chunks
+    streamed = sm.provenance["kernel"]
+    assert [tuple(l.eta.coords) for l in sm.labels] == [tuple(l.eta.coords) for l in labs]
     assert np.abs(direct - streamed).max() < 1e-12
 
 
@@ -326,20 +327,69 @@ def test_streamed_kernel_parallel_matches_serial():
     """Chunked parallel reduction is order-free: workers agree exactly."""
     rs = build_root_system(CartanType.parse("D4"))
     lv = make_admissible_level(rs, 9, 4)
-    k1, *_ = streamed_half_group_kernel(lv, chunk_depth=2, workers=1)
-    k2, *_ = streamed_half_group_kernel(lv, chunk_depth=2, workers=2)
+    k1 = subregular_S(lv, workers=1).provenance["kernel"]
+    k2 = subregular_S(lv, workers=2).provenance["kernel"]
     assert np.abs(k1 - k2).max() == 0
+    # more threads than cores, switching as often as the interpreter allows
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        k5 = subregular_S(lv, workers=5).provenance["kernel"]
+    finally:
+        sys.setswitchinterval(interval)
+    assert np.array_equal(k1, k5)
 
 
 def test_streamed_kernel_checkpoint_resume(tmp_path):
     rs = build_root_system(CartanType.parse("A3"))
     lv = make_admissible_level(rs, 5, 3)
     ck = str(tmp_path / "ck.npz")
-    k1, *_ = streamed_half_group_kernel(lv, checkpoint=ck, checkpoint_every=5, chunk_depth=2)
+    k1 = subregular_S(lv, checkpoint=ck, checkpoint_every=5).provenance["kernel"]
     assert os.path.exists(ck)
     # resuming from the completed checkpoint must not double-count
-    k2, *_ = streamed_half_group_kernel(lv, checkpoint=ck, chunk_depth=2)
+    k2 = subregular_S(lv, checkpoint=ck).provenance["kernel"]
     assert np.abs(k1 - k2).max() == 0
+
+
+def test_checkpoint_resumes_an_interrupted_walk(tmp_path, monkeypatch):
+    import affw.modular as modular
+
+    rs = build_root_system(CartanType.parse("D4"))
+    lv = make_admissible_level(rs, 7, 5)
+    fresh = subregular_S(lv)
+    ck = str(tmp_path / "ck.npz")
+    walk, calls = modular._walk, []
+
+    def dies_after_three_chunks(*args, **kw):
+        calls.append(1)
+        if len(calls) > 3:
+            raise KeyboardInterrupt
+        return walk(*args, **kw)
+
+    monkeypatch.setattr(modular, "_walk", dies_after_three_chunks)
+    with pytest.raises(KeyboardInterrupt):
+        subregular_S(lv, checkpoint=ck, checkpoint_every=1)
+    monkeypatch.setattr(modular, "_walk", walk)
+    assert int(np.load(ck)["done"].sum()) == 3
+    resumed = subregular_S(lv, checkpoint=ck)
+    assert np.array_equal(resumed.entries, fresh.entries)
+    assert resumed.provenance["weyl_elements"] == rs.weyl_order
+    assert not os.path.exists(ck + ".tmp")
+
+
+def test_checkpoint_of_another_job_is_refused(tmp_path):
+    rs = build_root_system(CartanType.parse("D4"))
+    ck = str(tmp_path / "ck.npz")
+    subregular_S(make_admissible_level(rs, 7, 4), checkpoint=ck)
+    # same shapes, same kernel denominator: only the fingerprint tells them apart
+    with pytest.raises(SMatrixError, match="p is 7 there, 9 here"):
+        subregular_S(make_admissible_level(rs, 9, 4), checkpoint=ck)
+    with pytest.raises(SMatrixError, match="probe is"):
+        subregular_S(make_admissible_level(rs, 7, 4), x_probe=alternate_probe(rs), checkpoint=ck)
+    # a checkpoint without a fingerprint (the old layout) is refused too
+    np.savez_compressed(ck, acc=np.zeros((6, 6, 8), dtype=np.int64), done=np.ones(30, bool), count=192)
+    with pytest.raises(SMatrixError, match="format is None there"):
+        subregular_S(make_admissible_level(rs, 7, 4), checkpoint=ck)
 
 
 def test_normalization_failure_raises():
