@@ -146,7 +146,10 @@ def cmd_char(args):
         }
         _emit(payload, args, "char_brst.json")
         return
-    level = Fraction(args.level) if args.level else None
+    try:
+        level = Fraction(args.level) if args.level else None
+    except (ValueError, ZeroDivisionError):
+        raise CliError(f"--level must be a number, not {args.level!r}", EXIT_VALIDATION)
     if args.p and args.q:
         lv = _admissible(rs, args)
         level, stride = lv.k, args.q
@@ -169,8 +172,10 @@ def cmd_char(args):
         payload = {"config": vars_config(args), "terms": terms}
     else:
         if args.y_spec:
-            co = [Fraction(x) for x in args.y_spec.split(",")]
-            spec = ch.specialize(co)
+            try:
+                spec = ch.specialize([Fraction(x) for x in args.y_spec.split(",")])
+            except (ValueError, ZeroDivisionError) as e:
+                raise CliError(f"bad --y-spec {args.y_spec!r}: {e}", EXIT_VALIDATION)
             payload = {
                 "config": vars_config(args),
                 "y_series": {str(k): v.to_json() for k, v in sorted(spec.items())},
@@ -297,10 +302,12 @@ def cmd_ope(args):
             "central_charge": str(rep.central_charge),
         }
     elif args.preset == "sugawara":
-        if args.rank:
+        if args.rank is not None:
+            if args.rank < 1:
+                raise CliError("--rank must be a positive integer", EXIT_VALIDATION)
             n = args.rank + 1
         elif getattr(args, "type", None):
-            ct = liealg.CartanType.parse(args.type)
+            ct = _root_system(args).cartan_type
             if ct.family != "A":
                 raise CliError("sugawara preset supports type A only", EXIT_UNSUPPORTED)
             n = ct.rank + 1

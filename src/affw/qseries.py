@@ -270,11 +270,6 @@ class TwoVarCharacter:
     terms: dict[tuple[Fraction, ...], QSeries] = field(default_factory=dict)
     q_order: Fraction = Fraction(0)
 
-    @staticmethod
-    def monomial(weight: Weight, series: QSeries, q_order=None) -> "TwoVarCharacter":
-        qo = Fraction(q_order) if q_order is not None else series.order_frac
-        return TwoVarCharacter(weight.rank, {weight.coords: series}, qo)
-
     def add_term(self, coords: tuple, series: QSeries):
         if coords in self.terms:
             self.terms[coords] = self.terms[coords] + series
@@ -298,19 +293,11 @@ class TwoVarCharacter:
                     out.add_term(tuple(x + y for x, y in zip(ca, cb)), prod)
         return out
 
-    def restrict_depth(self, base: Weight, rs: RootSystem, depth: Fraction) -> "TwoVarCharacter":
-        """Drop weights mu with height(base - mu) above ``depth``."""
-        out = TwoVarCharacter(self.rank, {}, self.q_order)
-        for c, s in self.terms.items():
-            diff = Weight(tuple(b - x for b, x in zip(base.coords, c)))
-            h = sum(rs.weight_to_root(diff))
-            if h <= depth:
-                out.terms[c] = s
-        return out
-
     def specialize(self, cochar: Sequence) -> dict[int, QSeries]:
         """y-grading by ``<mu, cochar>`` (must be integral on the support)."""
         co = [Fraction(c) for c in cochar]
+        if len(co) != self.rank:
+            raise QSeriesError(f"cocharacter has {len(co)} entries, the rank is {self.rank}")
         out: dict[int, QSeries] = {}
         for c, s in self.terms.items():
             e = sum(x * y for x, y in zip(c, co))
@@ -327,42 +314,84 @@ class TwoVarCharacter:
         return tot if tot is not None else QSeries.zero(0)
 
 
-def _affine_denominator_factors(rs: RootSystem, order: int, finite_factor: bool):
-    """Factors (weight mu, q-power n) of prod (1 - q^n e^{-mu}) in Delta_hat_+."""
-    factors: list[tuple[Weight, int]] = []
-    if finite_factor:
-        for r in rs.positive_roots:
-            factors.append((r.weight, 0))
-    zero = rs.zero_weight()
+def _denominator_steps(rs: RootSystem, order: int, finite_factor: bool):
+    """(n, gamma) for each factor (1 - q^n e^{-gamma}) of the affine Weyl
+    denominator with n <= order; gamma in simple-root coordinates."""
+    steps = [(0, r.root_coords) for r in rs.positive_roots] if finite_factor else []
     for n in range(1, order + 1):
-        for _ in range(rs.rank):
-            factors.append((zero, n))
+        steps += [(n, (0,) * rs.rank)] * rs.rank
         for r in rs.positive_roots:
-            factors.append((r.weight, n))
-            factors.append((-r.weight, n))
-    return factors
+            steps += [(n, r.root_coords), (n, tuple(-c for c in r.root_coords))]
+    return steps
 
 
-def _geometric_factor(
-    rs: RootSystem, mu: Weight, n: int, order: int, depth: Fraction, den: int
+def _shifted(d: int, size: int) -> tuple[slice, slice]:
+    """Destination and source slices of ``x -> x + d`` on ``range(size)``."""
+    return slice(max(d, 0), size + min(d, 0)), slice(max(-d, 0), size - max(d, 0))
+
+
+def _divide_by_denominator(
+    rs: RootSystem,
+    lam: Weight,
+    numerator: TwoVarCharacter,
+    order: int,
+    depth,
+    finite_factor: bool,
 ) -> TwoVarCharacter:
-    """(1 - q^n e^{-mu})^{-1} truncated by q-order and by height depth."""
-    ch = TwoVarCharacter(rs.rank, {}, Fraction(order))
-    h = sum(rs.weight_to_root(mu))
-    k = 0
-    while True:
-        if k * n > order:
-            break
-        if h > 0 and k * h > depth:
-            break
-        if h <= 0 and n == 0 and k > 0:
-            raise QSeriesError("non-convergent denominator factor")
-        ch.add_term(
-            tuple(-k * c for c in mu.coords),
-            QSeries.make([1], k * n * den, den, (order + 1) * den),
-        )
-        k += 1
-    return ch
+    """``e^lam * numerator`` divided by the affine Weyl denominator.
+
+    ``numerator`` maps offsets ``mu - lam`` to integer q-series without
+    negative exponents.  The result holds every weight mu with
+    height(lam - mu) <= ``depth`` and every q-exponent up to ``order``, all
+    exact, and nothing beyond: each series is exact below q^{order + 1/den},
+    which is q^{order + 1} when all exponents are integral.
+
+    The work array ``a[t, x]`` is the coefficient of q^{t/den} e^{lam - x/s},
+    with x the simple-root coordinates of lam - mu scaled by s so that the
+    numerator offsets are integral.  Each factor (1 - q^n e^{-gamma})^{-1} is
+    a running sum along the shift (n den, s gamma).  Raising the weight by a
+    root costs at least q^1, so every partial product that ends in the window
+    stays within height <= depth + order ht(theta) and coordinate
+    x_i >= min(numerator)_i - s order theta_i; the array spans that box, and
+    the cut to the window comes last.
+    """
+    den = math.lcm(*(series.den for series in numerator.terms.values()))
+    top = order * den
+    points = []
+    for coords, series in numerator.terms.items():
+        beta = tuple(-c for c in rs.weight_to_root(Weight(coords)))
+        for i, c in enumerate(series.coeffs):
+            t = (series.shift + i) * (den // series.den)
+            if c and t < 0:
+                raise QSeriesError("numerator has a term below q^0: lam is not a highest weight here")
+            if c and t <= top:
+                points.append((t, beta, int(c)))
+    s = math.lcm(*(b.denominator for _, beta, _ in points for b in beta))
+    keep_height = math.floor(s * depth)
+    reach = keep_height + s * order * rs.highest_root.height
+    points = [(t, [int(s * b) for b in beta], c) for t, beta, c in points if s * sum(beta) <= reach]
+    out = TwoVarCharacter(rs.rank, {}, Fraction(top + 1, den))
+    if not points:
+        return out
+    theta = rs.highest_root.root_coords
+    lo = [min(x[i] for _, x, _ in points) - s * order * theta[i] for i in range(rs.rank)]
+    shape = [top + 1] + [reach - sum(lo) + 1] * rs.rank  # x_i <= reach - sum_{j != i} lo_j
+    a = np.zeros(shape, dtype=object)
+    for t, x, c in points:
+        a[(t, *(xi - l for xi, l in zip(x, lo)))] += c
+    for n, gamma in _denominator_steps(rs, order, finite_factor):
+        shift = (n * den, *(s * g for g in gamma))
+        axis = next(i for i, d in enumerate(shift) if d > 0)
+        cuts = [_shifted(d, size) for d, size in zip(shift, shape)]
+        dst, src = [d for d, _ in cuts], [c for _, c in cuts]
+        for j in range(shift[axis], shape[axis]):
+            dst[axis], src[axis] = j, j - shift[axis]
+            a[tuple(dst)] += a[tuple(src)]
+    height = sum(g + l for g, l in zip(np.indices(shape[1:]), lo))
+    for idx in zip(*np.nonzero((height <= keep_height) & (a != 0).any(axis=0))):
+        mu = lam - rs.root_to_weight([Fraction(int(i) + l, s) for i, l in zip(idx, lo)])
+        out.terms[mu.coords] = QSeries.make(a[(slice(None), *idx)].tolist(), 0, den, top + 1)
+    return out
 
 
 def verma_character(
@@ -381,45 +410,8 @@ def verma_character(
     """
     if depth is None:
         depth = order * (max(r.height for r in rs.positive_roots) + 1)
-    dep = Fraction(depth)
-    ch = TwoVarCharacter.monomial(lam, QSeries.one((order + 1)))
-    for mu, n in _affine_denominator_factors(rs, order, finite_factor):
-        ch = ch * _geometric_factor(rs, mu, n, order, dep, 1)
-        ch = ch.restrict_depth(lam, rs, dep)
-    ch.q_order = Fraction(order + 1)
-    return ch
-
-
-def _coroot_ball(rs: RootSystem, bound: Fraction) -> list[Weight]:
-    """Coroot-lattice points beta with (beta, beta)/2 <= bound, exact."""
-    out: list[Weight] = []
-    # coroots have fundamental coordinates rows of A divided by d_i; in the
-    # simply-laced and sl2-test cases these are the roots themselves.
-    basis = [
-        Weight(tuple(Fraction(x) / rs.simple_root_norms_half[i] for x in row))
-        for i, row in enumerate(
-            [[rs.cartan_matrix[i][j] for j in range(rs.rank)] for i in range(rs.rank)]
-        )
-    ]
-    gram = [[rs.bilinear(a, b) for b in basis] for a in basis]
-    # crude box bound from the diagonal
-    import itertools
-
-    radius = []
-    for i in range(rs.rank):
-        radius.append(int(math.isqrt(int(4 * bound / gram[i][i])) + 2))
-    for coords in itertools.product(*[range(-r, r + 1) for r in radius]):
-        norm_half = Fraction(0)
-        for i in range(rs.rank):
-            for j in range(rs.rank):
-                norm_half += Fraction(coords[i] * coords[j]) * gram[i][j]
-        norm_half /= 2
-        if norm_half <= bound:
-            w = rs.zero_weight()
-            for c, b in zip(coords, basis):
-                w = w + c * b
-            out.append(w)
-    return out
+    one = TwoVarCharacter(rs.rank, {rs.zero_weight().coords: QSeries.one(order + 1)})
+    return _divide_by_denominator(rs, lam, one, order, depth, finite_factor)
 
 
 def kac_wakimoto_numerator(
@@ -456,25 +448,28 @@ def kac_wakimoto_numerator(
             f"translation cap {translation_cap} too small; need >= {need} "
             f"for exactness at order {order}"
         )
-    ball = _coroot_ball(rs, need)
-    den = (kh * stride * stride).denominator * (kh.denominator)
-    den = _lcm(den, (2 * kh).denominator or 1)
+    # coroots alpha_i / d_i; the float ball is a superset of (beta, beta)/2 <= need,
+    # and the exact drop test below decides
+    coroots = [
+        Weight(tuple(Fraction(x) / d for x in row))
+        for row, d in zip(rs.cartan_matrix, rs.simple_root_norms_half)
+    ]
+    gram = np.array([[float(rs.bilinear(u, v)) for v in coroots] for u in coroots])
+    ball = _lattice_points(gram, np.zeros(rs.rank), float(2 * need) + 1e-6)
+    den = _lcm((kh * stride * stride).denominator * kh.denominator, (2 * kh).denominator)
     num = TwoVarCharacter(rs.rank, {}, Fraction(order + 1))
-    seen_orders = den
-    for beta in ball:
-        tb = Weight(tuple(stride * c for c in beta.coords))
+    for pt in ball:
+        tb = sum((stride * int(c) * u for c, u in zip(pt, coroots)), rs.zero_weight())
         translated = affine_translation(rs, tb, shifted)
         drop = -translated.delta_coeff
         if drop > order:
             continue
+        dd = _lcm(den, drop.denominator)
         for w in weyl_stream(rs):
             fin = w.act(translated.finite_part) - shifted.finite_part
-            dden = drop.denominator
-            dd = _lcm(seen_orders, dden)
-            scaled = int(drop * dd)
             num.add_term(
                 tuple(fin.coords),
-                QSeries.make([w.length_parity], scaled, dd, (order + 1) * dd),
+                QSeries.make([w.length_parity], int(drop * dd), dd, (order + 1) * dd),
             )
     return num
 
@@ -504,24 +499,7 @@ def irreducible_character(
         reach = math.sqrt(norm2 + 2 * kh * order) + math.sqrt(norm2)
         hmax = math.sqrt(float(rs.bilinear(rs.weyl_vector, rs.weyl_vector))) * 2
         depth = math.ceil(reach * hmax) + order + 2
-    # The alternating cancellation is incomplete near the window edge: a
-    # weight is exact only if every numerator term above it is in reach, so
-    # compute on a padded window and cut the guard band at the end.
-    num_spread = max(
-        (-sum(rs.weight_to_root(Weight(c))) for c in num.terms), default=Fraction(0)
-    )
-    pad = math.ceil(num_spread) + order + 1
-    dep = Fraction(depth + pad)
-    base = lam
-    ch = TwoVarCharacter(rs.rank, {}, Fraction(order + 1))
-    for c, s in num.terms.items():
-        ch.add_term(tuple(a + b for a, b in zip(c, base.coords)), s)
-    for mu, n in _affine_denominator_factors(rs, order, True):
-        ch = ch * _geometric_factor(rs, mu, n, order, dep, 1)
-        ch = ch.restrict_depth(base, rs, dep)
-    ch = ch.restrict_depth(base, rs, Fraction(depth))
-    ch.q_order = Fraction(order + 1)
-    return ch
+    return _divide_by_denominator(rs, lam, num, order, depth, True)
 
 
 # -- classical identities -------------------------------------------------------

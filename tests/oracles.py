@@ -73,3 +73,37 @@ def colored_tower_count(n: int, towers: tuple[int, ...]) -> int:
         return total
 
     return rec(n, 0, 0)
+
+
+def affine_sl3_verma(order: int, depth: int) -> dict:
+    """Weight multiplicities of the affine sl3 Verma module M(0), by Kostant partitions.
+
+    Returns {(Dynkin labels of mu, n): count} for n <= order and height(-mu)
+    <= depth, where count is the number of ways to write -mu + n delta as a
+    sum of positive affine roots.  The parts with delta-degree >= 1 (+-alpha
+    + m delta, and m delta twice) are enumerated as multisets; the rest,
+    b1 alpha_1 + b2 alpha_2 with b1, b2 >= 0, is a sum of positive finite
+    roots in min(b1, b2) + 1 ways.
+    """
+    finite = [(1, 0), (0, 1), (1, 1)]
+    parts = []
+    for m in range(1, order + 1):
+        parts += [(a, m) for a in finite] + [((-a[0], -a[1]), m) for a in finite]
+        parts += [((0, 0), m)] * 2
+    loops = {((0, 0), 0): 1}  # (root sum, degree) -> multisets of parts
+    for (a1, a2), m in parts:
+        grown = dict(loops)
+        for ((b1, b2), n), c in loops.items():
+            k = 1
+            while n + k * m <= order:
+                key = ((b1 + k * a1, b2 + k * a2), n + k * m)
+                grown[key] = grown.get(key, 0) + c
+                k += 1
+        loops = grown
+    out: dict = {}
+    for ((b1, b2), n), c in loops.items():
+        for t1 in range(b1, depth - b2 + 1):
+            for t2 in range(b2, depth - t1 + 1):
+                key = ((t2 - 2 * t1, t1 - 2 * t2), n)
+                out[key] = out.get(key, 0) + c * (min(t1 - b1, t2 - b2) + 1)
+    return out

@@ -128,6 +128,13 @@ def test_bad_input_exits_cleanly(tmp_path, capsys):
         ["fusion", "--from", str(ragged)],
         ["fusion", "--from", str(garbage)],
         ["fusion", "--from", str(tmp_path / "missing.json")],
+        ["char", "--type", "A1", "--level", "abc"],
+        ["char", "--type", "A1", "--level", "1", "--y-spec", "x"],
+        ["char", "--type", "A2", "--level", "1", "--order", "2", "--y-spec", "1/2,0"],
+        ["char", "--type", "A1", "--level", "1", "--y-spec", "1,2,3"],
+        ["ope", "--preset", "sugawara", "--type", "X9"],
+        ["ope", "--preset", "sugawara", "--rank", "-3"],
+        ["ope", "--preset", "sugawara", "--rank", "0"],
     ]
     for argv in table:
         rc = main(argv)
@@ -145,6 +152,15 @@ def test_char_irreducible(tmp_path):
     assert data["exponent_den"] == 1
     coeffs = {tuple(map(str, [e])): c for e, c in data["coeffs"]}
     assert data["coeffs"][0] == ["0/1", "1/1"]
+
+
+def test_char_two_var_prints_only_exact_terms(capsys):
+    rc = main(["char", "--type", "A1", "--level", "1", "--order", "10", "--two-var"])
+    assert rc == 0
+    terms = json.loads(capsys.readouterr().out)["terms"]
+    # L_1(sl2) below q^11: the weights m alpha with m^2 <= 10
+    assert sorted(int(t["weight"][0]) for t in terms) == [-6, -4, -2, 0, 2, 4, 6]
+    assert all(t["series"]["order"] == "11/1" for t in terms)
 
 
 def test_char_w_vacuum(tmp_path):

@@ -227,6 +227,31 @@ def test_degenerate_kernel_brute_force_a3():
             assert abs(fast - brute(cons[i], cons[j])) < 1e-9
 
 
+def test_degenerate_kernel_is_half_the_full_group_sum():
+    """On conservative weights the half-group kernel is 1/2 of the sum over
+    all of W with the weight <w(alpha_*), x>/<alpha_*, x> left unmasked."""
+    rs = build_root_system(CartanType.parse("D4"))
+    lv = make_admissible_level(rs, 7, 4)
+    cons, _ = conservative_weights(lv, subregular_labels(lv))
+    ast = alpha_star(rs)
+    probe = default_probe(rs)
+    g = np.array([[float(x) for x in row] for row in rs.gram])
+    w0 = float(sum(c * x for c, x in zip(ast.root_coords, probe)))
+    terms = []
+    for w in weyl_stream(rs):
+        wt = float(sum(c * x for c, x in zip(rs.weight_to_root(w.act(ast.weight)), probe)))
+        terms.append((w, w.length_parity * wt / w0))
+    for ei in cons:
+        for ej in cons:
+            right = g @ np.array([float(c) for c in ej.coords])
+            full = 0j
+            for w, c in terms:
+                left = np.array([float(x) for x in w.act(ei).coords])
+                full += c * np.exp(-2j * np.pi * (lv.p / lv.q) * (left @ right))
+            half = degenerate_kernel(rs, ast, probe, lv.p, lv.q, ei, ej)
+            assert abs(half - full / 2) < 1e-12
+
+
 @pytest.mark.parametrize("name,p,q,nlab", [("D6", 11, 8, 3), ("A3", 5, 3, 4), ("D4", 7, 5, 8), ("D4", 9, 4, 6)])
 def test_subregular_S_unitary_symmetric(name, p, q, nlab):
     rs = build_root_system(CartanType.parse(name))

@@ -21,7 +21,7 @@ from affw.qseries import (
     w_vacuum_character,
 )
 
-from oracles import colored_tower_count, partitions_with_min_part
+from oracles import affine_sl3_verma, colored_tower_count, partitions_with_min_part
 
 
 @pytest.fixture(scope="module")
@@ -116,6 +116,22 @@ def test_verma_character_order_zero(a1):
     assert v.terms[lam.coords].coefficient(0) == 1
 
 
+@pytest.mark.parametrize("order", [3, 4])
+def test_verma_character_sl3_kostant_oracle(order):
+    """Every multiplicity in the window, depth edge included, is a Kostant count."""
+    a2 = build_root_system(CartanType.parse("A2"))
+    ch = verma_character(a2, a2.zero_weight(), order)
+    got = {}
+    for coords, s in ch.terms.items():
+        assert s.order_frac == order + 1
+        for e, c in s.coeffs_dict().items():
+            got[(tuple(int(x) for x in coords), int(e))] = int(c)
+    ref = affine_sl3_verma(order, 3 * order)  # the default depth
+    assert got == ref
+    edge = {mu for mu, _ in ref if -(mu[0] + mu[1]) == 3 * order}  # height(-mu) = depth
+    assert edge and edge <= {mu for mu, _ in got}
+
+
 def test_specialization_commutes_with_multiplication(a1):
     va = verma_character(a1, a1.zero_weight(), 3, depth=6, finite_factor=False)
     vb = verma_character(a1, a1.fundamental_weight(0), 3, depth=6, finite_factor=False)
@@ -149,6 +165,16 @@ def test_irreducible_character_level1_lattice_oracle(a1):
         m += 1
     oracle = oracle * theta
     assert all(y1.coefficient(i) == oracle.coefficient(i) for i in range(order + 1))
+
+
+def test_irreducible_character_truncation_contract(a1):
+    """Only weights with a coefficient at q^e, e <= order, and nothing past it."""
+    order = 10
+    ch = irreducible_character(a1, a1.zero_weight(), 1, 1, order)
+    assert set(ch.terms) == {(Fraction(m),) for m in (0, 2, -2, 4, -4, 6, -6)}
+    for s in ch.terms.values():
+        assert s.order_frac == order + 1
+        assert max(s.coeffs_dict()) <= order
 
 
 def test_kw_numerator_matches_l1_form(a1):
@@ -190,6 +216,12 @@ def test_admissible_character_fractional_exponents(a1):
     assert any(s.den > 1 for s in ch.terms.values())
 
 
+def test_numerator_below_q0_is_refused(a1):
+    # lam + rho = -4 omega is not dominant: the translation by alpha drops by -1
+    with pytest.raises(QSeriesError):
+        irreducible_character(a1, Weight.of(-5), 1, 1, 4)
+
+
 def test_translation_cap_error(a1):
     with pytest.raises(QSeriesError):
         irreducible_character(a1, a1.zero_weight(), 1, 1, 30, translation_cap=1)
@@ -225,12 +257,13 @@ def test_triple_product_negative_control():
             theta[(-m, m * m)] = Fraction(1)
         m += 1
     lhs = _poly2_mul(lhs, theta, order)
-    rep = triple_product_check(order)
-    assert rep["equal"]
-    # the mutilated product differs from the RHS already in low order
-    full = triple_product_check(order)
-    assert full["equal"]
-    assert lhs.get((0, 0)) == 1 and lhs.get((-1, 0), Fraction(0)) != Fraction(-1)
+    rhs = {}
+    for n in range(-3, 4):
+        rhs[(3 * n, 3 * n * n + n)] = 1
+        rhs[(3 * n - 1, 3 * n * n - n)] = -1
+    # the full product matches the RHS; the mutilated one already fails at y^-1 q^0
+    assert triple_product_check(order)["equal"]
+    assert rhs[(-1, 0)] == -1 and lhs.get((-1, 0), 0) == 0
 
 
 def test_brst_character():
