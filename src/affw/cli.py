@@ -150,7 +150,7 @@ def cmd_char(args):
         level = Fraction(args.level) if args.level else None
     except (ValueError, ZeroDivisionError):
         raise CliError(f"--level must be a number, not {args.level!r}", EXIT_VALIDATION)
-    if args.p and args.q:
+    if args.p is not None and args.q is not None:
         lv = _admissible(rs, args)
         level, stride = lv.k, args.q
     elif level is not None:
@@ -233,6 +233,7 @@ def cmd_smatrix(args):
         "labels": labels,
         "matrix": _complex_matrix(sm.entries),
         "normalization": sm.normalization,
+        "vacuum": sm.provenance.get("vacuum"),
         "unitarity_residual": sm.unitarity_residual(),
         "elapsed_s": round(time.time() - t0, 3),
     }
@@ -247,9 +248,20 @@ def _read_smatrix(path) -> modular.SMatrix:
         m = np.array([[complex(re, im) for re, im in row] for row in data["matrix"]])
         if m.ndim != 2 or m.shape[0] != m.shape[1] or len(data["labels"]) != m.shape[0]:
             raise ValueError("matrix must be square with one row per label")
-        return modular.SMatrix(data["labels"], m, data.get("normalization", "unitary"), {})
+        vacuum = data.get("vacuum")
+        if vacuum is not None and (type(vacuum) is not int or not 0 <= vacuum < m.shape[0]):
+            raise ValueError(f"vacuum must be a label index, not {vacuum!r}")
+        provenance = {} if vacuum is None else {"vacuum": vacuum}
+        return modular.SMatrix(data["labels"], m, data.get("normalization", "unitary"), provenance)
     except (OSError, ValueError, KeyError, TypeError) as e:
         raise CliError(f"cannot read an S-matrix from {path}: {e}", EXIT_VALIDATION)
+
+
+def _nonzero_coefficients(table: fusion.FusionTable) -> list:
+    """[a, b, c, N_ab^c] for every nonzero coefficient, in C order of (a, b, c)."""
+    idx = np.argwhere(table.coefficients)
+    vals = table.coefficients[tuple(idx.T)]
+    return np.column_stack([idx, vals]).tolist()
 
 
 def cmd_fusion(args):
@@ -263,12 +275,7 @@ def cmd_fusion(args):
         with open(path, "w", newline="") as fh:
             w = csv.writer(fh)
             w.writerow(["a", "b", "c", "N"])
-            n = table.size
-            for a in range(n):
-                for b in range(n):
-                    for c in range(n):
-                        if table.coefficients[a, b, c]:
-                            w.writerow([a, b, c, int(table.coefficients[a, b, c])])
+            w.writerows([a, b, c, n] for a, b, c, n in _nonzero_coefficients(table))
         print(f"wrote {path}")
         return
     payload = {
@@ -279,9 +286,7 @@ def cmd_fusion(args):
         "rounding_residual": table.rounding_residual,
         "quantum_dimensions": [float(f"{d:.12g}") for d in table.quantum_dimensions],
         "coefficients": [
-            {"a": a, "b": b, "c": c, "N": int(v)}
-            for (a, b, c), v in np.ndenumerate(table.coefficients)
-            if v
+            {"a": a, "b": b, "c": c, "N": n} for a, b, c, n in _nonzero_coefficients(table)
         ],
     }
     _emit(payload, args, "fusion.json")

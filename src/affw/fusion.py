@@ -44,32 +44,55 @@ class FusionTable:
             raise FusionError("N_{v a}^b != delta_a^b")
         if not np.array_equal(n, n.transpose(1, 0, 2)):
             raise FusionError("fusion coefficients not symmetric in (a, b)")
-        lhs = np.einsum("abe,ecd->abcd", n, n)
-        rhs = np.einsum("bce,aed->abcd", n, n)
-        if not np.array_equal(lhs, rhs):
-            raise FusionError("fusion coefficients are not associative")
+        # sum_e N_ab^e N_ec^d == sum_e N_bc^e N_ae^d, one a at a time in
+        # float64 BLAS: exact while every partial sum (an integer of at most
+        # size * max^2) stays below 2^53.
+        top = int(np.abs(n).max(initial=0))
+        if size * top * top >= 2**53:
+            raise FusionError(
+                f"associativity check not exact in float64: n * max^2 = "
+                f"{size} * {top}^2 >= 2^53"
+            )
+        f = n.astype(np.float64)
+        rows, cols = f.reshape(size * size, size), f.reshape(size, size * size)
+        for a in range(size):
+            if not np.array_equal((f[a] @ cols).ravel(), (rows @ f[a]).ravel()):
+                raise FusionError("fusion coefficients are not associative")
 
 
 def _verlinde_raw(s: np.ndarray, vacuum: int) -> np.ndarray:
-    """N_{ab}^c = sum_j S_aj S_bj conj(S_cj) / S_vj."""
+    """N_{ab}^c = sum_j S_aj S_bj conj(S_cj) / S_vj, as one (n^2 x n) @ (n x n) product."""
+    n = s.shape[0]
     with np.errstate(divide="raise", invalid="raise"):
         inv = 1.0 / s[vacuum]
-    return np.einsum("aj,bj,cj,j->abc", s, s, s.conj(), inv)
+    x = s[:, None, :] * (s * inv)[None, :, :]
+    return (x.reshape(n * n, n) @ s.conj().T).reshape(n, n, n)
+
+
+def _integral_nonnegative(raw: np.ndarray) -> bool:
+    rounded = np.round(raw.real)
+    return bool(
+        np.abs(raw - rounded).max() < INTEGRALITY_TOL
+        and rounded.min() > -INTEGRALITY_TOL
+    )
 
 
 def _candidate_vacua(s: np.ndarray) -> list[int]:
-    out = []
-    for v in range(s.shape[0]):
-        if np.abs(s[v]).min() < 1e-12:
-            continue
-        raw = _verlinde_raw(s, v)
-        rounded = np.round(raw.real)
-        if (
-            np.abs(raw - rounded).max() < INTEGRALITY_TOL
-            and rounded.min() > -INTEGRALITY_TOL
-        ):
-            out.append(v)
-    return out
+    """Rows v against which Verlinde gives non-negative integers.
+
+    The a = 0 slice N_{0b}^c(v) = sum_j (S_0j / S_vj) S_bj conj(S_cj) of every
+    row comes from one (n x n) @ (n x n^2) product; only the rows that pass
+    it get the full tensor test.
+    """
+    n = s.shape[0]
+    rows = np.flatnonzero(np.abs(s).min(axis=1) >= 1e-12)
+    pairs = (s.T[:, :, None] * s.conj().T[:, None, :]).reshape(n, n * n)
+    slices = ((s[0] / s[rows]) @ pairs).reshape(len(rows), n, n)
+    return [
+        int(v)
+        for v, slice0 in zip(rows, slices)
+        if _integral_nonnegative(slice0) and _integral_nonnegative(_verlinde_raw(s, v))
+    ]
 
 
 def find_vacuum(s: SMatrix) -> int:

@@ -1,9 +1,9 @@
 """Independent oracles used by the test suite only.
 
 Minimal-model S-matrices via sine products, the truncated Clebsch-Gordan
-rule for sl2 fusion, and brute-force partition counters.  These stay out of
-the library on purpose: they are the references the library is checked
-against.
+rule for sl2 fusion, the Verlinde formula as a plain einsum, and brute-force
+partition counters.  These stay out of the library on purpose: they are the
+references the library is checked against.
 """
 
 from __future__ import annotations
@@ -40,6 +40,29 @@ def virasoro_S(p: int, q: int) -> SMatrix:
 
 def virasoro_fusion(p: int, q: int) -> FusionTable:
     return verlinde(virasoro_S(p, q))
+
+
+def verlinde_einsum(s: np.ndarray, vacuum: int) -> np.ndarray:
+    """N_{ab}^c = sum_j S_aj S_bj conj(S_cj) / S_vj, entry by entry."""
+    return np.einsum("aj,bj,cj,j->abc", s, s, s.conj(), 1.0 / s[vacuum])
+
+
+def candidate_vacua_einsum(s: np.ndarray, tol: float = 1e-6) -> list[int]:
+    """Rows v (no entry below 1e-12) whose whole Verlinde tensor is non-negative integral."""
+    out = []
+    for v in range(s.shape[0]):
+        if np.abs(s[v]).min() < 1e-12:
+            continue
+        raw = verlinde_einsum(s, v)
+        rounded = np.round(raw.real)
+        if np.abs(raw - rounded).max() < tol and rounded.min() > -tol:
+            out.append(v)
+    return out
+
+
+def is_associative_einsum(n: np.ndarray) -> bool:
+    """sum_e N_ab^e N_ec^d == sum_e N_bc^e N_ae^d, on the full n^4 integer tensors."""
+    return bool(np.array_equal(np.einsum("abe,ecd->abcd", n, n), np.einsum("bce,aed->abcd", n, n)))
 
 
 def sl2_fusion_coefficient(k: int, a: int, b: int, c: int) -> int:

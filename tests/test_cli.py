@@ -4,6 +4,7 @@ import sys
 
 import numpy as np
 
+from affw import cli, fusion
 from affw.cli import main
 
 
@@ -82,6 +83,39 @@ def test_fusion_csv(tmp_path):
     assert len(lines) > 3
 
 
+def test_fusion_json_and_csv_list_the_same_entries(tmp_path):
+    spath, jpath, cpath = tmp_path / "s.json", tmp_path / "f.json", tmp_path / "f.csv"
+    main(["smatrix", "--variant", "integrable", "--type", "A2", "--level", "3", "--out", str(spath)])
+    assert main(["fusion", "--from", str(spath), "--out", str(jpath)]) == 0
+    assert main(["fusion", "--from", str(spath), "--format", "csv", "--out", str(cpath)]) == 0
+    from_json = [[e["a"], e["b"], e["c"], e["N"]] for e in json.loads(jpath.read_text())["coefficients"]]
+    from_csv = [list(map(int, line.split(","))) for line in cpath.read_text().splitlines()[1:]]
+    table = fusion.verlinde(cli._read_smatrix(spath)).coefficients
+    expected = [
+        [a, b, c, int(table[a, b, c])]
+        for a in range(len(table)) for b in range(len(table)) for c in range(len(table))
+        if table[a, b, c]
+    ]
+    assert from_json == from_csv == expected
+    assert max(row[3] for row in expected) == 2
+
+
+def test_declared_vacuum_survives_the_file_round_trip(tmp_path):
+    # Principal A2 (7,4) has three integral rows (0, 4, 14), none with positive
+    # quantum dimensions; only the declared vacuum written by `smatrix`
+    # singles out row 0.
+    spath, fpath = tmp_path / "s.json", tmp_path / "f.json"
+    rc = main(["smatrix", "--variant", "principal", "--type", "A2", "--p", "7", "--q", "4",
+               "--out", str(spath)])
+    assert rc == 0
+    assert json.loads(spath.read_text())["vacuum"] == 0
+    sm = cli._read_smatrix(spath)
+    assert sm.provenance == {"vacuum": 0}
+    assert fusion._candidate_vacua(sm.entries) == [0, 4, 14]
+    assert main(["fusion", "--from", str(spath), "--out", str(fpath)]) == 0
+    assert json.loads(fpath.read_text())["vacuum"] == 0
+
+
 def test_smatrix_principal(tmp_path):
     spath = tmp_path / "s.json"
     rc = main(["smatrix", "--variant", "principal", "--type", "A1", "--p", "3", "--q", "4",
@@ -120,6 +154,9 @@ def test_bad_input_exits_cleanly(tmp_path, capsys):
     ragged.write_text(json.dumps({"labels": [0, 1], "matrix": [[[1, 0], [0, 0]], [[0, 0]]]}))
     garbage = tmp_path / "garbage.json"
     garbage.write_text("not json")
+    bad_vacuum = tmp_path / "bad_vacuum.json"
+    bad_vacuum.write_text(json.dumps({"labels": [0, 1], "matrix": [[[1, 0], [0, 0]], [[0, 0], [1, 0]]],
+                                      "vacuum": 2}))
     table = [
         ["smatrix", "--variant", "principal", "--type", "A1", "--p", "3"],
         ["smatrix", "--variant", "subregular", "--type", "D4", "--q", "5"],
@@ -128,6 +165,7 @@ def test_bad_input_exits_cleanly(tmp_path, capsys):
         ["fusion", "--from", str(ragged)],
         ["fusion", "--from", str(garbage)],
         ["fusion", "--from", str(tmp_path / "missing.json")],
+        ["fusion", "--from", str(bad_vacuum)],
         ["char", "--type", "A1", "--level", "abc"],
         ["char", "--type", "A1", "--level", "1", "--y-spec", "x"],
         ["char", "--type", "A2", "--level", "1", "--order", "2", "--y-spec", "1/2,0"],
@@ -135,13 +173,18 @@ def test_bad_input_exits_cleanly(tmp_path, capsys):
         ["ope", "--preset", "sugawara", "--type", "X9"],
         ["ope", "--preset", "sugawara", "--rank", "-3"],
         ["ope", "--preset", "sugawara", "--rank", "0"],
+        ["char", "--type", "A1", "--p", "3", "--q", "0"],
     ]
+    errors = {}
     for argv in table:
         rc = main(argv)
         err = capsys.readouterr().err.strip().splitlines()
         assert rc in (2, 3, 4), argv
         assert len(err) == 1, (argv, err)
         assert json.loads(err[0])["exit_code"] == rc
+        errors[" ".join(argv)] = json.loads(err[0])["error"]
+    assert errors["char --type A1 --p 3 --q 0"] == "p and q must be positive integers"
+    assert "vacuum must be a label index" in errors[f"fusion --from {bad_vacuum}"]
 
 
 def test_char_irreducible(tmp_path):

@@ -4,6 +4,9 @@ import pytest
 from affw.affine import make_admissible_level
 from affw.fusion import (
     FusionError,
+    FusionTable,
+    _candidate_vacua,
+    _verlinde_raw,
     charge_conjugation,
     find_vacuum,
     fusion_ring_isomorphic,
@@ -12,7 +15,13 @@ from affw.fusion import (
 from affw.liealg import CartanType, build_root_system
 from affw.modular import SMatrix, fkw_principal, kac_peterson, subregular_S
 
-from oracles import sl2_fusion_coefficient, virasoro_fusion
+from oracles import (
+    candidate_vacua_einsum,
+    is_associative_einsum,
+    sl2_fusion_coefficient,
+    verlinde_einsum,
+    virasoro_fusion,
+)
 
 
 @pytest.fixture(scope="module")
@@ -128,3 +137,58 @@ def test_verlinde_rejects_nonunitary():
     s = SMatrix([0, 1], np.array([[1.0, 0.2], [0.2, 1.0]], dtype=complex), "raw", {})
     with pytest.raises(FusionError):
         find_vacuum(s)
+
+
+@pytest.mark.parametrize("case", ["KP A2 k=6", "KP A3 k=2", "FKW A2 (7,4)", "subregular D4 (9,4)"])
+def test_blas_kernels_match_einsum_oracle(case):
+    kind, cartan, arg = case.split(" ", 2)
+    rs = build_root_system(CartanType.parse(cartan))
+    if kind == "KP":
+        sm = kac_peterson(rs, int(arg[2:]))
+    else:
+        p, q = map(int, arg.strip("()").split(","))
+        make = fkw_principal if kind == "FKW" else subregular_S
+        sm = make(make_admissible_level(rs, p, q))
+    s = sm.entries
+    cands = _candidate_vacua(s)
+    assert cands == candidate_vacua_einsum(s)
+    table = verlinde(sm)
+    v = table.vacuum
+    assert v in cands
+    ref = verlinde_einsum(s, v)
+    assert np.abs(_verlinde_raw(s, v) - ref).max() < 1e-12
+    assert np.array_equal(table.coefficients, np.round(ref.real).astype(np.int64))
+    assert np.array_equal(table.quantum_dimensions, (s[v] / s[v, v]).real)
+    assert is_associative_einsum(table.coefficients)
+
+
+def _table(coeffs):
+    n = np.array(coeffs, dtype=np.int64)
+    dims = np.ones(n.shape[0])
+    return FusionTable(list(range(n.shape[0])), n, 0, dims, int(n.max()), 0.0)
+
+
+def test_check_axioms_rejects_non_associative_table():
+    # 1 = 0, x = 1, y = 2 with x x = y, x y = 1, y y = y: symmetric, unital,
+    # but (x x) y = y while x (x y) = x.
+    e = np.eye(3, dtype=np.int64)
+    n = np.zeros((3, 3, 3), dtype=np.int64)
+    n[0], n[:, 0] = e, e
+    n[1, 1], n[1, 2], n[2, 1], n[2, 2] = e[2], e[0], e[0], e[2]
+    assert not is_associative_einsum(n)
+    with pytest.raises(FusionError, match="not associative"):
+        _table(n).check_axioms()
+
+
+def test_check_axioms_refuses_tables_past_the_float64_bound():
+    # x x = m x is associative for every m; 2 * m^2 < 2^53 is checked exactly,
+    # 2 * m^2 >= 2^53 is refused rather than rounded.
+    def table(m):
+        n = np.zeros((2, 2, 2), dtype=np.int64)
+        n[0], n[:, 0] = np.eye(2, dtype=np.int64), np.eye(2, dtype=np.int64)
+        n[1, 1, 1] = m
+        return _table(n)
+
+    table(2**25).check_axioms()
+    with pytest.raises(FusionError, match=r"2\^53"):
+        table(2**26).check_axioms()
