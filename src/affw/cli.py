@@ -293,8 +293,6 @@ def cmd_fusion(args):
 
 
 def cmd_ope(args):
-    import sympy
-
     if args.preset == "heisenberg":
         alg = opecalc.heisenberg()
         h = alg.gen("h")

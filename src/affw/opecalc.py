@@ -8,18 +8,31 @@ fermion currents, the abelian BRST charge) closes inside this grammar; a
 bracket that would need a deeper normally ordered intermediate raises
 :class:`UnsupportedDepthError` naming the offending term.
 
-Scalars are rational functions in named parameters (exact, via sympy);
-no floating point enters anywhere in this module.
+Scalars are rational functions over Q in the algebra's declared parameters.
+Each :class:`ConformalAlgebra` holds one ``sympy.polys.fields.FracField``,
+``K``, over those parameters, and every coefficient inside a :class:`Field`
+is an element of ``K``.  ``K`` keeps each element as a reduced p/q, so a
+coefficient is zero exactly when it is falsy and zero tests need no
+simplification pass.  The public edges speak sympy:
+:meth:`ConformalAlgebra.param` returns the ``Symbol``,
+:attr:`VirasoroReport.central_charge` is an ``Expr``, and printed fields use
+``sympy.sstr`` of ``sympy.cancel`` of the coefficient (``K`` does not fix the
+sign of p and q, ``cancel`` does).  No floating point enters anywhere in this
+module.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
 import sympy
+from sympy.polys.domains import QQ
+from sympy.polys.fields import FracElement, FracField
+from sympy.polys.polyerrors import GeneratorsError
 
 __all__ = [
     "OpeError",
@@ -51,23 +64,8 @@ class UnsupportedDepthError(OpeError):
     """The computation left the binary normally-ordered grammar."""
 
 
-Scalar = sympy.Expr
-ZERO = sympy.Integer(0)
-ONE_S = sympy.Integer(1)
-
-
-def _scal(x) -> Scalar:
-    if isinstance(x, Fraction):
-        return sympy.Rational(x.numerator, x.denominator)
-    return sympy.sympify(x)
-
-
-def _is_zero(x: Scalar) -> bool:
-    if x is ZERO:
-        return True
-    if x.is_Number:
-        return x == 0
-    return sympy.cancel(sympy.together(x)) == 0
+def _scalar_str(c: FracElement) -> str:
+    return sympy.sstr(sympy.cancel(c.as_expr()))
 
 
 @dataclass(frozen=True)
@@ -113,47 +111,31 @@ def _mono_str(mono: Monomial, gens) -> str:
 
 
 class Field:
-    """Linear combination of grammar monomials with rational-function scalars."""
+    """Linear combination of grammar monomials with coefficients in ``algebra.K``."""
 
     __slots__ = ("algebra", "terms")
 
     def __init__(self, algebra: "ConformalAlgebra", terms: Optional[dict] = None):
         self.algebra = algebra
-        self.terms: dict[Monomial, Scalar] = {}
+        self.terms: dict[Monomial, FracElement] = {}
         if terms:
             for m, c in terms.items():
-                self._add(m, c)
+                self._add(m, algebra.scalar(c))
 
-    def _add(self, mono: Monomial, coef: Scalar):
+    def _add(self, mono: Monomial, coef: FracElement):
         if mono in self.terms:
             self.terms[mono] = self.terms[mono] + coef
         else:
             self.terms[mono] = coef
 
     def _pruned(self) -> "Field":
-        # cheap prune: exact zeros only; rational-function normalisation is
-        # deferred to is_zero()/equal() so deep bracket recursions do not pay
-        # for gcd computations on every intermediate sum
         out = Field(self.algebra)
-        for m, c in self.terms.items():
-            if c.is_Number:
-                if c != 0:
-                    out.terms[m] = c
-            elif not c.is_zero:
-                out.terms[m] = c
-        return out
-
-    def normalized(self) -> "Field":
-        out = Field(self.algebra)
-        for m, c in self.terms.items():
-            if not c.is_Number:
-                c = sympy.cancel(sympy.together(c))
-            if c != 0:
-                out.terms[m] = c
+        out.terms = {m: c for m, c in self.terms.items() if c}
         return out
 
     def __add__(self, other: "Field") -> "Field":
-        out = Field(self.algebra, dict(self.terms))
+        out = Field(self.algebra)
+        out.terms = dict(self.terms)
         for m, c in other.terms.items():
             out._add(m, c)
         return out._pruned()
@@ -162,14 +144,19 @@ class Field:
         return self + other.scaled(-1)
 
     def scaled(self, c) -> "Field":
-        c = _scal(c)
         out = Field(self.algebra)
-        for m, x in self.terms.items():
-            out.terms[m] = x * c
-        return out._pruned()
+        if c == 1:  # skips the gcd that every field product runs
+            out.terms = {m: x for m, x in self.terms.items() if x}
+        elif c == -1:
+            out.terms = {m: -x for m, x in self.terms.items() if x}
+        else:
+            c = self.algebra.scalar(c)
+            if c:
+                out.terms = {m: x * c for m, x in self.terms.items() if x}
+        return out
 
     def is_zero(self) -> bool:
-        return all(_is_zero(c) for c in self.terms.values())
+        return not any(self.terms.values())
 
     def parity_parts(self) -> list[tuple[int, "Field"]]:
         parts: dict[int, Field] = {}
@@ -197,8 +184,8 @@ class Field:
     def __str__(self):
         gens = self.algebra.generators
         bits = []
-        for m, c in sorted(self.normalized().terms.items(), key=lambda t: t[0]):
-            bits.append(f"({sympy.sstr(c)})*{_mono_str(m, gens)}")
+        for m, c in sorted(self._pruned().terms.items(), key=lambda t: t[0]):
+            bits.append(f"({_scalar_str(c)})*{_mono_str(m, gens)}")
         return " + ".join(bits) if bits else "0"
 
     __repr__ = __str__
@@ -229,7 +216,7 @@ class LambdaPolynomial:
         out = LambdaPolynomial(self.algebra)
         for k, f in self.coeffs.items():
             f = f._pruned()
-            if not f.is_zero():
+            if f.terms:
                 out.coeffs[k] = f
         return out
 
@@ -240,6 +227,7 @@ class LambdaPolynomial:
         return out.pruned()
 
     def scaled(self, c) -> "LambdaPolynomial":
+        c = self.algebra.scalar(c)
         out = LambdaPolynomial(self.algebra)
         for k, f in self.coeffs.items():
             out.coeffs[k] = f.scaled(c)
@@ -271,15 +259,14 @@ class LambdaPolynomial:
         for n, f in self.coeffs.items():
             df = f
             for j in range(n + 1):
-                coef = sympy.Integer((-1) ** n) * sympy.binomial(n, j)
-                out.add(n - j, df.scaled(coef))
+                out.add(n - j, df.scaled((-1) ** n * math.comb(n, j)))
                 df = df.derivative()
         return out.pruned()
 
     def integrate_zero_to_lambda(self) -> "LambdaPolynomial":
         out = LambdaPolynomial(self.algebra)
         for n, f in self.coeffs.items():
-            out.add(n + 1, f.scaled(sympy.Rational(1, n + 1)))
+            out.add(n + 1, f.scaled(Fraction(1, n + 1)))
         return out.pruned()
 
     def integrate_minus_del_to_zero(self) -> Field:
@@ -289,7 +276,7 @@ class LambdaPolynomial:
             df = f
             for _ in range(n + 1):
                 df = df.derivative()
-            total = total + df.scaled(sympy.Rational((-1) ** n, n + 1))
+            total = total + df.scaled(Fraction((-1) ** n, n + 1))
         return total
 
     def __str__(self):
@@ -316,10 +303,50 @@ class ConformalAlgebra:
     def __init__(self, name: str, parameters: Sequence[str] = ()):
         self.name = name
         self.parameters = {p: sympy.Symbol(p) for p in parameters}
+        self.K = FracField(tuple(self.parameters.values()), QQ)
         self.generators: list[Generator] = []
         self._by_name: dict[str, Generator] = {}
         self.table: dict[tuple[int, int], LambdaPolynomial] = {}
         self.jacobi_unverified = False
+
+    def scalar(self, x) -> FracElement:
+        """``x`` (int, Fraction, sympy Expr or element of a field of rational
+        functions) as an element of ``K``; anything that is not a rational
+        function over Q in the declared parameters raises :class:`OpeError`."""
+        K = self.K
+        if isinstance(x, FracElement):
+            if x.field is K:
+                return x
+            try:
+                return x.set_field(K)
+            except GeneratorsError:
+                raise OpeError(
+                    f"scalar {x.as_expr()} uses parameters outside {self._param_names()}"
+                ) from None
+        if isinstance(x, (int, Fraction)):
+            return K(x)
+        try:
+            expr = sympy.sympify(x, locals=self.parameters)
+        except sympy.SympifyError:
+            expr = None
+        if not isinstance(expr, sympy.Expr) or expr.has(sympy.Float):
+            raise OpeError(f"coefficient {x!r} is not an exact rational function")
+        undeclared = expr.free_symbols - set(self.parameters.values())
+        if undeclared:
+            names = ", ".join(sorted(str(u) for u in undeclared))
+            raise OpeError(
+                f"coefficient {x!r} uses undeclared parameter(s) {names}; "
+                f"declared: {self._param_names()}"
+            )
+        try:
+            return K.from_expr(expr)
+        except ValueError:
+            raise OpeError(
+                f"coefficient {x!r} is not a rational function over Q in {self._param_names()}"
+            ) from None
+
+    def _param_names(self) -> str:
+        return "(" + ", ".join(self.parameters) + ")"
 
     # -- construction ------------------------------------------------------
 
@@ -331,8 +358,14 @@ class ConformalAlgebra:
         self._by_name[name] = g
         return g
 
+    def _generator(self, name: str) -> Generator:
+        try:
+            return self._by_name[name]
+        except KeyError:
+            raise OpeError(f"{self.name} has no generator {name!r}") from None
+
     def set_bracket(self, a: str, b: str, poly: "LambdaPolynomial"):
-        ga, gb = self._by_name[a], self._by_name[b]
+        ga, gb = self._generator(a), self._generator(b)
         self.table[(ga.index, gb.index)] = poly.pruned()
 
     def finalize(self, check_skew: bool = True, trusted: bool = True):
@@ -359,14 +392,18 @@ class ConformalAlgebra:
     # -- field constructors --------------------------------------------------
 
     def one(self, coef=1) -> Field:
-        return Field(self, {("1",): _scal(coef)})
+        return Field(self, {("1",): coef})
 
     def gen(self, name: str, der: int = 0) -> Field:
-        g = self._by_name[name]
-        return Field(self, {("d", der, g.index): ONE_S})
+        return self.gen_field(self._generator(name).index, der)
 
-    def param(self, name: str) -> Scalar:
-        return self.parameters[name]
+    def param(self, name: str) -> sympy.Symbol:
+        try:
+            return self.parameters[name]
+        except KeyError:
+            raise OpeError(
+                f"{self.name} has no parameter {name!r}; declared: {self._param_names()}"
+            ) from None
 
     def zero_field(self) -> Field:
         return Field(self)
@@ -382,15 +419,14 @@ class ConformalAlgebra:
             if (i, m) == (j, n) and self.generators[i].parity == 1:
                 # :aa: = 1/2 int_{-del}^0 [a_la a] dla  (odd a)
                 corr = self._db_bracket(m, i, m, i).integrate_minus_del_to_zero()
-                return list(corr.scaled(sympy.Rational(1, 2)).terms.items())
-            return [(("no", m, i, n, j), ONE_S)]
+                return list(corr.scaled(Fraction(1, 2)).terms.items())
+            return [(("no", m, i, n, j), self.K.one)]
         pa = self.generators[i].parity
         pb = self.generators[j].parity
-        sign = sympy.Integer((-1) ** (pa * pb))
-        out: dict[Monomial, Scalar] = {("no", n, j, m, i): sign}
+        out: dict[Monomial, FracElement] = {("no", n, j, m, i): self.K((-1) ** (pa * pb))}
         corr = self._db_bracket(m, i, n, j).integrate_minus_del_to_zero()
         for mono, c in corr.terms.items():
-            out[mono] = out.get(mono, ZERO) + c
+            out[mono] = out.get(mono, self.K.zero) + c
         return list(out.items())
 
     def normal_product(self, a: Field, b: Field) -> Field:
@@ -430,7 +466,7 @@ class ConformalAlgebra:
         base = self._gen_bracket(i, j)
         out = LambdaPolynomial(self)
         for p, f in base.coeffs.items():
-            out.add(p + m, f.scaled(sympy.Integer((-1) ** m)))
+            out.add(p + m, f.scaled((-1) ** m))
         return out.apply_del_plus_lambda(n).pruned()
 
     def bracket(self, a: Field, b: Field) -> LambdaPolynomial:
@@ -473,14 +509,14 @@ class ConformalAlgebra:
                 )
         return out.pruned()
 
-    def gen_field(self, j: int) -> Field:
-        return Field(self, {("d", 0, j): ONE_S})
+    def gen_field(self, j: int, der: int = 0) -> Field:
+        return Field(self, {("d", der, j): self.K.one})
 
     def _bracket_field_no(self, a: Field, pa: int, mb: Monomial) -> LambdaPolynomial:
         """Non-commutative Wick formula for [a_lambda :(T^m g_i)(T^n g_j):]."""
         _, m, i, n, j = mb
-        bfld = Field(self, {("d", m, i): ONE_S})
-        cfld = Field(self, {("d", n, j): ONE_S})
+        bfld = self.gen_field(i, m)
+        cfld = self.gen_field(j, n)
         pb = self.generators[i].parity
         ab = self._bracket_hom(a, pa, bfld)  # [a_la b], poly in lambda
         ac = self._bracket_hom(a, pa, cfld)
@@ -489,7 +525,7 @@ class ConformalAlgebra:
         for p, f in ab.coeffs.items():
             out.add(p, self.normal_product(f, cfld))
         # +- :b [a_la c]:
-        sign = sympy.Integer((-1) ** (pa * pb))
+        sign = (-1) ** (pa * pb)
         for p, f in ac.coeffs.items():
             out.add(p, self.normal_product(bfld, f).scaled(sign))
         # integral term: int_0^la [[a_la b]_mu c] dmu
@@ -511,25 +547,30 @@ def register_algebra(
     """Register a user-supplied conformal algebra from a bracket table.
 
     ``generators`` are (name, parity) pairs; table values map lambda-powers
-    to lists of (generator name or "1", coefficient).  Skew-symmetry of the
-    table is verified; the Jacobi identity is not (the algebra is flagged
-    ``jacobi_unverified``).
+    to lists of (generator name or "1", coefficient).  A coefficient is an
+    int, Fraction, sympy expression or string that is a rational function
+    over Q in ``parameters``; anything else, and any name that is not a
+    generator, raises :class:`OpeError` naming the table entry.
+    Skew-symmetry of the table is verified; the Jacobi identity is not (the
+    algebra is flagged ``jacobi_unverified``).
     """
     alg = ConformalAlgebra(name, parameters)
     for gname, parity in generators:
         alg.add_generator(gname, parity)
     for (a, b), poly in table.items():
         lp = LambdaPolynomial(alg)
-        for power, terms in poly.items():
-            f = alg.zero_field()
-            for target, coef in terms:
-                coef = sympy.sympify(coef, locals=alg.parameters)
-                if target == "1":
-                    f = f + alg.one(coef)
-                else:
-                    f = f + alg.gen(target).scaled(coef)
-            lp.add(power, f)
-        alg.set_bracket(a, b, lp)
+        try:
+            for power, terms in poly.items():
+                f = alg.zero_field()
+                for target, coef in terms:
+                    if target == "1":
+                        f = f + alg.one(coef)
+                    else:
+                        f = f + alg.gen(target).scaled(coef)
+                lp.add(power, f)
+            alg.set_bracket(a, b, lp)
+        except OpeError as e:
+            raise OpeError(f"table entry ({a}, {b}): {e}") from None
     return alg.finalize(check_skew=True, trusted=False)
 
 
@@ -639,7 +680,7 @@ def affine_sl(nn: int, level_name: str = "k") -> ConformalAlgebra:
     names, mats, expand = _sl_structure(nn)
     for nm in names:
         alg.add_generator(nm)
-    k = alg.param(level_name)
+    k = alg.scalar(alg.param(level_name))
     for a, ma in zip(names, mats):
         for b, mb in zip(names, mats):
             comm = _mat_sub(_mat_mul(ma, mb), _mat_mul(mb, ma))
@@ -647,13 +688,13 @@ def affine_sl(nn: int, level_name: str = "k") -> ConformalAlgebra:
             f = Field(alg)
             for c, nm in zip(coefs, names):
                 if c != 0:
-                    f._add(("d", 0, alg._by_name[nm].index), _scal(c))
+                    f._add(("d", 0, alg._by_name[nm].index), alg.scalar(c))
             poly = LambdaPolynomial(alg)
             if not f.is_zero():
                 poly.add(0, f)
             form = _mat_tr(_mat_mul(ma, mb))
             if form != 0:
-                poly.add(1, alg.one(_scal(form) * k))
+                poly.add(1, alg.one(alg.scalar(form) * k))
             alg.set_bracket(a, b, poly)
     return alg.finalize()
 
@@ -673,7 +714,7 @@ def tensor_algebra(a: ConformalAlgebra, b: ConformalAlgebra, name=None) -> Confo
             for p, f in poly.coeffs.items():
                 nf = Field(alg)
                 for mono, c in f.terms.items():
-                    c = sympy.sympify(sympy.sstr(c), locals=alg.parameters)
+                    c = c.set_field(alg.K)
                     if mono[0] == "1":
                         nf._add(("1",), c)
                     elif mono[0] == "d":
@@ -692,9 +733,9 @@ def sugawara_sl(nn: int, alg: Optional[ConformalAlgebra] = None) -> tuple[Confor
     """Sugawara vector L = 1/(2(k+h)) sum_i :a_i b_i: for sl_n."""
     if alg is None:
         alg = affine_sl(nn)
-    k = alg.param("k")
+    k = alg.scalar(alg.param("k"))
     hck = nn
-    pref = 1 / (2 * (k + hck))
+    pref = alg.K.one / (2 * (k + hck))
     names, mats, expand = _sl_structure(nn)
     # dual pairs: (E_ij, E_ji); Cartan dual basis via the inverse Gram matrix
     total = alg.zero_field()
@@ -715,7 +756,7 @@ def sugawara_sl(nn: int, alg: Optional[ConformalAlgebra] = None) -> tuple[Confor
         dual = alg.zero_field()
         for j in range(ncar):
             if ginv[j][i] != 0:
-                dual = dual + alg.gen(f"H{j + 1}").scaled(_scal(ginv[j][i]))
+                dual = dual + alg.gen(f"H{j + 1}").scaled(ginv[j][i])
         total = total + alg.normal_product(hi, dual)
     return alg, total.scaled(pref)
 
@@ -723,7 +764,7 @@ def sugawara_sl(nn: int, alg: Optional[ConformalAlgebra] = None) -> tuple[Confor
 @dataclass
 class VirasoroReport:
     ok: bool
-    central_charge: Optional[Scalar]
+    central_charge: Optional[sympy.Expr]
     residuals: dict
 
     def __bool__(self):
@@ -745,12 +786,12 @@ def virasoro_test(alg: ConformalAlgebra, L: Field) -> VirasoroReport:
         res["lambda^2"] = str(r2)
     c = None
     r3 = br.coefficient(3)
-    central = r3.terms.get(("1",), ZERO)
+    central = r3.terms.get(("1",), alg.K.zero)
     rest = Field(alg, {m: x for m, x in r3.terms.items() if m != ("1",)})
     if not rest.is_zero():
         res["lambda^3"] = str(rest)
     else:
-        c = sympy.cancel(12 * central)
+        c = sympy.cancel(12 * central.as_expr())
     for p in br.coeffs:
         if p > 3 and not br.coefficient(p).is_zero():
             res[f"lambda^{p}"] = str(br.coefficient(p))
@@ -779,7 +820,7 @@ def fermion_current(matrices: Sequence[Sequence[Sequence]], names=None):
             target = alg.zero_field()
             for j in range(dim):
                 if m[j][i] != 0:
-                    target = target + alg.gen(alg.generators[j].name).scaled(_scal(m[j][i]))
+                    target = target + alg.gen(alg.generators[j].name).scaled(m[j][i])
             phis = alg.gen(alg.generators[dim + i].name)
             if not target.is_zero():
                 f = f + alg.normal_product(target, phis)

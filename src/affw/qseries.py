@@ -244,19 +244,23 @@ def eta_like_product(
     """``prod over (n0, sign, mult) of prod_{n >= n0} (1 - q^n)^{sign*mult}``.
 
     Coefficients through q^order inclusive; ``sign`` is +1 or -1; the empty
-    list gives 1.
+    list gives 1.  Each factor is one pass over a list of integers: a
+    descending ``c[i] -= c[i - n]`` multiplies by (1 - q^n), an ascending
+    ``c[i] += c[i - n]`` divides by it.
     """
-    excl = order + 1
-    out = QSeries.one(excl)
+    c = [1] + [0] * order
     for n0, sign, mult in factors:
         if sign not in (1, -1) or mult < 0 or n0 < 1:
             raise QSeriesError("factor spec must be (n0 >= 1, +-1, mult >= 0)")
-        for n in range(n0, excl):
-            binom = QSeries.make([1] + [0] * (n - 1) + [-1], 0, 1, excl)
-            term = binom if sign == 1 else binom.inverse()
+        for n in range(n0, order + 1):
             for _ in range(mult):
-                out = out * term
-    return out
+                if sign == 1:
+                    for i in range(order, n - 1, -1):
+                        c[i] -= c[i - n]
+                else:
+                    for i in range(n, order + 1):
+                        c[i] += c[i - n]
+    return QSeries.make(c, 0, 1, order + 1)
 
 
 # -- two-variable characters ---------------------------------------------------
@@ -505,15 +509,41 @@ def irreducible_character(
 # -- classical identities -------------------------------------------------------
 
 
-def _poly2_mul(a: dict, b: dict, order: int) -> dict:
-    out: dict[tuple[int, int], Fraction] = {}
-    for (ya, qa), ca in a.items():
-        for (yb, qb), cb in b.items():
-            if qa + qb > order:
-                continue
-            key = (ya + yb, qa + qb)
-            out[key] = out.get(key, Fraction(0)) + ca * cb
-    return {k: v for k, v in out.items() if v != 0}
+# A two-variable series sum c[y, q] y^y q^q is held as a dense object array of
+# Python ints, one row per y-power from the lowest one kept, one column per
+# q-power 0..order.  Factors are applied in place and terms past q^order
+# drop out, as in any truncated product.
+
+
+def _times_binomial(a: np.ndarray, dy: int, dq: int) -> None:
+    """``a *= (1 - y^dy q^dq)`` in place; terms shifted out of the array are dropped."""
+    (yd, ys), (qd, qs) = _shifted(dy, a.shape[0]), _shifted(dq, a.shape[1])
+    a[yd, qd] -= a[ys, qs].copy()
+
+
+def _dense_terms(a: np.ndarray, ymin: int) -> dict[tuple[int, int], Fraction]:
+    """Nonzero entries of a dense (y, q) array as {(y, q): Fraction}."""
+    return {(int(y) + ymin, int(q)): Fraction(a[y, q]) for y, q in zip(*np.nonzero(a))}
+
+
+def _triple_product_lhs(order: int) -> dict[tuple[int, int], Fraction]:
+    """prod_{n=1}^{order+1} (1 - y^{-1} q^{n-1})(1 - y q^n) * sum_m y^m q^{m^2}
+    through q^order, as {(y, q): coefficient}."""
+    # a product term holds at most one y^{-1} at q^0 and pays q^1 for every
+    # other y^{+-1}; the theta term y^m costs q^{m^2}: so |y| <= reach
+    root = math.isqrt(order)
+    reach = order + 1 + root
+    shape = (2 * reach + 1, order + 1)
+    prod = np.zeros(shape, dtype=object)
+    prod[reach, 0] = 1
+    for n in range(1, order + 2):
+        _times_binomial(prod, -1, n - 1)
+        _times_binomial(prod, 1, n)
+    lhs = np.zeros(shape, dtype=object)
+    for m in range(-root, root + 1):
+        (yd, ys), (qd, qs) = _shifted(m, shape[0]), _shifted(m * m, shape[1])
+        lhs[yd, qd] += prod[ys, qs]
+    return _dense_terms(lhs, -reach)
 
 
 def triple_product_check(order: int) -> dict:
@@ -523,18 +553,7 @@ def triple_product_check(order: int) -> dict:
     RHS: sum y^{3n} q^{3n^2+n} - sum y^{3n-1} q^{3n^2-n}.
     Returns a report with the first mismatch if any.
     """
-    lhs = {(0, 0): Fraction(1)}
-    for n in range(1, order + 2):
-        lhs = _poly2_mul(lhs, {(0, 0): Fraction(1), (-1, n - 1): Fraction(-1)}, order)
-        lhs = _poly2_mul(lhs, {(0, 0): Fraction(1), (1, n): Fraction(-1)}, order)
-    theta = {}
-    m = 0
-    while m * m <= order:
-        theta[(m, m * m)] = Fraction(1)
-        if m:
-            theta[(-m, m * m)] = Fraction(1)
-        m += 1
-    lhs = _poly2_mul(lhs, theta, order)
+    lhs = _triple_product_lhs(order)
 
     rhs: dict[tuple[int, int], Fraction] = {}
     n = 0
@@ -605,22 +624,25 @@ def brst_character(order: int) -> dict:
     telescoped = num == {(1, 1): 1} and all(
         y == 0 and 1 <= q <= order for (y, q) in den
     )
-    two_var = {(0, 0): Fraction(1)}
+    if any(y != 0 for y, _ in den):
+        raise QSeriesError("unexpected y-dependent factor after cancellation")
+    ymin = sum(min(y, 0) * k for (y, _), k in num.items())
+    ymax = sum(max(y, 0) * k for (y, _), k in num.items())
+    two_var = np.zeros((ymax - ymin + 1, order + 1), dtype=object)
+    two_var[-ymin, 0] = 1
     for (y, q), k in sorted(num.items()):
         for _ in range(k):
-            two_var = _poly2_mul(two_var, {(0, 0): Fraction(1), (y, q): Fraction(-1)}, order)
-    inv_eta = eta_like_product([(1, -1, 1)], order)
-    for (y, q), k in sorted(den.items()):
-        if y != 0:
-            raise QSeriesError("unexpected y-dependent factor after cancellation")
-    qd = {(0, int(e)): c for e, c in inv_eta.coeffs_dict().items()}
-    two_var = _poly2_mul(two_var, qd, order)
+            _times_binomial(two_var, y, q)
+    for (_, q), k in sorted(den.items()):
+        for _ in range(k):
+            for j in range(q, order + 1):
+                two_var[:, j] += two_var[:, j - q]
 
     y1 = eta_like_product([(2, -1, 1)], order)
     return {
         "telescoped": telescoped,
         "numerator_factors": dict(num),
-        "two_var": two_var,
+        "two_var": _dense_terms(two_var, ymin),
         "y1_limit": y1,
         "order": order,
     }

@@ -1,12 +1,15 @@
 """Independent oracles used by the test suite only.
 
 Minimal-model S-matrices via sine products, the truncated Clebsch-Gordan
-rule for sl2 fusion, the Verlinde formula as a plain einsum, and brute-force
-partition counters.  These stay out of the library on purpose: they are the
-references the library is checked against.
+rule for sl2 fusion, the Verlinde formula as a plain einsum, brute-force
+partition counters, and two-variable series products as dict convolutions.
+These stay out of the library on purpose: they are the references the
+library is checked against.
 """
 
 from __future__ import annotations
+
+from fractions import Fraction
 
 import numpy as np
 
@@ -96,6 +99,36 @@ def colored_tower_count(n: int, towers: tuple[int, ...]) -> int:
         return total
 
     return rec(n, 0, 0)
+
+
+def poly2_mul(a: dict, b: dict, order: int) -> dict:
+    """Product of {(y, q): coefficient} series, dropping q-powers above ``order``."""
+    out: dict[tuple[int, int], Fraction] = {}
+    for (ya, qa), ca in a.items():
+        for (yb, qb), cb in b.items():
+            if qa + qb > order:
+                continue
+            key = (ya + yb, qa + qb)
+            out[key] = out.get(key, Fraction(0)) + ca * cb
+    return {k: v for k, v in out.items() if v != 0}
+
+
+def triple_product_lhs(order: int, skip=()) -> dict:
+    """prod_{n=1}^{order+1} (1 - y^{-1} q^{n-1})(1 - y q^n) * sum_m y^m q^{m^2}
+    through q^order by dict convolution; factors (y, q) in ``skip`` are left out."""
+    lhs = {(0, 0): Fraction(1)}
+    for n in range(1, order + 2):
+        for y, q in ((-1, n - 1), (1, n)):
+            if (y, q) not in skip:
+                lhs = poly2_mul(lhs, {(0, 0): Fraction(1), (y, q): Fraction(-1)}, order)
+    theta = {}
+    m = 0
+    while m * m <= order:
+        theta[(m, m * m)] = Fraction(1)
+        if m:
+            theta[(-m, m * m)] = Fraction(1)
+        m += 1
+    return poly2_mul(lhs, theta, order)
 
 
 def affine_sl3_verma(order: int, depth: int) -> dict:

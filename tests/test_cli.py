@@ -3,8 +3,9 @@ import subprocess
 import sys
 
 import numpy as np
+import pytest
 
-from affw import cli, fusion
+from affw import __version__, cli, fusion
 from affw.cli import main
 
 
@@ -235,6 +236,37 @@ def test_ope_preset(capsys):
     out = capsys.readouterr().out
     data = json.loads(out)
     assert data["results"]["central_charge"] == "1"
+
+
+# stdout results of `affw ope`, pinned so that printing lambda-brackets and
+# central charges stays byte-identical whatever the scalar type inside
+OPE_RESULTS = {
+    "heisenberg": {
+        "[L_la L]": "(1)*:h T h: + lambda^1 * [(1)*:h h:] + lambda^3 * [(1/12)*1]",
+        "[L_la h]": "(1)*T h + lambda^1 * [(1)*h]",
+        "[h_la h]": "lambda^1 * [(1)*1]",
+        "central_charge": "1",
+    },
+    "sugawara": {"algebra": "sl2", "central_charge": "3*k/(k + 2)", "virasoro": True},
+    "sugawara --rank 2": {"algebra": "sl3", "central_charge": "8*k/(k + 3)", "virasoro": True},
+    "sugawara --rank 3": {"algebra": "sl4", "central_charge": "15*k/(k + 4)", "virasoro": True},
+    "fermion-current": {
+        "[F^e_la F^f]": "(1)*:phi1 phis1: + (-1)*:phi2 phis2: + lambda^1 * [(1)*1]",
+        "[F^h_la F^h]": "lambda^1 * [(2)*1]",
+    },
+    "brst-sl2": {"Q": "(1)*phis + (1)*:E12 phis:", "nilpotent": True, "residual": {}},
+}
+
+
+@pytest.mark.parametrize("spec", list(OPE_RESULTS))
+def test_ope_preset_output_is_pinned(spec, capsys):
+    preset, *rest = spec.split()
+    assert main(["ope", "--preset", preset, *rest]) == 0
+    config = {"command": "ope", "preset": preset}
+    if rest:
+        config["rank"] = int(rest[1])
+    payload = {"affw_version": __version__, "config": config, "results": OPE_RESULTS[spec]}
+    assert capsys.readouterr().out == json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
 def test_verify_quick(capsys):

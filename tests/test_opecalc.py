@@ -273,3 +273,57 @@ def test_tensor_algebra_cross_brackets_vanish():
     # factor brackets survive
     b = alg.bracket(alg.gen("E12"), alg.gen("E21"))
     assert b.coefficient(0).equal(alg.gen("H1"))
+
+
+@pytest.mark.parametrize(
+    "build, offender",
+    [
+        (lambda: register_algebra("u", [("a", 0)], {("a", "b"): {0: [("1", 1)]}}), "'b'"),
+        (lambda: register_algebra("u", [("a", 0)], {("a", "a"): {1: [("z", 1)]}}), "'z'"),
+        (lambda: register_algebra("u", [("a", 0)], {("a", "a"): {1: [("1", "c")]}}), "parameter.*c"),
+        (lambda: register_algebra("u", [("a", 0)], {("a", "a"): {1: [("1", "c*d")]}},
+                                  parameters=("c",)), "parameter.*d"),
+        (lambda: register_algebra("u", [("a", 0)], {("a", "a"): {1: [("1", sympy.sqrt(2))]}}),
+         "sqrt\\(2\\)"),
+        (lambda: register_algebra("u", [("a", 0)], {("a", "a"): {1: [("1", 0.5)]}}), "0.5"),
+        (lambda: heisenberg().gen("x"), "'x'"),
+        (lambda: affine_sl(2).param("level"), "'level'"),
+    ],
+    ids=["table-key", "table-target", "undeclared", "partly-undeclared", "irrational",
+         "float", "gen", "param"],
+)
+def test_user_tables_and_names_raise_ope_error(build, offender):
+    with pytest.raises(OpeError, match=offender):
+        build()
+
+
+def test_tensor_algebra_with_different_parameters():
+    v = affine_sl(2)
+    h = ConformalAlgebra("heis_beta", parameters=("beta",))
+    h.add_generator("h")
+    h.set_bracket("h", "h", LambdaPolynomial(h, {1: h.one(h.param("beta"))}))
+    h.finalize()
+    alg = tensor_algebra(v, h)
+    assert list(alg.parameters) == ["k", "beta"]
+    for factor in (v, h):
+        names = [g.name for g in factor.generators]
+        for a in names:
+            for b in names:
+                got = alg.bracket(alg.gen(a), alg.gen(b))
+                assert str(got) == str(factor.bracket(factor.gen(a), factor.gen(b))), (a, b)
+    assert alg.bracket(alg.gen("h"), alg.gen("E12")).is_zero()
+    # both parameters meet in one field: c(sl2 Sugawara) + c(:hh:/(2 beta))
+    _, L = sugawara_sl(2, alg)
+    hh = alg.normal_product(alg.gen("h"), alg.gen("h")).scaled(1 / (2 * alg.param("beta")))
+    rep = virasoro_test(alg, L + hh)
+    k = alg.param("k")
+    assert rep.ok and sympy.cancel(rep.central_charge - 3 * k / (k + 2) - 1) == 0
+
+
+def test_printed_coefficients_are_cancelled_sympy_forms():
+    alg = ConformalAlgebra("two_params", parameters=("k", "beta"))
+    k, beta = alg.param("k"), alg.param("beta")
+    # the field reduces this to 3/(-4*beta*k**2 - 6): same function, other sign
+    f = alg.one(1 / (-4 * beta * k**2 / 3 - 2))
+    assert str(f) == "(-3/(4*beta*k**2 + 6))*1"
+    assert f.equal(alg.one(-3 / (4 * beta * k**2 + 6)))

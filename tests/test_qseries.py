@@ -21,7 +21,13 @@ from affw.qseries import (
     w_vacuum_character,
 )
 
-from oracles import affine_sl3_verma, colored_tower_count, partitions_with_min_part
+from oracles import (
+    affine_sl3_verma,
+    colored_tower_count,
+    partitions_with_min_part,
+    poly2_mul,
+    triple_product_lhs,
+)
 
 
 @pytest.fixture(scope="module")
@@ -99,6 +105,33 @@ def test_eta_like_products_against_partition_oracles():
     dir_ = eta_like_product([(1, 1, 2)], 8)
     inv = eta_like_product([(1, -1, 2)], 8)
     assert (dir_ * inv).same_series(QSeries.one(8))
+
+
+def test_eta_like_product_identities():
+    order = 60
+    # Euler's pentagonal theorem: prod (1 - q^n) = sum_k (-1)^k q^{k(3k-1)/2}
+    euler = [0] * (order + 1)
+    for k in range(-order, order + 1):
+        e = k * (3 * k - 1) // 2
+        if e <= order:
+            euler[e] += (-1) ** k
+    eta = eta_like_product([(1, 1, 1)], order)
+    assert [eta.coefficient(i) for i in range(order + 1)] == euler
+    # mult > 1 is the repeated product (QSeries convolution) of the mult = 1 series
+    for n0, sign, mult in ((1, 1, 3), (1, -1, 2), (3, -1, 4), (2, 1, 2)):
+        single = eta_like_product([(n0, sign, 1)], 30)
+        repeated = QSeries.one(31)
+        for _ in range(mult):
+            repeated = repeated * single
+        assert eta_like_product([(n0, sign, mult)], 30).same_series(repeated)
+    # the E8 W-algebra vacuum: partitions into towers {d_i, d_i + 1, ...}
+    e8 = build_root_system(CartanType.parse("E8"))
+    towers = principal_w_weights(e8)
+    assert towers == [2, 8, 12, 14, 18, 20, 24, 30]
+    wv = w_vacuum_character(towers, 40)
+    assert [wv.coefficient(i) for i in range(41)] == [
+        colored_tower_count(i, tuple(towers)) for i in range(41)
+    ]
 
 
 def test_verma_character_sl2(a1):
@@ -239,24 +272,17 @@ def test_triple_product_order_zero():
     assert triple_product_check(0)["equal"]
 
 
+def test_triple_product_lhs_matches_dict_convolution():
+    from affw.qseries import _triple_product_lhs
+
+    for order in (0, 1, 2, 7, 40):
+        assert _triple_product_lhs(order) == triple_product_lhs(order), order
+
+
 def test_triple_product_negative_control():
     """Dropping one LHS factor must fail at q^1 (or q^0 y-powers)."""
-    from affw.qseries import _poly2_mul
-
     order = 6
-    lhs = {(0, 0): Fraction(1)}
-    for n in range(1, order + 2):
-        if n != 1:  # drop the (1 - y^{-1} q^0) factor
-            lhs = _poly2_mul(lhs, {(0, 0): Fraction(1), (-1, n - 1): Fraction(-1)}, order)
-        lhs = _poly2_mul(lhs, {(0, 0): Fraction(1), (1, n): Fraction(-1)}, order)
-    theta = {}
-    m = 0
-    while m * m <= order:
-        theta[(m, m * m)] = Fraction(1)
-        if m:
-            theta[(-m, m * m)] = Fraction(1)
-        m += 1
-    lhs = _poly2_mul(lhs, theta, order)
+    lhs = triple_product_lhs(order, skip={(-1, 0)})  # drop the (1 - y^{-1} q^0) factor
     rhs = {}
     for n in range(-3, 4):
         rhs[(3 * n, 3 * n * n + n)] = 1
@@ -275,13 +301,11 @@ def test_brst_character():
         partitions_with_min_part(i, 2) for i in range(9)
     ]
     # two-variable expansion equals the direct expansion of (1-yq)/eta
-    from affw.qseries import _poly2_mul
-
-    direct = {(0, 0): Fraction(1), (1, 1): Fraction(-1)}
-    inv_eta = eta_like_product([(1, -1, 1)], 20)
-    qd = {(0, int(e)): c for e, c in inv_eta.coeffs_dict().items()}
-    direct = _poly2_mul(direct, qd, 20)
-    assert rep["two_var"] == direct
+    for order in (0, 1, 20, 30):
+        direct = {(0, 0): Fraction(1), (1, 1): Fraction(-1)}
+        inv_eta = eta_like_product([(1, -1, 1)], order)
+        qd = {(0, int(e)): c for e, c in inv_eta.coeffs_dict().items()}
+        assert brst_character(order)["two_var"] == poly2_mul(direct, qd, order), order
     assert brst_character(0)["two_var"] == {(0, 0): Fraction(1)}
 
 
