@@ -32,7 +32,6 @@ __all__ = [
     "principal_labels",
     "subregular_labels",
     "alpha_star",
-    "SUBREGULAR_DENOMINATORS",
 ]
 
 
@@ -69,10 +68,6 @@ class AffineWeight:
 
 def lambda0(rs: RootSystem) -> AffineWeight:
     return AffineWeight(rs.zero_weight(), Fraction(1), Fraction(0))
-
-
-def delta(rs: RootSystem) -> AffineWeight:
-    return AffineWeight(rs.zero_weight(), Fraction(0), Fraction(1))
 
 
 def affine_weyl_vector(rs: RootSystem) -> AffineWeight:
@@ -205,10 +200,6 @@ class SubregularLabel:
     eta: Weight
     wall_id: int
 
-    @property
-    def wall_root(self) -> str:
-        return "theta" if self.wall_id == 0 else f"alpha_{self.wall_id}"
-
 
 def _class_key(rs: RootSystem, p: int, q: int, nu: Weight, eta: Weight) -> tuple:
     """Canonical form of the module class of the pair (nu, eta).
@@ -247,16 +238,6 @@ def principal_labels(lv: AdmissibleLevel) -> list[PrincipalLabel]:
         labels.append((key == vacuum_key, _sort_key(eta), _sort_key(nu), PrincipalLabel(nu, eta)))
     labels.sort(key=lambda t: (not t[0], t[1], t[2]))
     return [t[3] for t in labels]
-
-
-SUBREGULAR_DENOMINATORS = {
-    # Reference metadata from the classification of nilpotent orbits attached
-    # to a denominator; the library does not enforce it.
-    "D": lambda n: (2 * n - 4, 2 * n - 3),
-    "E6": (6, 7, 8, 9, 10, 11),
-    "E7": (9, 10, 11, 12, 13),
-    "E8": (24, 25, 26, 27, 28, 29),
-}
 
 
 def alpha_star(rs: RootSystem) -> Root:

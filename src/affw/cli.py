@@ -95,22 +95,22 @@ def _admissible(rs, args):
         raise CliError(str(e), EXIT_VALIDATION)
 
 
+def _label_json(label) -> dict:
+    """An S-matrix label: a weight, or a (nu, eta) pair plus the wall of a subregular one."""
+    if isinstance(label, liealg.Weight):
+        return {"weight": [str(c) for c in label.coords]}
+    row = {"nu": [str(c) for c in label.nu.coords], "eta": [str(c) for c in label.eta.coords]}
+    if isinstance(label, affine.SubregularLabel):
+        row["wall"] = label.wall_id
+    return row
+
+
 def cmd_weights(args):
     rs = _root_system(args)
     lv = _admissible(rs, args)
+    make = affine.principal_labels if args.variant == "principal" else affine.subregular_labels
     try:
-        if args.variant == "principal":
-            labels = affine.principal_labels(lv)
-            rows = [
-                {"nu": [str(c) for c in l.nu.coords], "eta": [str(c) for c in l.eta.coords], "wall": None}
-                for l in labels
-            ]
-        else:
-            labels = affine.subregular_labels(lv)
-            rows = [
-                {"nu": [str(c) for c in l.nu.coords], "eta": [str(c) for c in l.eta.coords], "wall": l.wall_id}
-                for l in labels
-            ]
+        rows = [{"wall": None, **_label_json(l)} for l in make(lv)]
     except affine.AffineDataError as e:
         raise CliError(str(e), EXIT_UNSUPPORTED)
     payload = {
@@ -218,19 +218,10 @@ def cmd_smatrix(args):
         raise CliError(str(e), code)
     except affine.AffineDataError as e:
         raise CliError(str(e), EXIT_UNSUPPORTED)
-    labels = []
-    for l in sm.labels:
-        if isinstance(l, liealg.Weight):
-            labels.append({"weight": [str(c) for c in l.coords]})
-        elif isinstance(l, affine.PrincipalLabel):
-            labels.append({"nu": [str(c) for c in l.nu.coords], "eta": [str(c) for c in l.eta.coords]})
-        else:
-            labels.append({"nu": [str(c) for c in l.nu.coords], "eta": [str(c) for c in l.eta.coords],
-                           "wall": l.wall_id})
     payload = {
         "config": vars_config(args),
         "variant": args.variant,
-        "labels": labels,
+        "labels": [_label_json(l) for l in sm.labels],
         "matrix": _complex_matrix(sm.entries),
         "normalization": sm.normalization,
         "vacuum": sm.provenance.get("vacuum"),

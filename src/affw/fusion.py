@@ -77,22 +77,55 @@ def _integral_nonnegative(raw: np.ndarray) -> bool:
     )
 
 
-def _candidate_vacua(s: np.ndarray) -> list[int]:
-    """Rows v against which Verlinde gives non-negative integers.
+def _candidate_vacua(s: np.ndarray) -> tuple[list[int], Optional[np.ndarray]]:
+    """Rows v against which Verlinde gives non-negative integers, and a tensor.
 
     The a = 0 slice N_{0b}^c(v) = sum_j (S_0j / S_vj) S_bj conj(S_cj) of every
     row comes from one (n x n) @ (n x n^2) product; only the rows that pass
-    it get the full tensor test.
+    it get the full tensor test.  Those are tested last row first and each
+    tensor is dropped before the next is built, so at most one n^3 tensor is
+    alive: the one returned, which is the first candidate's (None when the
+    last row tested failed).
     """
     n = s.shape[0]
     rows = np.flatnonzero(np.abs(s).min(axis=1) >= 1e-12)
     pairs = (s.T[:, :, None] * s.conj().T[:, None, :]).reshape(n, n * n)
     slices = ((s[0] / s[rows]) @ pairs).reshape(len(rows), n, n)
-    return [
-        int(v)
-        for v, slice0 in zip(rows, slices)
-        if _integral_nonnegative(slice0) and _integral_nonnegative(_verlinde_raw(s, v))
-    ]
+    cands, first = [], None
+    for v, slice0 in zip(rows[::-1], slices[::-1]):
+        if _integral_nonnegative(slice0):
+            first = raw = None  # free the last tensor before building the next
+            raw = _verlinde_raw(s, v)
+            if _integral_nonnegative(raw):
+                cands.insert(0, int(v))
+                first = raw
+    return cands, first
+
+
+def _find_vacuum(s: SMatrix) -> tuple[int, Optional[np.ndarray]]:
+    """:func:`find_vacuum`, with its Verlinde tensor when the scan kept it (else None)."""
+    if s.normalization != "unitary":
+        raise FusionError("find_vacuum needs a unitary S-matrix")
+    cands, first = _candidate_vacua(s.entries)
+    if not cands:
+        raise FusionError("no vacuum candidate: wrong label set or normalisation")
+    if len(cands) == 1:
+        vacuum = cands[0]
+    else:
+        positive = [
+            v
+            for v in cands
+            if np.all((s.entries[v] / s.entries[v, v]).real > 1e-9)
+            and np.abs((s.entries[v] / s.entries[v, v]).imag).max() < 1e-9
+        ]
+        declared = s.provenance.get("vacuum")
+        if len(positive) == 1:
+            vacuum = positive[0]
+        elif declared in cands:
+            vacuum = declared
+        else:
+            raise FusionError(f"vacuum is not unique: candidates {cands}")
+    return vacuum, first if vacuum == cands[0] else None
 
 
 def find_vacuum(s: SMatrix) -> int:
@@ -103,31 +136,15 @@ def find_vacuum(s: SMatrix) -> int:
     failing that by the constructor's declared vacuum.  Anything still
     ambiguous is a structural error upstream.
     """
-    if s.normalization != "unitary":
-        raise FusionError("find_vacuum needs a unitary S-matrix")
-    cands = _candidate_vacua(s.entries)
-    if not cands:
-        raise FusionError("no vacuum candidate: wrong label set or normalisation")
-    if len(cands) == 1:
-        return cands[0]
-    positive = [
-        v
-        for v in cands
-        if np.all((s.entries[v] / s.entries[v, v]).real > 1e-9)
-        and np.abs((s.entries[v] / s.entries[v, v]).imag).max() < 1e-9
-    ]
-    if len(positive) == 1:
-        return positive[0]
-    declared = s.provenance.get("vacuum")
-    if declared in cands:
-        return declared
-    raise FusionError(f"vacuum is not unique: candidates {cands}")
+    return _find_vacuum(s)[0]
 
 
 def verlinde(s: SMatrix, vacuum: Optional[int] = None) -> FusionTable:
+    raw = None
     if vacuum is None:
-        vacuum = find_vacuum(s)
-    raw = _verlinde_raw(s.entries, vacuum)
+        vacuum, raw = _find_vacuum(s)
+    if raw is None:
+        raw = _verlinde_raw(s.entries, vacuum)
     rounded = np.round(raw.real)
     residual = float(np.abs(raw - rounded).max())
     if residual >= INTEGRALITY_TOL:

@@ -8,6 +8,14 @@ and Weyl elements are integer matrices acting on fundamental-weight
 coordinates.  The bilinear form is normalised so the highest root has squared
 length 2.
 
+All exact linear algebra goes through one routine, :func:`_gauss_jordan`: a
+single Fraction elimination gives the inverse Cartan matrix (hence the Gram
+matrix of the fundamental weights), the finite-type test (every pivot
+positive) and det A (the product of the pivots).  The positive roots are the
+closure of the simple roots under the simple reflections that keep a root
+positive, and :func:`build_root_system` derives every other invariant from
+those two results before constructing the :class:`RootSystem` once.
+
 Weyl groups are never materialised: :func:`weyl_blocks` walks the orbit tree
 of the Weyl vector with a canonical-parent rule, one layer slice at a time as
 integer numpy blocks, which visits every group element exactly once using
@@ -16,6 +24,7 @@ memory proportional to the longest element.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, NamedTuple, Optional, Sequence
@@ -154,10 +163,6 @@ class Weight:
     def is_integral(self) -> bool:
         return all(a.denominator == 1 for a in self.coords)
 
-    def pairing(self, i: int) -> Fraction:
-        """``<self, alpha_i_check>`` (a coordinate read)."""
-        return self.coords[i]
-
     def _check(self, other: "Weight"):
         if len(self.coords) != len(other.coords):
             raise LieAlgebraError("rank mismatch between weights")
@@ -198,43 +203,28 @@ def _identity_matrix(n: int) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(int(r == c) for c in range(n)) for r in range(n))
 
 
-def _mat_inverse_fraction(m: Sequence[Sequence[Fraction]]) -> list[list[Fraction]]:
-    """Exact inverse by Gauss-Jordan elimination."""
+def _gauss_jordan(m: Sequence[Sequence]) -> tuple[list[list[Fraction]], list[Fraction]]:
+    """Exact inverse and pivots of ``m`` by Gauss-Jordan elimination without row swaps.
+
+    Pivot k is the ratio of the leading principal minors of sizes k + 1 and
+    k, so all pivots are positive iff every leading minor is, and their
+    product is det m.  A zero pivot (a vanishing leading minor) raises.
+    """
     n = len(m)
-    aug = [[Fraction(m[r][c]) for c in range(n)] + [Fraction(int(r == c)) for c in range(n)]
-           for r in range(n)]
+    aug = [[Fraction(x) for x in row] + [Fraction(int(r == c)) for c in range(n)]
+           for r, row in enumerate(m)]
+    pivots = []
     for col in range(n):
-        piv = next((r for r in range(col, n) if aug[r][col] != 0), None)
-        if piv is None:
-            raise LieAlgebraError("singular matrix")
-        aug[col], aug[piv] = aug[piv], aug[col]
-        inv = Fraction(1) / aug[col][col]
-        aug[col] = [x * inv for x in aug[col]]
+        piv = aug[col][col]
+        if piv == 0:
+            raise LieAlgebraError(f"leading minor of size {col + 1} vanishes")
+        pivots.append(piv)
+        aug[col] = [x / piv for x in aug[col]]
         for r in range(n):
-            if r != col and aug[r][col] != 0:
-                f = aug[r][col]
+            f = aug[r][col]
+            if r != col and f != 0:
                 aug[r] = [x - f * y for x, y in zip(aug[r], aug[col])]
-    return [row[n:] for row in aug]
-
-
-def _det_fraction(m: Sequence[Sequence[Fraction]]) -> Fraction:
-    n = len(m)
-    a = [[Fraction(x) for x in row] for row in m]
-    det = Fraction(1)
-    for col in range(n):
-        piv = next((r for r in range(col, n) if a[r][col] != 0), None)
-        if piv is None:
-            return Fraction(0)
-        if piv != col:
-            a[col], a[piv] = a[piv], a[col]
-            det = -det
-        det *= a[col][col]
-        inv = Fraction(1) / a[col][col]
-        for r in range(col + 1, n):
-            if a[r][col] != 0:
-                f = a[r][col] * inv
-                a[r] = [x - f * y for x, y in zip(a[r], a[col])]
-    return det
+    return [row[n:] for row in aug], pivots
 
 
 @dataclass(frozen=True)
@@ -308,18 +298,6 @@ class RootSystem:
             if lam.coords[i] != 0 and mu.coords[j] != 0
         ) or Fraction(0)
 
-    def coroot_pairing(self, lam: Weight, root: Root) -> Fraction:
-        """``<lam, alpha_check>`` for a root ``alpha``."""
-        num = sum(
-            Fraction(c) * d * lam.coords[i]
-            for i, (c, d) in enumerate(zip(root.root_coords, self.simple_root_norms_half))
-        )
-        half_norm = self._root_half_norm(root)
-        return num / half_norm
-
-    def _root_half_norm(self, root: Root) -> Fraction:
-        return self.bilinear(root.weight, root.weight) / 2
-
     def level(self, lam: Weight) -> Fraction:
         """``<lam, theta_check>``."""
         return sum(Fraction(c) * x for c, x in zip(self.comarks, lam.coords)) or Fraction(0)
@@ -370,39 +348,28 @@ class RootSystem:
 
 
 def _positive_root_closure(a: tuple[tuple[int, ...], ...]) -> list[tuple[int, ...]]:
-    """All positive roots in simple-root coordinates, by height induction.
+    """All positive roots in simple-root coordinates, sorted by (height, coords).
 
-    ``beta + alpha_i`` is a root iff the alpha_i-string through beta does not
-    end at beta, i.e. iff ``p - <beta, alpha_i_check> > 0`` where p is the
-    number of steps down the string.
+    Every positive root is reached from a simple root by simple reflections
+    that keep it positive (Humphreys, Introduction to Lie Algebras and
+    Representation Theory, 10.2-10.3), so the roots are the closure of the
+    simple roots under ``s_i(beta) = beta - <beta, alpha_i_check> alpha_i``
+    whenever that stays >= 0.
     """
     n = len(a)
-    simple = [tuple(int(i == j) for j in range(n)) for i in range(n)]
-    known = set(simple)
-    layers = [simple]
-    while layers[-1]:
-        new: list[tuple[int, ...]] = []
-        for beta in layers[-1]:
+    todo = [tuple(int(i == j) for j in range(n)) for i in range(n)]
+    known = set(todo)
+    while todo:
+        beta = todo.pop()
+        for i in range(n):
             # <beta, alpha_i_check> = sum_j beta_j a_{ji}
-            for i in range(n):
-                pairing = sum(beta[j] * a[j][i] for j in range(n))
-                p = 0
-                down = beta
-                while True:
-                    down = tuple(
-                        c - int(j == i) for j, c in enumerate(down)
-                    )
-                    if down in known:
-                        p += 1
-                    else:
-                        break
-                if p - pairing > 0:
-                    up = tuple(c + int(j == i) for j, c in enumerate(beta))
-                    if up not in known:
-                        known.add(up)
-                        new.append(up)
-        layers.append(sorted(new))
-    return [r for layer in layers for r in sorted(layer)]
+            pairing = sum(beta[j] * a[j][i] for j in range(n))
+            if pairing and beta[i] >= pairing:
+                image = beta[:i] + (beta[i] - pairing,) + beta[i + 1 :]
+                if image not in known:
+                    known.add(image)
+                    todo.append(image)
+    return sorted(known, key=lambda r: (sum(r), r))
 
 
 def _symmetrizer(a: tuple[tuple[int, ...], ...]) -> tuple[Fraction, ...]:
@@ -428,87 +395,58 @@ def build_root_system(t: CartanType) -> RootSystem:
     """Construct the full :class:`RootSystem` for a valid Cartan type."""
     a = t.cartan_matrix()
     n = t.rank
-    # Finite type sanity: leading principal minors positive.
-    for k in range(1, n + 1):
-        minor = _det_fraction([row[:k] for row in a[:k]])
-        if minor <= 0:
-            raise LieAlgebraError(f"Cartan matrix of {t} is not of finite type")
+    ainv, pivots = _gauss_jordan(a)
+    # finite type: every leading principal minor, hence every pivot, positive
+    if any(p <= 0 for p in pivots):
+        raise LieAlgebraError(f"Cartan matrix of {t} is not of finite type")
 
     d = _symmetrizer(a)
-    ainv = _mat_inverse_fraction([[Fraction(x) for x in row] for row in a])
     # (varpi_i, varpi_j) = (A^{-1})_{ij} d_j
     gram = tuple(tuple(ainv[i][j] * d[j] for j in range(n)) for i in range(n))
-
-    pos_coords = _positive_root_closure(a)
 
     def mk_root(rc: tuple[int, ...]) -> Root:
         w = Weight(tuple(sum(Fraction(rc[i]) * a[i][j] for i in range(n)) for j in range(n)))
         return Root(w, rc, sum(rc))
 
-    positive = tuple(mk_root(rc) for rc in pos_coords)
-    by_coords = {r.root_coords: r for r in positive if r.height == 1}
-    simple = tuple(
-        by_coords[tuple(int(i == j) for j in range(n))] for i in range(n)
-    )
-    highest = max(positive, key=lambda r: (r.height, r.root_coords))
+    positive = tuple(mk_root(rc) for rc in _positive_root_closure(a))
+    highest = positive[-1]
+    theta = highest.weight.coords
 
-    rho = Weight((Fraction(1),) * n)
+    # <lam, theta_check> = (lam, theta) since (theta, theta) = 2
+    comarks = tuple(sum(g * x for g, x in zip(row, theta)) for row in gram)
+    theta_norm = sum(c * x for c, x in zip(comarks, theta))
+    if theta_norm != 2:
+        raise LieAlgebraError(f"normalisation broken: (theta,theta) = {theta_norm}")
+    if any(c.denominator != 1 for c in comarks):
+        raise LieAlgebraError("comarks are not integral")
+    comarks_int = tuple(int(c) for c in comarks)
 
-    rs = RootSystem(
+    exps = _exponents_from_heights([r.height for r in positive], n)
+
+    # |P/Q| = det A; |P/Q_check| = det(A)/prod d_i  (coroot alpha_i_check has
+    # fundamental coordinates row_i(A)/d_i).
+    det_a = math.prod(pivots)
+    idx_qc = det_a / math.prod(d)
+    if idx_qc.denominator != 1:
+        raise LieAlgebraError("|P/Q_check| not integral")
+
+    return RootSystem(
         cartan_type=t,
         cartan_matrix=a,
         simple_root_norms_half=d,
         gram=gram,
         cartan_inverse=tuple(tuple(row) for row in ainv),
-        simple_roots=simple,
+        simple_roots=positive[n - 1 :: -1],  # height 1 sorts alpha_n first
         positive_roots=positive,
         highest_root=highest,
-        weyl_vector=rho,
-        dual_coxeter=0,          # placeholder, fixed below
-        comarks=(),              # placeholder
-        exponents=(),            # placeholder
-        weyl_order=0,            # placeholder
-        index_P_mod_Q=0,
-        index_P_mod_Qcheck=0,
+        weyl_vector=Weight((Fraction(1),) * n),
+        dual_coxeter=1 + sum(comarks_int),
+        comarks=comarks_int,
+        exponents=exps,
+        weyl_order=math.prod(m + 1 for m in exps),
+        index_P_mod_Q=int(det_a),
+        index_P_mod_Qcheck=int(idx_qc),
     )
-
-    # (theta, theta) must be 2 in this normalisation.
-    theta_norm = rs.bilinear(highest.weight, highest.weight)
-    if theta_norm != 2:
-        raise LieAlgebraError(f"normalisation broken: (theta,theta) = {theta_norm}")
-
-    # <lam, theta_check> = (lam, theta) since (theta,theta)=2.
-    comarks = tuple(
-        rs.bilinear(rs.fundamental_weight(i), highest.weight) for i in range(n)
-    )
-    if any(c.denominator != 1 for c in comarks):
-        raise LieAlgebraError("comarks are not integral")
-    comarks_int = tuple(int(c) for c in comarks)
-    hcheck = 1 + sum(comarks_int)
-
-    exps = _exponents_from_heights([r.height for r in positive], n)
-    weyl_order = 1
-    for m in exps:
-        weyl_order *= m + 1
-
-    # |P/Q| = det A; |P/Q_check| = det(A)/prod d_i  (coroot alpha_i_check has
-    # fundamental coordinates row_i(A)/d_i).
-    det_a = _det_fraction([[Fraction(x) for x in row] for row in a])
-    prod_d = Fraction(1)
-    for x in d:
-        prod_d *= x
-    idx_q = int(det_a)
-    idx_qc = det_a / prod_d
-    if idx_qc.denominator != 1:
-        raise LieAlgebraError("|P/Q_check| not integral")
-
-    object.__setattr__(rs, "dual_coxeter", hcheck)
-    object.__setattr__(rs, "comarks", comarks_int)
-    object.__setattr__(rs, "exponents", exps)
-    object.__setattr__(rs, "weyl_order", weyl_order)
-    object.__setattr__(rs, "index_P_mod_Q", idx_q)
-    object.__setattr__(rs, "index_P_mod_Qcheck", int(idx_qc))
-    return rs
 
 
 def _exponents_from_heights(heights: Sequence[int], rank: int) -> tuple[int, ...]:

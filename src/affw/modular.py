@@ -283,6 +283,10 @@ def fkw_principal(lv: AdmissibleLevel) -> SMatrix:
     """Principal admissible S-matrix on pairs (nu, eta), normalised to unitary."""
     rs = lv.root_system
     labels = principal_labels(lv)
+    if not labels:
+        raise SMatrixError(
+            f"empty principal label set for {rs.cartan_type} (p,q)=({lv.p},{lv.q})"
+        )
     nus = _weight_ints([l.nu for l in labels])
     etas = _weight_ints([l.eta for l in labels])
     p, q = lv.p, lv.q
@@ -452,13 +456,18 @@ def subregular_S(
     One walk over W fills the integer buckets of both K and F; F is summed
     on the distinct nu only (a single global constant when p = h_check, as
     for E8 at (30, 29)).  The walk is split into chunks that ``workers``
-    threads take in any order: the buckets are integers, so the result does
-    not depend on the order or the number of workers.  With ``checkpoint``
-    (npz) the buckets and finished chunks are saved every
+    (at least 1) threads take in any order: the buckets are integers, so the
+    result does not depend on the order or the number of workers.  With
+    ``checkpoint`` (npz) the buckets and finished chunks are saved every
     ``checkpoint_every`` elements and at the end, and a rerun of the same
-    job resumes from them; a checkpoint of any other job is refused.
+    job resumes from them; a checkpoint of any other job, or one whose
+    directory does not exist, is refused before the walk starts.
     ``progress`` reports the elements done out of |W| on stderr.
     """
+    if workers < 1:
+        raise SMatrixError(f"workers must be a positive integer, not {workers}")
+    if checkpoint and not os.path.isdir(os.path.dirname(os.path.abspath(checkpoint))):
+        raise SMatrixError(f"checkpoint {checkpoint}: no such directory")
     rs = lv.root_system
     if alpha_st is None:
         alpha_st = alpha_star(rs)
@@ -508,7 +517,7 @@ def subregular_S(
 
     since = 0
     todo = np.flatnonzero(~done)
-    pool = ThreadPoolExecutor(max(1, int(workers)))
+    pool = ThreadPoolExecutor(workers)
     try:
         # results merge in chunk order, so a checkpoint is the same whatever the timing
         for c, (parts, n) in zip(todo, pool.map(walk_chunk, [chunks[c] for c in todo])):

@@ -34,6 +34,8 @@ from sympy.polys.domains import QQ
 from sympy.polys.fields import FracElement, FracField
 from sympy.polys.polyerrors import GeneratorsError
 
+from .liealg import _gauss_jordan
+
 __all__ = [
     "OpeError",
     "UnsupportedDepthError",
@@ -492,7 +494,6 @@ class ConformalAlgebra:
     def _bracket_field_gen(self, a: Field, pa: int, j: int) -> LambdaPolynomial:
         """[a_lambda g_j] for homogeneous a."""
         out = LambdaPolynomial(self)
-        unary_done = False
         for ma, ca in a.terms.items():
             if ma[0] == "1":
                 continue
@@ -748,9 +749,7 @@ def sugawara_sl(nn: int, alg: Optional[ConformalAlgebra] = None) -> tuple[Confor
     ncar = nn - 1
     gram = [[Fraction(_mat_tr(_mat_mul(mats[-(ncar - i)], mats[-(ncar - j)])))
              for j in range(ncar)] for i in range(ncar)]
-    from .liealg import _mat_inverse_fraction
-
-    ginv = _mat_inverse_fraction(gram)
+    ginv, _ = _gauss_jordan(gram)
     for i in range(ncar):
         hi = alg.gen(f"H{i + 1}")
         dual = alg.zero_field()

@@ -19,7 +19,7 @@ from typing import Iterable, Optional, Sequence
 import numpy as np
 
 from .affine import AffineWeight, affine_translation, affine_weyl_vector
-from .liealg import RootSystem, Weight, weyl_stream
+from .liealg import RootSystem, Weight, _gauss_jordan, weyl_stream
 
 __all__ = [
     "QSeries",
@@ -41,10 +41,6 @@ __all__ = [
 
 class QSeriesError(ValueError):
     pass
-
-
-def _lcm(a: int, b: int) -> int:
-    return a * b // math.gcd(a, b)
 
 
 @dataclass(frozen=True)
@@ -124,7 +120,7 @@ class QSeries:
         return not self.coeffs
 
     def _align(self, other: "QSeries") -> tuple["QSeries", "QSeries"]:
-        den = _lcm(self.den, other.den)
+        den = math.lcm(self.den, other.den)
         return self._with_den(den), other._with_den(den)
 
     def __add__(self, other) -> "QSeries":
@@ -179,23 +175,6 @@ class QSeries:
 
     def __rmul__(self, other):
         return self * other
-
-    def inverse(self) -> "QSeries":
-        """Inverse when the lowest coefficient is nonzero."""
-        if not self.coeffs:
-            raise QSeriesError("cannot invert a zero series")
-        c0 = self.coeffs[0]
-        m = self.order - 2 * self.shift
-        if m <= 0:
-            raise QSeriesError("truncation too small to invert")
-        inv = [Fraction(0)] * m
-        inv[0] = 1 / c0
-        for k in range(1, m):
-            s = Fraction(0)
-            for i in range(1, min(k, len(self.coeffs) - 1) + 1):
-                s += self.coeffs[i] * inv[k - i]
-            inv[k] = -s / c0
-        return QSeries(self.den, -self.shift, tuple(inv), self.order - 2 * self.shift)._trim()
 
     def truncated(self, order) -> "QSeries":
         scaled = Fraction(order) * self.den
@@ -460,7 +439,7 @@ def kac_wakimoto_numerator(
     ]
     gram = np.array([[float(rs.bilinear(u, v)) for v in coroots] for u in coroots])
     ball = _lattice_points(gram, np.zeros(rs.rank), float(2 * need) + 1e-6)
-    den = _lcm((kh * stride * stride).denominator * kh.denominator, (2 * kh).denominator)
+    den = math.lcm((kh * stride * stride).denominator * kh.denominator, (2 * kh).denominator)
     num = TwoVarCharacter(rs.rank, {}, Fraction(order + 1))
     for pt in ball:
         tb = sum((stride * int(c) * u for c, u in zip(pt, coroots)), rs.zero_weight())
@@ -468,7 +447,7 @@ def kac_wakimoto_numerator(
         drop = -translated.delta_coeff
         if drop > order:
             continue
-        dd = _lcm(den, drop.denominator)
+        dd = math.lcm(den, drop.denominator)
         for w in weyl_stream(rs):
             fin = w.act(translated.finite_part) - shifted.finite_part
             num.add_term(
@@ -786,80 +765,31 @@ def theta_eval(
     }
 
 
-def _smith_normal_form(m: np.ndarray):
-    """SNF of an integer matrix: U M V = D; returns (U, D, V)."""
-    m = m.copy().astype(object)
-    n = m.shape[0]
-    u = np.eye(n, dtype=object)
-    v = np.eye(n, dtype=object)
-
-    def minimal_pivot(k):
-        best = None
-        for i in range(k, n):
-            for j in range(k, n):
-                if m[i, j] != 0 and (best is None or abs(m[i, j]) < abs(m[best[0], best[1]])):
-                    best = (i, j)
-        return best
-
-    for k in range(n):
-        while True:
-            piv = minimal_pivot(k)
-            if piv is None:
-                break
-            i, j = piv
-            if i != k:
-                m[[k, i]] = m[[i, k]]
-                u[[k, i]] = u[[i, k]]
-            if j != k:
-                m[:, [k, j]] = m[:, [j, k]]
-                v[:, [k, j]] = v[:, [j, k]]
-            done = True
-            for i in range(k + 1, n):
-                qt = m[i, k] // m[k, k]
-                if qt != 0:
-                    m[i, :] -= qt * m[k, :]
-                    u[i, :] -= qt * u[k, :]
-                if m[i, k] != 0:
-                    done = False
-            for j in range(k + 1, n):
-                qt = m[k, j] // m[k, k]
-                if qt != 0:
-                    m[:, j] -= qt * m[:, k]
-                    v[:, j] -= qt * v[:, k]
-                if m[k, j] != 0:
-                    done = False
-            if done:
-                break
-        if m[k, k] < 0:
-            m[k, :] = -m[k, :]
-            u[k, :] = -u[k, :]
-    return u, m, v
-
-
 def dual_coset_representatives(spec: ThetaSpec) -> list[tuple[Fraction, ...]]:
-    """Representatives of L*/L for an integral Gram matrix."""
+    """Representatives in [0, 1)^n of L*/L for an integral Gram matrix, sorted.
+
+    L* = G^{-1} Z^n, so L*/L is the group the columns of G^{-1} generate
+    modulo Z^n: the closure of {0} under adding them mod 1.
+    """
     for row in spec.gram:
         for x in row:
             if Fraction(x).denominator != 1:
                 raise QSeriesError("dual cosets need an integral Gram matrix")
-    g = np.array([[int(x) for x in row] for row in spec.gram], dtype=object)
-    u, d, v = _smith_normal_form(g)
-    # columns of L*-basis in lattice coordinates: solutions of G x = e_i are
-    # x = V D^{-1} U e_i; cosets generated by V D^{-1} columns scaled by diag.
-    reps = []
-    import itertools
-
-    diag = [int(d[i, i]) for i in range(spec.rank)]
-    vints = np.array(v, dtype=object)
-    for combo in itertools.product(*[range(x) for x in diag]):
-        vec = [Fraction(0)] * spec.rank
-        for i, c in enumerate(combo):
-            if c == 0:
-                continue
-            for r in range(spec.rank):
-                vec[r] += Fraction(c * int(vints[r, i]), diag[i])
-        reps.append(tuple(f - math.floor(f) for f in vec))
-    return sorted(set(reps))
+    ginv, _ = _gauss_jordan(spec.gram)
+    # integer numerators over one common denominator: exact, and sorting them
+    # sorts the fractions
+    den = math.lcm(*(x.denominator for row in ginv for x in row))
+    gens = [tuple(int(row[c] * den) % den for row in ginv) for c in range(spec.rank)]
+    todo = [(0,) * spec.rank]
+    reps = set(todo)
+    while todo:
+        v = todo.pop()
+        for g in gens:
+            w = tuple((x + y) % den for x, y in zip(v, g))
+            if w not in reps:
+                reps.add(w)
+                todo.append(w)
+    return [tuple(Fraction(x, den) for x in v) for v in sorted(reps)]
 
 
 def modular_transform_check(

@@ -2,7 +2,8 @@
 
 Minimal-model S-matrices via sine products, the truncated Clebsch-Gordan
 rule for sl2 fusion, the Verlinde formula as a plain einsum, brute-force
-partition counters, and two-variable series products as dict convolutions.
+partition counters, two-variable series products as dict convolutions, and
+the positive roots by alpha-string induction.
 These stay out of the library on purpose: they are the references the
 library is checked against.
 """
@@ -163,3 +164,36 @@ def affine_sl3_verma(order: int, depth: int) -> dict:
                 key = ((t2 - 2 * t1, t1 - 2 * t2), n)
                 out[key] = out.get(key, 0) + c * (min(t1 - b1, t2 - b2) + 1)
     return out
+
+
+def positive_roots_by_strings(a) -> list[tuple[int, ...]]:
+    """Positive roots in simple-root coordinates by alpha-string induction.
+
+    ``beta + alpha_i`` is a root iff the alpha_i-string through beta does not
+    end at beta, i.e. iff ``p - <beta, alpha_i_check> > 0`` where p is the
+    number of steps down the string.  Sorted by (height, coords).
+    """
+    n = len(a)
+    simple = [tuple(int(i == j) for j in range(n)) for i in range(n)]
+    known = set(simple)
+    layers = [simple]
+    while layers[-1]:
+        new: list[tuple[int, ...]] = []
+        for beta in layers[-1]:
+            for i in range(n):
+                pairing = sum(beta[j] * a[j][i] for j in range(n))
+                p = 0
+                down = beta
+                while True:
+                    down = tuple(c - int(j == i) for j, c in enumerate(down))
+                    if down in known:
+                        p += 1
+                    else:
+                        break
+                if p - pairing > 0:
+                    up = tuple(c + int(j == i) for j, c in enumerate(beta))
+                    if up not in known:
+                        known.add(up)
+                        new.append(up)
+        layers.append(sorted(new))
+    return [r for layer in layers for r in sorted(layer)]

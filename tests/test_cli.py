@@ -112,7 +112,7 @@ def test_declared_vacuum_survives_the_file_round_trip(tmp_path):
     assert json.loads(spath.read_text())["vacuum"] == 0
     sm = cli._read_smatrix(spath)
     assert sm.provenance == {"vacuum": 0}
-    assert fusion._candidate_vacua(sm.entries) == [0, 4, 14]
+    assert fusion._candidate_vacua(sm.entries)[0] == [0, 4, 14]
     assert main(["fusion", "--from", str(spath), "--out", str(fpath)]) == 0
     assert json.loads(fpath.read_text())["vacuum"] == 0
 
@@ -175,10 +175,18 @@ def test_bad_input_exits_cleanly(tmp_path, capsys):
         ["ope", "--preset", "sugawara", "--rank", "-3"],
         ["ope", "--preset", "sugawara", "--rank", "0"],
         ["char", "--type", "A1", "--p", "3", "--q", "0"],
+        ["smatrix", "--variant", "principal", "--type", "A1", "--p", "3", "--q", "1"],
+        ["smatrix", "--variant", "principal", "--type", "A2", "--p", "5", "--q", "2"],
+        ["smatrix", "--variant", "principal", "--type", "B2", "--p", "5", "--q", "2"],
+        ["smatrix", "--variant", "subregular", "--type", "D4", "--p", "7", "--q", "4",
+         "--checkpoint", str(tmp_path / "missing" / "x.npz")],
+        ["smatrix", "--variant", "subregular", "--type", "D4", "--p", "7", "--q", "4", "--workers", "0"],
+        ["smatrix", "--variant", "subregular", "--type", "D4", "--p", "7", "--q", "4", "--workers", "-3"],
     ]
-    errors = {}
+    errors, codes = {}, {}
     for argv in table:
         rc = main(argv)
+        codes[" ".join(argv)] = rc
         err = capsys.readouterr().err.strip().splitlines()
         assert rc in (2, 3, 4), argv
         assert len(err) == 1, (argv, err)
@@ -186,6 +194,8 @@ def test_bad_input_exits_cleanly(tmp_path, capsys):
         errors[" ".join(argv)] = json.loads(err[0])["error"]
     assert errors["char --type A1 --p 3 --q 0"] == "p and q must be positive integers"
     assert "vacuum must be a label index" in errors[f"fusion --from {bad_vacuum}"]
+    assert all(rc == 2 for argv, rc in codes.items() if argv.startswith("smatrix"))
+    assert "empty principal label set" in errors["smatrix --variant principal --type B2 --p 5 --q 2"]
 
 
 def test_char_irreducible(tmp_path):

@@ -150,8 +150,9 @@ def test_blas_kernels_match_einsum_oracle(case):
         make = fkw_principal if kind == "FKW" else subregular_S
         sm = make(make_admissible_level(rs, p, q))
     s = sm.entries
-    cands = _candidate_vacua(s)
+    cands, first = _candidate_vacua(s)
     assert cands == candidate_vacua_einsum(s)
+    assert np.array_equal(first, _verlinde_raw(s, cands[0]))
     table = verlinde(sm)
     v = table.vacuum
     assert v in cands

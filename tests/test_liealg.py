@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -9,6 +10,8 @@ from affw.liealg import (
     LieAlgebraError,
     Weight,
     WeylBlock,
+    _gauss_jordan,
+    _positive_root_closure,
     build_root_system,
     dot_action,
     exponents,
@@ -16,6 +19,8 @@ from affw.liealg import (
     weyl_blocks,
     weyl_stream,
 )
+
+from oracles import positive_roots_by_strings
 
 CLASSICAL = {
     # type: (|Delta_+|, |W|, h_check, exponents)
@@ -47,6 +52,38 @@ def test_classical_data(name):
     assert rs.dual_coxeter == hck
     assert sorted(exponents(rs)) == sorted(exps)
     assert sum(2 * m + 1 for m in rs.exponents) == rs.dimension
+
+
+ALL_TYPES = (
+    [f"A{n}" for n in range(1, 9)] + [f"B{n}" for n in range(2, 8)] + [f"C{n}" for n in range(2, 8)]
+    + [f"D{n}" for n in range(3, 9)] + ["E6", "E7", "E8", "F4", "G2"]
+)
+
+
+@pytest.mark.parametrize("name", ALL_TYPES)
+def test_reflection_closure_matches_alpha_strings(name):
+    a = CartanType.parse(name).cartan_matrix()
+    assert _positive_root_closure(a) == positive_roots_by_strings(a)
+
+
+@pytest.mark.parametrize("name", ALL_TYPES)
+def test_one_elimination_gives_inverse_and_det(name):
+    t = CartanType.parse(name)
+    a = t.cartan_matrix()
+    ainv, pivots = _gauss_jordan(a)
+    n = t.rank
+    assert all(
+        sum(a[i][k] * ainv[k][j] for k in range(n)) == int(i == j) for i in range(n) for j in range(n)
+    )
+    det = {"A": n + 1, "B": 2, "C": 2, "D": 4, "E": 9 - n}.get(t.family, 1)
+    assert all(p > 0 for p in pivots)
+    assert math.prod(pivots) == det == build_root_system(t).index_P_mod_Q
+
+
+def test_zero_pivot_is_refused():
+    # nonsingular, but its leading 1x1 minor vanishes and no rows are swapped
+    with pytest.raises(LieAlgebraError, match="leading minor of size 1"):
+        _gauss_jordan([[0, 1], [1, 0]])
 
 
 @pytest.mark.parametrize(
