@@ -191,6 +191,12 @@ def vars_config(args):
 
 
 def cmd_smatrix(args):
+    # checked on every variant, so a typo in a long job's flags never passes silently
+    for flag, value in (("--workers", args.workers), ("--checkpoint-every", args.checkpoint_every)):
+        if value < 1:
+            raise CliError(f"{flag} must be a positive integer, not {value}", EXIT_VALIDATION)
+    if args.checkpoint and args.variant != "subregular":
+        raise CliError("--checkpoint applies to --variant subregular only", EXIT_VALIDATION)
     rs = _root_system(args)
     t0 = time.time()
     try:

@@ -460,12 +460,15 @@ def subregular_S(
     result does not depend on the order or the number of workers.  With
     ``checkpoint`` (npz) the buckets and finished chunks are saved every
     ``checkpoint_every`` elements and at the end, and a rerun of the same
-    job resumes from them; a checkpoint of any other job, or one whose
-    directory does not exist, is refused before the walk starts.
+    job resumes from them; a checkpoint of any other job, one whose
+    directory does not exist, or a ``checkpoint_every`` below 1 is refused
+    before the walk starts.
     ``progress`` reports the elements done out of |W| on stderr.
     """
     if workers < 1:
         raise SMatrixError(f"workers must be a positive integer, not {workers}")
+    if checkpoint_every < 1:
+        raise SMatrixError(f"checkpoint_every must be a positive integer, not {checkpoint_every}")
     if checkpoint and not os.path.isdir(os.path.dirname(os.path.abspath(checkpoint))):
         raise SMatrixError(f"checkpoint {checkpoint}: no such directory")
     rs = lv.root_system

@@ -470,10 +470,17 @@ def irreducible_character(
 
     ``stride`` is 1 for integrable weights (Weyl-Kac) and q for admissible
     vacuum-type integral coroot systems.  Truncation by q-order and weight
-    depth; exact on the retained window.
+    depth; exact on the retained window.  The default depth holds every
+    weight up to q^order: for dominant integral ``lam`` it is
+    ht(lam - w0 lam) + order ht(theta).
     """
     num = kac_wakimoto_numerator(rs, lam, level, stride, order, translation_cap)
-    if depth is None:
+    if depth is None and lam.is_dominant() and lam.is_integral():
+        # grade n is spanned by at most n negative modes applied to the finite
+        # module L(lam), whose lowest weight is w0 lam; each mode lowers the
+        # height by at most ht(theta), and ht(lam - w0 lam) = 2 ht(lam)
+        depth = int(2 * sum(rs.weight_to_root(lam))) + order * rs.highest_root.height
+    elif depth is None:
         # weights of L(lam) at delta-degree <= order satisfy
         # |mu + rho|^2 <= |lam + rho|^2 + 2 (k+h) order
         shifted = lam + rs.weyl_vector

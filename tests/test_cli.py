@@ -182,6 +182,19 @@ def test_bad_input_exits_cleanly(tmp_path, capsys):
          "--checkpoint", str(tmp_path / "missing" / "x.npz")],
         ["smatrix", "--variant", "subregular", "--type", "D4", "--p", "7", "--q", "4", "--workers", "0"],
         ["smatrix", "--variant", "subregular", "--type", "D4", "--p", "7", "--q", "4", "--workers", "-3"],
+        ["smatrix", "--variant", "subregular", "--type", "D4", "--p", "7", "--q", "4",
+         "--checkpoint-every", "0"],
+        ["smatrix", "--variant", "subregular", "--type", "D4", "--p", "7", "--q", "4",
+         "--checkpoint-every", "-5"],
+        ["smatrix", "--variant", "integrable", "--type", "A1", "--level", "1", "--workers", "0",
+         "--checkpoint", "/nonexistent/x.npz", "--checkpoint-every", "-5"],
+        ["smatrix", "--variant", "integrable", "--type", "A1", "--level", "1", "--workers", "0"],
+        ["smatrix", "--variant", "integrable", "--type", "A1", "--level", "1",
+         "--checkpoint-every", "-5"],
+        ["smatrix", "--variant", "integrable", "--type", "A1", "--level", "1",
+         "--checkpoint", str(tmp_path / "x.npz")],
+        ["smatrix", "--variant", "principal", "--type", "A1", "--p", "3", "--q", "4",
+         "--checkpoint", str(tmp_path / "x.npz")],
     ]
     errors, codes = {}, {}
     for argv in table:
@@ -196,6 +209,9 @@ def test_bad_input_exits_cleanly(tmp_path, capsys):
     assert "vacuum must be a label index" in errors[f"fusion --from {bad_vacuum}"]
     assert all(rc == 2 for argv, rc in codes.items() if argv.startswith("smatrix"))
     assert "empty principal label set" in errors["smatrix --variant principal --type B2 --p 5 --q 2"]
+    assert errors[f"smatrix --variant integrable --type A1 --level 1 --checkpoint {tmp_path / 'x.npz'}"] \
+        == "--checkpoint applies to --variant subregular only"
+    assert not (tmp_path / "x.npz").exists()
 
 
 def test_char_irreducible(tmp_path):
@@ -276,6 +292,59 @@ def test_ope_preset_output_is_pinned(spec, capsys):
     if rest:
         config["rank"] = int(rest[1])
     payload = {"affw_version": __version__, "config": config, "results": OPE_RESULTS[spec]}
+    assert capsys.readouterr().out == json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
+def _series(coeffs, top, den=1):
+    """JSON of a q-series: ``coeffs`` maps exponent numerators over ``den``
+    (a list: 0, 1, 2, ...) to integer coefficients; ``top/den`` is its order."""
+    if isinstance(coeffs, list):
+        coeffs = dict(enumerate(coeffs))
+    return {"coeffs": [[f"{e}/{den}", f"{c}/1"] for e, c in coeffs.items()],
+            "exponent_den": den, "order": f"{top}/{den}"}
+
+
+def _a2_term(weight, coeffs):
+    return {"series": _series(coeffs, 3), "weight": weight}
+
+
+# stdout of `affw char` past its config block, pinned so that the depth
+# window, the division engine and the q-series printing stay byte-identical
+CHAR_RESULTS = {
+    "--type A1 --level 1 --order 12": _series(
+        [1, 3, 4, 7, 13, 19, 29, 43, 62, 90, 126, 174, 239], 13),
+    "--type A2 --level 1 --order 2 --two-var": {"terms": [
+        _a2_term(["-2", "1"], {1: 1, 2: 2}), _a2_term(["-1", "-1"], {1: 1, 2: 2}),
+        _a2_term(["-1", "2"], {1: 1, 2: 2}), _a2_term(["0", "0"], [1, 2, 5]),
+        _a2_term(["1", "-2"], {1: 1, 2: 2}), _a2_term(["1", "1"], {1: 1, 2: 2}),
+        _a2_term(["2", "-1"], {1: 1, 2: 2}),
+    ]},
+    "--type B2 --level 1 --order 2": _series([1, 10, 30], 3),
+    "--type D4 --level 1 --order 1": _series([1, 28], 2),  # the default window is ht(theta) = 5 deep
+    "--type A1 --p 3 --q 2 --order 8": _series(
+        {2 * i: c for i, c in enumerate([1, 3, 9, 22, 46, 93, 176, 319, 562])}, 17, den=2),
+    "--type E8 --kind w-vacuum --order 8": _series(
+        {0: 1, 2: 1, 3: 1, 4: 2, 5: 2, 6: 4, 7: 4, 8: 8}, 9),
+    "--type A1 --kind brst --order 6": {
+        "telescoped": True,
+        "two_var": [{"coeff": str(c), "q": q, "y": 0} for q, c in enumerate([1, 1, 2, 3, 5, 7, 11])]
+        + [{"coeff": str(-c), "q": q, "y": 1} for q, c in enumerate([1, 1, 2, 3, 5, 7], 1)],
+        "y1_limit": _series({0: 1, 2: 1, 3: 1, 4: 2, 5: 2, 6: 4}, 7),
+    },
+}
+
+
+@pytest.mark.parametrize("spec", list(CHAR_RESULTS))
+def test_char_output_is_pinned(spec, capsys):
+    argv = spec.split()
+    assert main(["char", *argv]) == 0
+    config = {"command": "char", "kind": "irreducible", "two_var": "--two-var" in argv}
+    for flag, value in zip(argv, argv[1:]):
+        if flag in ("--type", "--kind", "--level"):
+            config[flag[2:]] = value
+        elif flag in ("--p", "--q", "--order"):
+            config[flag[2:]] = int(value)
+    payload = {"affw_version": __version__, "config": config, **CHAR_RESULTS[spec]}
     assert capsys.readouterr().out == json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 

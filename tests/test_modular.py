@@ -365,6 +365,15 @@ def test_streamed_kernel_parallel_matches_serial():
     assert np.array_equal(k1, k5)
 
 
+@pytest.mark.parametrize("option", [{"workers": 0}, {"checkpoint_every": 0}, {"checkpoint_every": -5}])
+def test_walk_options_are_refused_before_the_walk(option, tmp_path):
+    lv = make_admissible_level(build_root_system(CartanType.parse("D4")), 7, 4)
+    ckpt = tmp_path / "x.npz"
+    with pytest.raises(SMatrixError, match="must be a positive integer"):
+        subregular_S(lv, checkpoint=str(ckpt), **option)
+    assert not ckpt.exists()
+
+
 def test_streamed_kernel_checkpoint_resume(tmp_path):
     rs = build_root_system(CartanType.parse("A3"))
     lv = make_admissible_level(rs, 5, 3)

@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -6,6 +7,7 @@ import sympy
 
 from affw.opecalc import (
     ConformalAlgebra,
+    Field,
     LambdaPolynomial,
     OpeError,
     UnsupportedDepthError,
@@ -20,6 +22,7 @@ from affw.opecalc import (
     sugawara_sl,
     tensor_algebra,
     virasoro_test,
+    _skew,
 )
 
 
@@ -327,3 +330,54 @@ def test_printed_coefficients_are_cancelled_sympy_forms():
     f = alg.one(1 / (-4 * beta * k**2 / 3 - 2))
     assert str(f) == "(-3/(4*beta*k**2 + 6))*1"
     assert f.equal(alg.one(-3 / (4 * beta * k**2 + 6)))
+
+
+# -- the two invariants: zero-free containers, one complete skew table --------------
+
+
+def test_containers_never_store_zero(sl2):
+    x = sl2.normal_product(sl2.gen("E12"), sl2.gen("E21")) + sl2.gen("H1", 1).scaled(3)
+    assert (x + x.scaled(-1)).terms == {}
+    assert (x - x).terms == {}
+    assert x.scaled(0).terms == {}
+    assert Field(sl2, {("1",): 0}).terms == {}
+    assert Field(sl2, {("1",): 1, ("d", 0, 0): 0}).terms == {("1",): sl2.K.one}
+    poly = LambdaPolynomial(sl2, {0: x, 1: x.scaled(0), 2: Field(sl2)})
+    assert list(poly.coeffs) == [0]
+    assert (poly + poly.scaled(-1)).coeffs == {}
+    br = sl2.bracket(sl2.gen("E12"), sl2.gen("E12"))
+    assert br.coeffs == {} and br.is_zero()
+
+
+def _same(p, q):
+    return (p + q.scaled(-1)).is_zero()
+
+
+@pytest.mark.parametrize(
+    "build",
+    [heisenberg, lambda: charged_fermions(2), lambda: affine_sl(2), lambda: affine_sl(3),
+     lambda: tensor_algebra(affine_sl(2), charged_fermions(1))],
+    ids=["heisenberg", "fermions", "affine_sl2", "affine_sl3", "tensor"],
+)
+def test_finalized_table_is_complete_and_skew(build):
+    alg = build()
+    gens = alg.generators
+    assert set(alg.table) == set(itertools.product(range(len(gens)), repeat=2))
+    for (i, j), poly in alg.table.items():
+        assert _same(alg.table[(j, i)], _skew(poly, gens[i].parity, gens[j].parity)), (i, j)
+
+
+def test_register_algebra_fills_the_other_order_by_skew():
+    even = register_algebra("even", [("a", 0), ("b", 0)],
+                            {("a", "b"): {0: [("b", 1)], 1: [("1", "c")]}}, parameters=("c",))
+    b, c = even.gen("b"), even.param("c")
+    # [b_la a] = -[a_{-la-del} b] = -b + c la
+    assert _same(even.table[(1, 0)], LambdaPolynomial(even, {0: b.scaled(-1), 1: even.one(c)}))
+    assert str(even.bracket(b, even.gen("a"))) == "(-1)*b + lambda^1 * [(c)*1]"
+    odd = register_algebra("odd", [("psi", 1), ("chi", 1)], {("psi", "chi"): {0: [("1", 1)]}})
+    # odd pair: [chi_la psi] = +[psi_{-la-del} chi] = 1
+    assert _same(odd.table[(1, 0)], LambdaPolynomial(odd, {0: odd.one()}))
+    assert odd.table[(0, 0)].is_zero() and odd.table[(1, 1)].is_zero()
+    # a bracket set after finalize would leave the skew image stale
+    with pytest.raises(OpeError, match="finalized"):
+        odd.set_bracket("chi", "psi", LambdaPolynomial(odd, {0: odd.one(2)}))

@@ -203,6 +203,22 @@ def test_irreducible_character_truncation_contract(a1):
         assert max(s.coeffs_dict()) <= order
 
 
+@pytest.mark.parametrize("cartan, level, lam, order", [
+    ("A1", 4, (1,), 3), ("A2", 3, (1, 0), 2), ("B2", 3, (0, 1), 2), ("G2", 2, (0, 0), 2),
+])
+def test_default_depth_holds_every_weight_of_dominant_integral_lam(cartan, level, lam, order):
+    """Default window ht(lam - w0 lam) + order ht(theta) loses nothing a deeper one keeps.
+
+    The level is high enough in each case that the deepest weight of the
+    window occurs, so one step less would lose it."""
+    rs = build_root_system(CartanType.parse(cartan))
+    lam = Weight.of(*lam)
+    ch = irreducible_character(rs, lam, level, 1, order)
+    deep = irreducible_character(rs, lam, level, 1, order, depth=3 * (order + 2) * rs.highest_root.height)
+    assert set(ch.terms) == set(deep.terms)
+    assert all(s.same_series(deep.terms[key]) for key, s in ch.terms.items())
+
+
 def test_kw_numerator_matches_l1_form(a1):
     num = kac_wakimoto_numerator(a1, a1.zero_weight(), 1, 1, 12)
     got = {}
