@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
-from typing import Iterator, Optional
+from typing import Iterator, Optional, Sequence
 
 from .liealg import Root, RootSystem, Weight
 
@@ -130,22 +130,60 @@ def make_admissible_level(rs: RootSystem, p: int, q: int) -> AdmissibleLevel:
 # -- dominant-chamber enumerations -------------------------------------------
 
 
-def _dominant_by_level(rs: RootSystem, bound: int) -> Iterator[tuple[int, ...]]:
-    """Dominant integral weights with <lam, theta_check> <= bound, lex order."""
+def _dominant_by_level(
+    rs: RootSystem,
+    bound: int,
+    lower: Optional[Sequence[int]] = None,
+    upper: Optional[Sequence[int]] = None,
+) -> Iterator[tuple[int, ...]]:
+    """Integral weights with ``lower[i] <= lam_i <= upper[i]`` and
+    <lam, theta_check> <= bound, in lex order.
+
+    ``lower`` defaults to 0 (the dominant chamber), ``upper`` to no bound but
+    the level.
+    """
     n = rs.rank
     comarks = rs.comarks
+    lower = lower or (0,) * n
+    upper = upper or (bound,) * n
 
     def rec(prefix: list[int], used: int, i: int) -> Iterator[tuple[int, ...]]:
         if i == n:
             yield tuple(prefix)
             return
-        top = (bound - used) // comarks[i]
-        for c in range(top + 1):
+        top = min(upper[i], (bound - used) // comarks[i])
+        for c in range(lower[i], top + 1):
             prefix.append(c)
             yield from rec(prefix, used + c * comarks[i], i + 1)
             prefix.pop()
 
     yield from rec([], 0, 0)
+
+
+def _regular(rs: RootSystem, m: int) -> list[tuple[int, ...]]:
+    """Coordinates of the strictly dominant weights of level < m, lex order."""
+    return list(_dominant_by_level(rs, m - 1, lower=(1,) * rs.rank))
+
+
+def _subregular_eta(rs: RootSystem, q: int) -> list[tuple[tuple[int, ...], int]]:
+    """Coordinates and wall id of each eta in :func:`enumerate_subregular_eta`.
+
+    One bounded enumeration per wall: eta_i = 0 and every other coordinate
+    at least 1 below level q for the wall of alpha_i; every coordinate at
+    least 1 and level exactly q for the affine wall.
+    """
+    n = rs.rank
+    out = [
+        (c, 0)
+        for c in _dominant_by_level(rs, q, lower=(1,) * n)
+        if sum(x * m for x, m in zip(c, rs.comarks)) == q
+    ]
+    for i in range(n):
+        lower = tuple(int(j != i) for j in range(n))
+        upper = tuple(q * x for x in lower)
+        out += [(c, i + 1) for c in _dominant_by_level(rs, q - 1, lower, upper)]
+    out.sort()
+    return out
 
 
 def enumerate_P_plus_k(rs: RootSystem, k: int) -> list[Weight]:
@@ -160,10 +198,7 @@ def enumerate_regular(rs: RootSystem, m: int) -> list[Weight]:
 
     Empty when m < h_check since rho itself has level h_check - 1.
     """
-    if m < rs.dual_coxeter:
-        return []
-    rho = rs.weyl_vector
-    return [rho + lam for lam in enumerate_P_plus_k(rs, m - rs.dual_coxeter)]
+    return [Weight.of(*c) for c in _regular(rs, m)]
 
 
 def enumerate_subregular_eta(rs: RootSystem, q: int) -> list[tuple[Weight, int]]:
@@ -171,17 +206,9 @@ def enumerate_subregular_eta(rs: RootSystem, q: int) -> list[tuple[Weight, int]]
 
     The wall quantities are <eta, alpha_i_check> for i = 1..l together with
     q - <eta, theta_check>; wall_id 0 names the affine wall, i names the wall
-    of alpha_i (1-based).
+    of alpha_i (1-based).  Lex order of the coordinates.
     """
-    out: list[tuple[Weight, int]] = []
-    for coords in _dominant_by_level(rs, q):
-        level = sum(c * m for c, m in zip(coords, rs.comarks))
-        zero_walls = [i + 1 for i, c in enumerate(coords) if c == 0]
-        if level == q:
-            zero_walls.append(0)
-        if len(zero_walls) == 1:
-            out.append((Weight.of(*coords), zero_walls[0]))
-    return out
+    return [(Weight.of(*c), wall) for c, wall in _subregular_eta(rs, q)]
 
 
 # -- label sets ---------------------------------------------------------------
@@ -201,20 +228,14 @@ class SubregularLabel:
     wall_id: int
 
 
-def _class_key(rs: RootSystem, p: int, q: int, nu: Weight, eta: Weight) -> tuple:
-    """Canonical form of the module class of the pair (nu, eta).
+def _class_key(rs: RootSystem, p: int, q: int, nu: tuple, eta: tuple) -> tuple[int, ...]:
+    """Canonical form of the module class of the integral pair (nu, eta).
 
     The shifted highest weights of one class share the finite Weyl orbit of
     nu - (p/q) eta, so the dominant representative of q*nu - p*eta is a
     complete class invariant.
     """
-    v = Weight(tuple(q * a - p * b for a, b in zip(nu.coords, eta.coords)))
-    dom, _ = rs.to_dominant(v)
-    return tuple(dom.coords)
-
-
-def _sort_key(w: Weight) -> tuple:
-    return tuple(w.coords)
+    return rs.dominant_word(tuple(q * a - p * b for a, b in zip(nu, eta)))[0]
 
 
 def principal_labels(lv: AdmissibleLevel) -> list[PrincipalLabel]:
@@ -224,20 +245,19 @@ def principal_labels(lv: AdmissibleLevel) -> list[PrincipalLabel]:
     vacuum class (the one containing (rho, rho)) is listed first, the rest in
     lexicographic order of representatives.
     """
-    rs = lv.root_system
-    nus = enumerate_regular(rs, lv.p)
-    etas = enumerate_regular(rs, lv.q)
-    classes: dict[tuple, list[tuple[Weight, Weight]]] = {}
-    for nu in nus:
+    rs, p, q = lv.root_system, lv.p, lv.q
+    etas = _regular(rs, q)
+    classes: dict[tuple, tuple] = {}
+    for nu in _regular(rs, p):
         for eta in etas:
-            classes.setdefault(_class_key(rs, lv.p, lv.q, nu, eta), []).append((nu, eta))
-    vacuum_key = _class_key(rs, lv.p, lv.q, rs.weyl_vector, rs.weyl_vector)
-    labels = []
-    for key, pairs in classes.items():
-        nu, eta = min(pairs, key=lambda t: (_sort_key(t[1]), _sort_key(t[0])))
-        labels.append((key == vacuum_key, _sort_key(eta), _sort_key(nu), PrincipalLabel(nu, eta)))
-    labels.sort(key=lambda t: (not t[0], t[1], t[2]))
-    return [t[3] for t in labels]
+            key = _class_key(rs, p, q, nu, eta)
+            # representative: least (eta, nu)
+            if key not in classes or (eta, nu) < classes[key]:
+                classes[key] = (eta, nu)
+    rho = (1,) * rs.rank
+    vacuum_key = _class_key(rs, p, q, rho, rho)
+    reps = sorted((key != vacuum_key, eta, nu) for key, (eta, nu) in classes.items())
+    return [PrincipalLabel(Weight.of(*nu), Weight.of(*eta)) for _, eta, nu in reps]
 
 
 def alpha_star(rs: RootSystem) -> Root:
@@ -265,6 +285,16 @@ def alpha_star(rs: RootSystem) -> Root:
     raise AffineDataError(f"subregular pipeline unsupported for type {t}")
 
 
+def _star_wall(rs: RootSystem, alpha_st: Root) -> int:
+    """The 1-based node of ``alpha_st``, which must be a simple root of ``rs``."""
+    if alpha_st not in rs.simple_roots:
+        raise AffineDataError(
+            f"alpha_* must be a simple root of {rs.cartan_type}, "
+            f"not the root with simple-root coordinates {alpha_st.root_coords}"
+        )
+    return alpha_st.root_coords.index(1) + 1
+
+
 def subregular_labels(lv: AdmissibleLevel, alpha_st: Optional[Root] = None) -> list[SubregularLabel]:
     """Classes of pairs (nu, eta) with eta on exactly one level-q wall.
 
@@ -273,34 +303,31 @@ def subregular_labels(lv: AdmissibleLevel, alpha_st: Optional[Root] = None) -> l
     (these are the representatives for which the degenerate S-matrix kernel
     is well behaved), lexicographic otherwise.  The class of
     (rho, rho - varpi_*) is the vacuum and comes first; the rest follow in
-    class-key order.
+    class-key order.  ``alpha_st`` must be a simple root of the algebra.
     """
-    rs = lv.root_system
+    rs, p, q = lv.root_system, lv.p, lv.q
     t = rs.cartan_type
     if t.family not in "ADE":
         raise AffineDataError("subregular labels need a simply laced algebra")
-    if alpha_st is None:
-        alpha_st = alpha_star(rs)
-    star_wall = alpha_st.root_coords.index(1) + 1
-    nus = enumerate_regular(rs, lv.p)
-    etas = enumerate_subregular_eta(rs, lv.q)
-    classes: dict[tuple, list[tuple[Weight, Weight, int]]] = {}
-    for nu in nus:
+    star_wall = _star_wall(rs, alpha_star(rs) if alpha_st is None else alpha_st)
+    etas = _subregular_eta(rs, q)
+    classes: dict[tuple, tuple] = {}
+    for nu in _regular(rs, p):
         for eta, wall in etas:
-            key = _class_key(rs, lv.p, lv.q, nu, eta)
-            classes.setdefault(key, []).append((nu, eta, wall))
-    rho = rs.weyl_vector
-    eta_vac = rho - rs.fundamental_weight(star_wall - 1)
+            key = _class_key(rs, p, q, nu, eta)
+            # representative: off the alpha_*-wall only if the class never
+            # touches it, then least (eta, nu)
+            rep = (wall != star_wall, eta, nu, wall)
+            if key not in classes or rep < classes[key]:
+                classes[key] = rep
+    rho = (1,) * rs.rank
+    eta_vac = tuple(int(j != star_wall - 1) for j in range(rs.rank))
     vacuum_key = None
-    if all(c >= 0 for c in eta_vac.coords) and rs.level(eta_vac) <= lv.q:
-        vacuum_key = _class_key(rs, lv.p, lv.q, rho, eta_vac)
-    labels = []
-    for key in sorted(classes):
-        members = classes[key]
-        on_star = [m for m in members if m[2] == star_wall]
-        nu, eta, wall = min(
-            on_star or members, key=lambda tr: (_sort_key(tr[1]), _sort_key(tr[0]))
+    if sum(rs.comarks) - rs.comarks[star_wall - 1] <= q:
+        vacuum_key = _class_key(rs, p, q, rho, eta_vac)
+    return [
+        SubregularLabel(Weight.of(*nu), Weight.of(*eta), wall)
+        for _, _, (_, eta, nu, wall) in sorted(
+            (key != vacuum_key, key, rep) for key, rep in classes.items()
         )
-        labels.append((key != vacuum_key, key, SubregularLabel(nu, eta, wall)))
-    labels.sort(key=lambda tr: (tr[0], tr[1]))
-    return [tr[2] for tr in labels]
+    ]

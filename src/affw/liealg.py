@@ -323,28 +323,32 @@ class RootSystem:
         ci = coords[i]
         return tuple(c - ci * a[j] for j, c in enumerate(coords))
 
+    def dominant_word(self, coords: tuple) -> tuple[tuple, list[int]]:
+        """Reflect fundamental-weight ``coords`` into the dominant chamber.
+
+        Always reflects at the first negative coordinate.  Returns the
+        dominant coordinates and the simple reflections used, first to last.
+        Python ints stay ints, so integral weights need no ``Fraction``.
+        """
+        word = []
+        while True:
+            i = next((j for j, c in enumerate(coords) if c < 0), None)
+            if i is None:
+                return coords, word
+            coords = self.reflect_coords(i, coords)
+            word.append(i)
+
     def longest_element(self) -> WeylElement:
         """w0, computed by sorting ``-rho`` back to the dominant chamber."""
         w = self.identity_element()
-        coords = tuple(-c for c in self.weyl_vector.coords)
-        while True:
-            i = next((j for j, c in enumerate(coords) if c < 0), None)
-            if i is None:
-                return w
-            coords = self.reflect_coords(i, coords)
+        for i in self.dominant_word((-1,) * self.rank)[1]:
             w = self.simple_reflection(i) * w
-        # unreachable
+        return w
 
     def to_dominant(self, lam: Weight) -> tuple[Weight, int]:
         """Dominant representative of ``W.lam`` and the sign of the word used."""
-        coords = lam.coords
-        sign = 1
-        while True:
-            i = next((j for j, c in enumerate(coords) if c < 0), None)
-            if i is None:
-                return Weight(coords), sign
-            coords = self.reflect_coords(i, coords)
-            sign = -sign
+        coords, word = self.dominant_word(lam.coords)
+        return Weight(coords), (-1) ** len(word)
 
 
 def _positive_root_closure(a: tuple[tuple[int, ...], ...]) -> list[tuple[int, ...]]:
@@ -405,7 +409,7 @@ def build_root_system(t: CartanType) -> RootSystem:
     gram = tuple(tuple(ainv[i][j] * d[j] for j in range(n)) for i in range(n))
 
     def mk_root(rc: tuple[int, ...]) -> Root:
-        w = Weight(tuple(sum(Fraction(rc[i]) * a[i][j] for i in range(n)) for j in range(n)))
+        w = Weight.of(*(sum(rc[i] * a[i][j] for i in range(n)) for j in range(n)))
         return Root(w, rc, sum(rc))
 
     positive = tuple(mk_root(rc) for rc in _positive_root_closure(a))

@@ -36,12 +36,13 @@ import numpy as np
 from .affine import (
     AdmissibleLevel,
     SubregularLabel,
+    _star_wall,
     alpha_star,
     enumerate_P_plus_k,
     principal_labels,
     subregular_labels,
 )
-from .liealg import WEYL_BLOCK_ROWS, Root, RootSystem, Weight, WeylBlock, WeylElement, weyl_blocks
+from .liealg import WEYL_BLOCK_ROWS, Root, RootSystem, Weight, WeylBlock, weyl_blocks
 
 __all__ = [
     "SMatrix",
@@ -115,13 +116,14 @@ def _phase_table(den: int) -> np.ndarray:
     return np.exp(-2j * np.pi * np.arange(den) / den)
 
 
+def _int_coords(w: Weight) -> tuple[int, ...]:
+    if not w.is_integral():
+        raise SMatrixError("expected integral weight coordinates")
+    return tuple(int(c) for c in w.coords)
+
+
 def _weight_ints(ws: Sequence[Weight]) -> np.ndarray:
-    arr = []
-    for w in ws:
-        if not w.is_integral():
-            raise SMatrixError("expected integral weight coordinates")
-        arr.append([int(c) for c in w.coords])
-    return np.array(arr, dtype=np.int64)
+    return np.array([_int_coords(w) for w in ws], dtype=np.int64)
 
 
 # -- batched Weyl sums ---------------------------------------------------------
@@ -320,17 +322,15 @@ def alternate_probe(rs: RootSystem) -> tuple[int, ...]:
     return tuple(2 * i + 1 for i in range(1, rs.rank + 1))
 
 
-def _element_mapping(rs: RootSystem, src: Weight, dst: Weight) -> WeylElement:
-    """Some w with w(src) = dst, by BFS over the (small) W-orbit of src."""
-    words: dict[tuple, tuple] = {src.coords: ()}  # reflections applied, first to last
-    queue = deque([src.coords])
+def _element_mapping(rs: RootSystem, src: tuple[int, ...], dst: tuple[int, ...]) -> tuple[int, ...]:
+    """A word (simple reflections, first to last) taking src to dst, by BFS
+    over the (small) W-orbit of the integral weight src."""
+    words: dict[tuple, tuple] = {src: ()}
+    queue = deque([src])
     while queue:
         v = queue.popleft()
-        if v == dst.coords:
-            w = rs.identity_element()
-            for i in words[v]:
-                w = rs.simple_reflection(i) * w
-            return w
+        if v == dst:
+            return words[v]
         for i in range(rs.rank):
             u = rs.reflect_coords(i, v)
             if u not in words:
@@ -347,21 +347,26 @@ def conservative_weights(
     """Conservative kernel arguments ``e_i = y_i(eta_i)`` and signs eps(y_i).
 
     ``y_i`` maps the wall root of eta_i to alpha_* (finite wall) or theta to
-    -alpha_* (affine wall); found per wall by a root-orbit walk.
+    -alpha_* (affine wall); found per wall by a root-orbit walk on integer
+    coordinates.  ``alpha_st`` must be a simple root of the algebra.
     """
     rs = lv.root_system
     if alpha_st is None:
         alpha_st = alpha_star(rs)
-    star_w = alpha_st.weight
-    theta = rs.highest_root.weight
-    needed = sorted(set(l.wall_id for l in labels))
-    found: dict[int, WeylElement] = {}
-    for wall in needed:
-        src = theta if wall == 0 else rs.simple_roots[wall - 1].weight
-        tgt = -star_w if wall == 0 else star_w
-        found[wall] = _element_mapping(rs, src, tgt)
-    ws = [found[l.wall_id] for l in labels]
-    return [w.act(l.eta) for w, l in zip(ws, labels)], [w.length_parity for w in ws]
+    _star_wall(rs, alpha_st)
+    star_w = _int_coords(alpha_st.weight)
+    words: dict[int, tuple[int, ...]] = {}
+    for wall in sorted(set(l.wall_id for l in labels)):
+        src = rs.highest_root if wall == 0 else rs.simple_roots[wall - 1]
+        tgt = tuple(-c for c in star_w) if wall == 0 else star_w
+        words[wall] = _element_mapping(rs, _int_coords(src.weight), tgt)
+    cons = []
+    for l in labels:
+        e = _int_coords(l.eta)
+        for i in words[l.wall_id]:
+            e = rs.reflect_coords(i, e)
+        cons.append(Weight.of(*e))
+    return cons, [(-1) ** len(words[l.wall_id]) for l in labels]
 
 
 def _half_group_kernel_matrix(
@@ -489,7 +494,7 @@ def subregular_S(
     p, q = lv.p, lv.q
     kern = _Buckets(rs, es, es, Fraction(p, q), star=(alpha_st, x_probe))
     f_nu = _Buckets(rs, nu_rows, nu_rows, Fraction(q, p))
-    node = alpha_st.root_coords.index(1) + 1
+    node = _star_wall(rs, alpha_st)
 
     # one chunk (the whole group) unless the walk is shared or saved
     chunks = _chunks(rs) if checkpoint or workers > 1 else [{}]

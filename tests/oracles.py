@@ -2,8 +2,10 @@
 
 Minimal-model S-matrices via sine products, the truncated Clebsch-Gordan
 rule for sl2 fusion, the Verlinde formula as a plain einsum, brute-force
-partition counters, two-variable series products as dict convolutions, and
-the positive roots by alpha-string induction.
+partition counters, two-variable series products as dict convolutions, the
+positive roots by alpha-string induction, and the label sets computed on
+``Fraction`` weights by reflecting every class key and filtering all of
+P_+^q for the subregular eta.
 These stay out of the library on purpose: they are the references the
 library is checked against.
 """
@@ -14,7 +16,9 @@ from fractions import Fraction
 
 import numpy as np
 
+from affw.affine import AdmissibleLevel, PrincipalLabel, SubregularLabel, alpha_star
 from affw.fusion import FusionTable, verlinde
+from affw.liealg import RootSystem, Weight
 from affw.modular import SMatrix
 
 
@@ -197,3 +201,78 @@ def positive_roots_by_strings(a) -> list[tuple[int, ...]]:
                         new.append(up)
         layers.append(sorted(new))
     return [r for layer in layers for r in sorted(layer)]
+
+
+# -- label sets on Fraction weights -------------------------------------------
+
+
+def p_plus_fraction(rs: RootSystem, k: int) -> list[Weight]:
+    """Dominant weights of level <= k as Fraction weights, lex order."""
+    rows: list[tuple[tuple[int, ...], int]] = [((), 0)]
+    for m in rs.comarks:
+        rows = [(c + (x,), used + x * m) for c, used in rows for x in range((k - used) // m + 1)]
+    return [Weight(tuple(Fraction(x) for x in c)) for c, _ in rows]
+
+
+def subregular_eta_by_filter(rs: RootSystem, q: int) -> list[tuple[Weight, int]]:
+    """The eta of P_+^q with exactly one zero among <eta, alpha_i_check> and
+    q - <eta, theta_check>, with that wall's id (0 for the affine wall)."""
+    out = []
+    for eta in p_plus_fraction(rs, q):
+        zero = [i + 1 for i, c in enumerate(eta.coords) if c == 0]
+        if rs.level(eta) == q:
+            zero.append(0)
+        if len(zero) == 1:
+            out.append((eta, zero[0]))
+    return out
+
+
+def class_key_fraction(rs: RootSystem, p: int, q: int, nu: Weight, eta: Weight) -> tuple:
+    """q*nu - p*eta reflected into the dominant chamber, one Fraction
+    reflection at a time at the first negative coordinate."""
+    v = tuple(q * a - p * b for a, b in zip(nu.coords, eta.coords))
+    while True:
+        i = next((j for j, c in enumerate(v) if c < 0), None)
+        if i is None:
+            return v
+        v = tuple(c - v[i] * x for c, x in zip(v, rs.cartan_matrix[i]))
+
+
+def _regular_fraction(rs: RootSystem, m: int) -> list[Weight]:
+    if m < rs.dual_coxeter:
+        return []
+    return [rs.weyl_vector + lam for lam in p_plus_fraction(rs, m - rs.dual_coxeter)]
+
+
+def principal_labels_fraction(lv: AdmissibleLevel) -> list[PrincipalLabel]:
+    """``affine.principal_labels``: least (eta, nu) per class, vacuum first."""
+    rs, p, q = lv.root_system, lv.p, lv.q
+    classes: dict[tuple, list] = {}
+    etas = _regular_fraction(rs, q)
+    for nu in _regular_fraction(rs, p):
+        for eta in etas:
+            classes.setdefault(class_key_fraction(rs, p, q, nu, eta), []).append((eta.coords, nu.coords))
+    rho = rs.weyl_vector
+    vacuum_key = class_key_fraction(rs, p, q, rho, rho)
+    reps = sorted((key != vacuum_key, *min(pairs)) for key, pairs in classes.items())
+    return [PrincipalLabel(Weight(nu), Weight(eta)) for _, eta, nu in reps]
+
+
+def subregular_labels_fraction(lv: AdmissibleLevel) -> list[SubregularLabel]:
+    """``affine.subregular_labels`` with the default alpha_*: per class the
+    least (eta, nu) on the alpha_*-wall, else the least overall; the class of
+    (rho, rho - varpi_*) first, the rest in class-key order."""
+    rs, p, q = lv.root_system, lv.p, lv.q
+    star = alpha_star(rs).root_coords.index(1) + 1
+    etas = subregular_eta_by_filter(rs, q)
+    classes: dict[tuple, list] = {}
+    for nu in _regular_fraction(rs, p):
+        for eta, wall in etas:
+            classes.setdefault(class_key_fraction(rs, p, q, nu, eta), []).append(
+                (wall != star, eta.coords, nu.coords, wall)
+            )
+    rho = rs.weyl_vector
+    eta_vac = rho - rs.fundamental_weight(star - 1)
+    vacuum_key = class_key_fraction(rs, p, q, rho, eta_vac) if rs.level(eta_vac) <= q else None
+    reps = sorted((key != vacuum_key, key, min(members)) for key, members in classes.items())
+    return [SubregularLabel(Weight(nu), Weight(eta), wall) for _, _, (_, eta, nu, wall) in reps]

@@ -1,6 +1,7 @@
 import itertools
 import random
 from fractions import Fraction
+from unittest.mock import patch
 
 import pytest
 
@@ -19,6 +20,12 @@ from affw.affine import (
     subregular_labels,
 )
 from affw.liealg import CartanType, Weight, build_root_system
+from affw.modular import subregular_S
+from oracles import (
+    principal_labels_fraction,
+    subregular_eta_by_filter,
+    subregular_labels_fraction,
+)
 
 
 @pytest.fixture(scope="module")
@@ -225,3 +232,67 @@ def test_label_invariants_subregular():
             assert rs.level(l.eta) == lv.q
         else:
             assert l.eta.coords[l.wall_id - 1] == 0
+
+
+SUBREGULAR_GRID = [
+    ("D4", 7, 5), ("D4", 9, 4), ("D4", 11, 7), ("D5", 9, 7), ("D6", 11, 8), ("A3", 5, 3),
+    ("A3", 4, 3), ("A5", 7, 5), ("E6", 13, 10), ("E7", 19, 15), ("E8", 30, 29),
+]
+PRINCIPAL_GRID = [
+    ("A1", 11, 10), ("A1", 13, 12), ("A2", 8, 5), ("A2", 7, 4), ("A3", 5, 4), ("B2", 7, 5),
+    ("G2", 7, 6), ("C3", 7, 6), ("D4", 7, 6),
+]
+
+
+def _level(name, p, q):
+    return make_admissible_level(build_root_system(CartanType.parse(name)), p, q)
+
+
+@pytest.mark.parametrize("name,p,q", SUBREGULAR_GRID)
+def test_subregular_labels_match_the_fraction_path(name, p, q):
+    lv = _level(name, p, q)
+    assert repr(subregular_labels(lv)) == repr(subregular_labels_fraction(lv))
+    rs = lv.root_system
+    assert repr(enumerate_subregular_eta(rs, q)) == repr(subregular_eta_by_filter(rs, q))
+
+
+def test_subregular_eta_matches_the_filter_at_every_small_level():
+    for name in ("A1", "A2", "A3", "B2", "G2", "C3", "D4", "F4"):
+        rs = build_root_system(CartanType.parse(name))
+        for q in range(0, 10):
+            assert repr(enumerate_subregular_eta(rs, q)) == repr(subregular_eta_by_filter(rs, q))
+
+
+@pytest.mark.parametrize("name,p,q", PRINCIPAL_GRID)
+def test_principal_labels_match_the_fraction_path(name, p, q):
+    lv = _level(name, p, q)
+    assert repr(principal_labels(lv)) == repr(principal_labels_fraction(lv))
+
+
+def test_subregular_labels_e8_do_no_fraction_arithmetic():
+    """The class keys and the eta walls run on ints; the old Fraction path
+    made 17,256 subtractions and 16,896 multiplications here."""
+    lv = _level("E8", 30, 29)
+    with patch.object(Fraction, "__sub__", autospec=True, side_effect=Fraction.__sub__) as sub, \
+            patch.object(Fraction, "__mul__", autospec=True, side_effect=Fraction.__mul__) as mul:
+        labels = subregular_labels(lv)
+    coords = sum(len(l.nu.coords) + len(l.eta.coords) for l in labels)
+    assert len(labels) == 44
+    assert sub.call_count + mul.call_count <= coords
+    assert all(type(c) is Fraction for l in labels for c in l.nu.coords + l.eta.coords)
+
+
+def test_non_simple_alpha_star_is_refused():
+    lv = _level("D4", 7, 5)
+    rs = lv.root_system
+    theta = rs.highest_root
+    other = build_root_system(CartanType.parse("A4")).simple_roots[1]  # another rank
+    for bad in (theta, rs.positive_roots[4], other):
+        with pytest.raises(AffineDataError, match="simple root of D4"):
+            subregular_labels(lv, bad)
+        with pytest.raises(AffineDataError, match="simple root of D4"):
+            subregular_S(lv, alpha_st=bad)
+    # every simple root is accepted, and the default is the trivalent node
+    assert subregular_labels(lv, rs.simple_roots[1]) == subregular_labels(lv)
+    for root in rs.simple_roots:
+        assert subregular_labels(lv, root)

@@ -42,6 +42,75 @@ def test_weights_schema(tmp_path):
         assert row["wall"] is None or isinstance(row["wall"], int)
 
 
+# stdout of `affw weights`, pinned so that the label order and the printed
+# coordinates stay byte-identical; a label reads "nu / eta", plus " / wall"
+# for a subregular one
+WEIGHTS_LABELS = {
+    "subregular E8 30 29": [
+        "1 1 1 1 1 1 1 1 / 1 1 1 0 1 1 1 1 / 4", "1 1 1 1 1 1 1 1 / 1 1 1 1 1 1 1 1 / 0",
+        "1 1 1 1 1 1 1 1 / 1 1 1 1 1 1 1 0 / 8", "1 1 1 1 1 1 1 1 / 1 1 1 1 1 1 0 2 / 7",
+        "1 1 1 1 1 1 1 1 / 1 1 1 1 1 1 0 1 / 7", "1 1 1 1 1 1 1 1 / 1 1 1 1 1 0 2 1 / 6",
+        "1 1 1 1 1 1 1 1 / 2 1 1 1 1 1 0 1 / 7", "1 1 1 1 1 1 1 1 / 1 1 1 1 1 0 1 1 / 6",
+        "1 1 1 1 1 1 1 1 / 1 1 1 1 0 2 1 1 / 5", "1 1 1 1 1 1 1 1 / 1 2 1 1 1 0 1 1 / 6",
+        "1 1 1 1 1 1 1 1 / 3 1 1 0 1 1 1 1 / 4", "1 1 1 1 1 1 1 1 / 3 1 1 1 0 1 1 1 / 5",
+        "1 1 1 1 1 1 1 1 / 1 1 1 1 0 1 1 1 / 5", "1 1 1 1 1 1 1 1 / 1 1 1 0 2 1 1 1 / 4",
+        "1 1 1 1 1 1 1 1 / 1 1 2 1 0 1 1 1 / 5", "1 1 1 1 1 1 1 1 / 1 1 1 0 1 2 1 1 / 4",
+        "1 1 1 1 1 1 1 1 / 2 1 1 0 1 1 2 1 / 4", "1 1 1 1 1 1 1 1 / 1 1 1 0 1 1 2 1 / 4",
+        "1 1 1 1 1 1 1 1 / 1 1 0 1 1 1 2 1 / 3", "1 1 1 1 1 1 1 1 / 1 1 1 0 1 1 2 2 / 4",
+        "1 1 1 1 1 1 1 1 / 1 1 1 1 0 1 1 3 / 5", "1 1 1 1 1 1 1 1 / 1 2 0 1 1 1 1 1 / 3",
+        "1 1 1 1 1 1 1 1 / 1 1 1 1 0 1 2 1 / 5", "1 1 1 1 1 1 1 1 / 2 1 1 1 0 1 1 2 / 5",
+        "1 1 1 1 1 1 1 1 / 1 2 1 0 1 1 1 2 / 4", "1 1 1 1 1 1 1 1 / 1 1 1 0 1 1 1 2 / 4",
+        "1 1 1 1 1 1 1 1 / 1 0 1 1 1 1 1 2 / 2", "1 1 1 1 1 1 1 1 / 1 1 1 0 1 1 1 3 / 4",
+        "1 1 1 1 1 1 1 1 / 2 1 1 0 1 1 1 1 / 4", "1 1 1 1 1 1 1 1 / 1 1 0 1 1 1 1 1 / 3",
+        "1 1 1 1 1 1 1 1 / 2 2 1 0 1 1 1 1 / 4", "1 1 1 1 1 1 1 1 / 2 0 1 1 1 1 1 1 / 2",
+        "1 1 1 1 1 1 1 1 / 1 1 1 1 0 1 1 2 / 5", "1 1 1 1 1 1 1 1 / 2 1 1 0 1 1 1 2 / 4",
+        "1 1 1 1 1 1 1 1 / 2 1 1 1 0 1 1 1 / 5", "1 1 1 1 1 1 1 1 / 1 1 0 1 1 1 1 2 / 3",
+        "1 1 1 1 1 1 1 1 / 1 2 1 0 1 1 1 1 / 4", "1 1 1 1 1 1 1 1 / 1 0 1 1 1 1 1 1 / 2",
+        "1 1 1 1 1 1 1 1 / 1 1 1 1 1 0 1 2 / 6", "1 1 1 1 1 1 1 1 / 2 1 1 1 1 0 1 1 / 6",
+        "1 1 1 1 1 1 1 1 / 1 2 1 1 0 1 1 1 / 5", "1 1 1 1 1 1 1 1 / 1 1 2 0 1 1 1 1 / 4",
+        "1 1 1 1 1 1 1 1 / 2 1 0 1 1 1 1 1 / 3", "1 1 1 1 1 1 1 1 / 0 1 1 1 1 1 1 1 / 1",
+    ],
+    "subregular D4 7 5": [
+        "1 1 1 1 / 1 0 1 1 / 2", "1 1 2 1 / 0 1 1 1 / 1", "1 1 1 2 / 0 1 1 1 / 1",
+        "1 1 1 1 / 0 1 1 1 / 1", "1 1 1 2 / 1 0 1 1 / 2", "1 1 2 1 / 1 0 1 1 / 2",
+        "2 1 1 1 / 0 1 1 1 / 1", "2 1 1 1 / 1 0 1 1 / 2",
+    ],
+    "subregular D6 11 8": [
+        "1 1 1 1 1 1 / 1 1 1 0 1 1 / 4", "1 1 1 1 1 1 / 1 1 0 1 1 1 / 3",
+        "1 1 1 1 1 2 / 1 1 1 0 1 1 / 4",
+    ],
+    "principal A2 8 5": [
+        "1 1 / 1 1", "1 2 / 1 1", "1 3 / 1 1", "1 4 / 1 1", "1 5 / 1 1", "1 6 / 1 1", "2 1 / 1 1",
+        "2 2 / 1 1", "2 3 / 1 1", "2 4 / 1 1", "2 5 / 1 1", "3 1 / 1 1", "3 2 / 1 1", "3 3 / 1 1",
+        "3 4 / 1 1", "4 1 / 1 1", "4 2 / 1 1", "4 3 / 1 1", "5 1 / 1 1", "5 2 / 1 1", "6 1 / 1 1",
+        "1 1 / 1 2", "1 2 / 1 2", "1 3 / 1 2", "1 4 / 1 2", "1 5 / 1 2", "1 6 / 1 2", "2 1 / 1 2",
+        "2 2 / 1 2", "2 3 / 1 2", "2 4 / 1 2", "2 5 / 1 2", "3 1 / 1 2", "3 2 / 1 2", "3 3 / 1 2",
+        "3 4 / 1 2", "4 1 / 1 2", "4 2 / 1 2", "4 3 / 1 2", "5 1 / 1 2", "5 2 / 1 2", "6 1 / 1 2",
+    ],
+    "principal A1 11 10": [
+        "1 / 1", "2 / 1", "3 / 1", "4 / 1", "5 / 1", "6 / 1", "7 / 1", "8 / 1", "9 / 1", "10 / 1",
+        "1 / 2", "2 / 2", "3 / 2", "4 / 2", "5 / 2", "6 / 2", "7 / 2", "8 / 2", "9 / 2", "10 / 2",
+        "1 / 3", "2 / 3", "3 / 3", "4 / 3", "5 / 3", "6 / 3", "7 / 3", "8 / 3", "9 / 3", "10 / 3",
+        "1 / 4", "2 / 4", "3 / 4", "4 / 4", "5 / 4", "6 / 4", "7 / 4", "8 / 4", "9 / 4", "10 / 4",
+        "1 / 5", "2 / 5", "3 / 5", "4 / 5", "5 / 5",
+    ],
+}
+
+
+@pytest.mark.parametrize("spec", list(WEIGHTS_LABELS))
+def test_weights_output_is_pinned(spec, capsys):
+    variant, name, p, q = spec.split()
+    assert main(["weights", "--type", name, "--p", p, "--q", q, "--variant", variant]) == 0
+    rows = []
+    for label in WEIGHTS_LABELS[spec]:
+        nu, eta, *wall = label.split(" / ")
+        rows.append({"eta": eta.split(), "nu": nu.split(), "wall": int(wall[0]) if wall else None})
+    config = {"command": "weights", "p": int(p), "q": int(q), "type": name, "variant": variant}
+    payload = {"affw_version": __version__, "config": config, "labels": rows,
+               "p": int(p), "q": int(q), "type": name}
+    assert capsys.readouterr().out == json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
 def test_weights_unsupported_type_exit_code(tmp_path):
     assert main(["weights", "--type", "B3", "--p", "7", "--q", "5"]) == 4
 
