@@ -218,7 +218,6 @@ def enumerate_subregular_eta(rs: RootSystem, q: int) -> list[tuple[Weight, int]]
 class PrincipalLabel:
     nu: Weight
     eta: Weight
-    canonical: bool = True
 
 
 @dataclass(frozen=True)
@@ -285,17 +284,12 @@ def alpha_star(rs: RootSystem) -> Root:
     raise AffineDataError(f"subregular pipeline unsupported for type {t}")
 
 
-def _star_wall(rs: RootSystem, alpha_st: Root) -> int:
-    """The 1-based node of ``alpha_st``, which must be a simple root of ``rs``."""
-    if alpha_st not in rs.simple_roots:
-        raise AffineDataError(
-            f"alpha_* must be a simple root of {rs.cartan_type}, "
-            f"not the root with simple-root coordinates {alpha_st.root_coords}"
-        )
-    return alpha_st.root_coords.index(1) + 1
+def _star_wall(rs: RootSystem) -> int:
+    """The 1-based node of :func:`alpha_star`."""
+    return alpha_star(rs).root_coords.index(1) + 1
 
 
-def subregular_labels(lv: AdmissibleLevel, alpha_st: Optional[Root] = None) -> list[SubregularLabel]:
+def subregular_labels(lv: AdmissibleLevel) -> list[SubregularLabel]:
     """Classes of pairs (nu, eta) with eta on exactly one level-q wall.
 
     Same class invariant as :func:`principal_labels`.  Within a class the
@@ -303,13 +297,13 @@ def subregular_labels(lv: AdmissibleLevel, alpha_st: Optional[Root] = None) -> l
     (these are the representatives for which the degenerate S-matrix kernel
     is well behaved), lexicographic otherwise.  The class of
     (rho, rho - varpi_*) is the vacuum and comes first; the rest follow in
-    class-key order.  ``alpha_st`` must be a simple root of the algebra.
+    class-key order.  alpha_* is :func:`alpha_star`, fixed by the Cartan type.
     """
     rs, p, q = lv.root_system, lv.p, lv.q
     t = rs.cartan_type
     if t.family not in "ADE":
         raise AffineDataError("subregular labels need a simply laced algebra")
-    star_wall = _star_wall(rs, alpha_star(rs) if alpha_st is None else alpha_st)
+    star_wall = _star_wall(rs)
     etas = _subregular_eta(rs, q)
     classes: dict[tuple, tuple] = {}
     for nu in _regular(rs, p):

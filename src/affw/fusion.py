@@ -17,6 +17,7 @@ from .modular import SMatrix
 __all__ = ["FusionTable", "FusionError", "find_vacuum", "verlinde", "fusion_ring_isomorphic"]
 
 INTEGRALITY_TOL = 1e-6
+PERMUTATION_TOL = 1e-9  # how far charge_conjugation lets S^2 stray from a permutation
 
 
 class FusionError(ValueError):
@@ -166,14 +167,14 @@ def verlinde(s: SMatrix, vacuum: Optional[int] = None) -> FusionTable:
     return table
 
 
-def charge_conjugation(s: SMatrix, tol: float = 1e-9) -> np.ndarray:
+def charge_conjugation(s: SMatrix) -> np.ndarray:
     """Permutation from S^2 (on a phase-fixed matrix); errors if not one."""
     m = s.entries @ s.entries
     perm = np.full(s.size, -1, dtype=int)
     for a in range(s.size):
         row = np.abs(m[a])
         b = int(row.argmax())
-        if abs(m[a, b] - 1) > tol or row.sum() - row[b] > tol:
+        if abs(m[a, b] - 1) > PERMUTATION_TOL or row.sum() - row[b] > PERMUTATION_TOL:
             raise FusionError("S^2 is not a permutation matrix")
         perm[a] = b
     if sorted(perm) != list(range(s.size)):

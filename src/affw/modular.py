@@ -42,7 +42,7 @@ from .affine import (
     principal_labels,
     subregular_labels,
 )
-from .liealg import WEYL_BLOCK_ROWS, Root, RootSystem, Weight, WeylBlock, weyl_blocks
+from .liealg import WEYL_BLOCK_ROWS, RootSystem, Weight, WeylBlock, weyl_blocks
 
 __all__ = [
     "SMatrix",
@@ -137,11 +137,11 @@ class _Buckets:
 
     ``acc[i, j, r]`` adds the integer weight c(w) of every element w with
     ``coef * (w(left_i), right_j) = r / den (mod 1)``.  The weight is the
-    parity eps(w); with ``star = (alpha_*, x)`` it is eps(y) <y(alpha_*), x>
-    on the half group ``y(alpha_*) > 0`` and zero elsewhere.
+    parity eps(w); with a ``probe`` x it is eps(y) <y(alpha_*), x> on the
+    half group ``y(alpha_*) > 0`` and zero elsewhere.
     """
 
-    def __init__(self, rs: RootSystem, left, right, coef: Fraction, star=None):
+    def __init__(self, rs: RootSystem, left, right, coef: Fraction, probe=None):
         mg, dg = _gram_int(rs)
         self.den = coef.denominator * dg
         self.left = left
@@ -150,17 +150,17 @@ class _Buckets:
         self.acc = np.zeros((len(left), len(right), self.den), dtype=np.int64)
         self.slots = (np.arange(self.acc[..., 0].size) * self.den).reshape(self.acc.shape[:2])
         self.star = None
-        if star is not None:
-            alpha_st, x_probe = star
-            x = np.array([int(c) for c in x_probe], dtype=np.int64)
-            self.w0 = int(np.array(alpha_st.root_coords) @ x)
+        if probe is not None:
+            star = alpha_star(rs)
+            x = np.array([int(c) for c in probe], dtype=np.int64)
+            self.w0 = int(np.array(star.root_coords) @ x)
             if self.w0 == 0:
                 raise SMatrixError("probe x is orthogonal to alpha_*")
             # the simple-root coordinates of a weight f are f A^{-1}
             ainv = rs.cartan_inverse
             scale = math.lcm(*(c.denominator for row in ainv for c in row))
             to_roots = np.array([[int(c * scale) for c in row] for row in ainv], dtype=np.int64)
-            self.star = (_weight_ints([alpha_st.weight])[0], to_roots, scale, x)
+            self.star = (_weight_ints([star.weight])[0], to_roots, scale, x)
 
     def add(self, blk: WeylBlock) -> None:
         mats, weights = blk.matrices, blk.parity
@@ -340,21 +340,16 @@ def _element_mapping(rs: RootSystem, src: tuple[int, ...], dst: tuple[int, ...])
 
 
 def conservative_weights(
-    lv: AdmissibleLevel,
-    labels: Sequence[SubregularLabel],
-    alpha_st: Optional[Root] = None,
+    lv: AdmissibleLevel, labels: Sequence[SubregularLabel]
 ) -> tuple[list[Weight], list[int]]:
     """Conservative kernel arguments ``e_i = y_i(eta_i)`` and signs eps(y_i).
 
     ``y_i`` maps the wall root of eta_i to alpha_* (finite wall) or theta to
     -alpha_* (affine wall); found per wall by a root-orbit walk on integer
-    coordinates.  ``alpha_st`` must be a simple root of the algebra.
+    coordinates.
     """
     rs = lv.root_system
-    if alpha_st is None:
-        alpha_st = alpha_star(rs)
-    _star_wall(rs, alpha_st)
-    star_w = _int_coords(alpha_st.weight)
+    star_w = _int_coords(alpha_star(rs).weight)
     words: dict[int, tuple[int, ...]] = {}
     for wall in sorted(set(l.wall_id for l in labels)):
         src = rs.highest_root if wall == 0 else rs.simple_roots[wall - 1]
@@ -371,7 +366,6 @@ def conservative_weights(
 
 def _half_group_kernel_matrix(
     rs: RootSystem,
-    alpha_st: Root,
     x_probe: Sequence[int],
     p: int,
     q: int,
@@ -380,14 +374,13 @@ def _half_group_kernel_matrix(
 ) -> np.ndarray:
     """``K[i,j] = sum_{y(alpha_*)>0} eps(y) <y(alpha_*),x>/<alpha_*,x>
     e^{-2 pi i (p/q)(y(left_i), right_j)}``."""
-    acc = _Buckets(rs, left, right, Fraction(p, q), star=(alpha_st, x_probe))
+    acc = _Buckets(rs, left, right, Fraction(p, q), probe=x_probe)
     _walk(rs, [acc])
     return acc.value()
 
 
 def degenerate_kernel(
     rs: RootSystem,
-    alpha_st: Root,
     x_probe: Sequence[int],
     p: int,
     q: int,
@@ -396,13 +389,14 @@ def degenerate_kernel(
 ) -> complex:
     """One entry of the degenerate half-group kernel.
 
-    The sum runs over ``{y : y(alpha_*) in Delta_+}`` with the weight factor
+    The sum runs over ``{y : y(alpha_*) in Delta_+}``, alpha_* the
+    :func:`~affw.affine.alpha_star` of ``rs``, with the weight factor
     ``<y(alpha_*), x>/<alpha_*, x>``; on conservative weights the value does
     not depend on the probe.
     """
     left = _weight_ints([eta])
     right = _weight_ints([eta_p])
-    k = _half_group_kernel_matrix(rs, alpha_st, x_probe, p, q, left, right)
+    k = _half_group_kernel_matrix(rs, x_probe, p, q, left, right)
     return complex(k[0, 0])
 
 
@@ -445,7 +439,6 @@ def _checkpoint_save(path: str, fingerprint: dict, **state) -> None:
 
 def subregular_S(
     lv: AdmissibleLevel,
-    alpha_st: Optional[Root] = None,
     x_probe: Optional[Sequence[int]] = None,
     checkpoint: Optional[str] = None,
     checkpoint_every: int = 10_000_000,
@@ -477,24 +470,22 @@ def subregular_S(
     if checkpoint and not os.path.isdir(os.path.dirname(os.path.abspath(checkpoint))):
         raise SMatrixError(f"checkpoint {checkpoint}: no such directory")
     rs = lv.root_system
-    if alpha_st is None:
-        alpha_st = alpha_star(rs)
     if x_probe is None:
         x_probe = default_probe(rs)
-    labels = subregular_labels(lv, alpha_st)
+    labels = subregular_labels(lv)
     if not labels:
         raise SMatrixError(
             f"empty subregular label set for {rs.cartan_type} (p,q)=({lv.p},{lv.q})"
         )
-    cons, eps_y = conservative_weights(lv, labels, alpha_st)
+    cons, eps_y = conservative_weights(lv, labels)
     es = _weight_ints(cons)
     nus = _weight_ints([l.nu for l in labels])
     nu_rows, nu_of = np.unique(nus, axis=0, return_inverse=True)
     nu_of = nu_of.ravel()
     p, q = lv.p, lv.q
-    kern = _Buckets(rs, es, es, Fraction(p, q), star=(alpha_st, x_probe))
+    kern = _Buckets(rs, es, es, Fraction(p, q), probe=x_probe)
     f_nu = _Buckets(rs, nu_rows, nu_rows, Fraction(q, p))
-    node = _star_wall(rs, alpha_st)
+    node = _star_wall(rs)
 
     # one chunk (the whole group) unless the walk is shared or saved
     chunks = _chunks(rs) if checkpoint or workers > 1 else [{}]

@@ -43,6 +43,11 @@ class QSeriesError(ValueError):
     pass
 
 
+# largest dense character box, in cells of 8-byte object pointers: D4 level 1
+# order 3 needs 5.2e7 and fits, E6 level 1 order 1 needs 3.1e9 (23 GiB)
+MAX_BOX_CELLS = 1 << 27
+
+
 @dataclass(frozen=True)
 class QSeries:
     """Sum of c_i q^{(shift + i)/den} for i < len(coeffs), exact below order.
@@ -251,7 +256,6 @@ class TwoVarCharacter:
 
     rank: int
     terms: dict[tuple[Fraction, ...], QSeries] = field(default_factory=dict)
-    q_order: Fraction = Fraction(0)
 
     def add_term(self, coords: tuple, series: QSeries):
         if coords in self.terms:
@@ -262,13 +266,13 @@ class TwoVarCharacter:
             del self.terms[coords]
 
     def __add__(self, other: "TwoVarCharacter") -> "TwoVarCharacter":
-        out = TwoVarCharacter(self.rank, dict(self.terms), min(self.q_order, other.q_order))
+        out = TwoVarCharacter(self.rank, dict(self.terms))
         for c, s in other.terms.items():
             out.add_term(c, s)
         return out
 
     def __mul__(self, other: "TwoVarCharacter") -> "TwoVarCharacter":
-        out = TwoVarCharacter(self.rank, {}, min(self.q_order, other.q_order))
+        out = TwoVarCharacter(self.rank)
         for ca, sa in self.terms.items():
             for cb, sb in other.terms.items():
                 prod = sa * sb
@@ -336,7 +340,8 @@ def _divide_by_denominator(
     root costs at least q^1, so every partial product that ends in the window
     stays within height <= depth + order ht(theta) and coordinate
     x_i >= min(numerator)_i - s order theta_i; the array spans that box, and
-    the cut to the window comes last.
+    the cut to the window comes last.  A box of more than ``MAX_BOX_CELLS``
+    cells is refused before it is allocated.
     """
     den = math.lcm(*(series.den for series in numerator.terms.values()))
     top = order * den
@@ -353,12 +358,18 @@ def _divide_by_denominator(
     keep_height = math.floor(s * depth)
     reach = keep_height + s * order * rs.highest_root.height
     points = [(t, [int(s * b) for b in beta], c) for t, beta, c in points if s * sum(beta) <= reach]
-    out = TwoVarCharacter(rs.rank, {}, Fraction(top + 1, den))
+    out = TwoVarCharacter(rs.rank)
     if not points:
         return out
     theta = rs.highest_root.root_coords
     lo = [min(x[i] for _, x, _ in points) - s * order * theta[i] for i in range(rs.rank)]
     shape = [top + 1] + [reach - sum(lo) + 1] * rs.rank  # x_i <= reach - sum_{j != i} lo_j
+    cells = math.prod(shape)
+    if cells > MAX_BOX_CELLS:
+        raise QSeriesError(
+            f"character window needs {cells} cells, more than the limit of "
+            f"{MAX_BOX_CELLS}: lower the order or the depth"
+        )
     a = np.zeros(shape, dtype=object)
     for t, x, c in points:
         a[(t, *(xi - l for xi, l in zip(x, lo)))] += c
@@ -403,14 +414,12 @@ def kac_wakimoto_numerator(
     level,
     stride: int,
     order: int,
-    translation_cap: Optional[int] = None,
 ) -> TwoVarCharacter:
     """``sum_{w in W x t_{stride Q_check}} eps(w) e^{w o lam_hat - lam_hat}``.
 
     Keys are finite-weight differences; exponents of q are the delta-drops
     (rational for admissible levels).  Translations outside the norm bound
-    implied by ``order`` cannot contribute and are dropped; passing a smaller
-    ``translation_cap`` raises with the required bound.
+    implied by ``order`` cannot contribute and are dropped.
     """
     level = Fraction(level)
     rho_hat = affine_weyl_vector(rs)
@@ -426,11 +435,6 @@ def kac_wakimoto_numerator(
     # bound: |t_beta-shift| <= (|lam+rho| + sqrt(|lam+rho|^2 + 2 (k+h) order)) / (k+h)
     b = (math.sqrt(float(norm2)) + math.sqrt(float(norm2 + 2 * kh * order))) / float(kh)
     need = Fraction(math.ceil(b * b / 2 + 1), stride * stride)
-    if translation_cap is not None and Fraction(translation_cap) < need:
-        raise QSeriesError(
-            f"translation cap {translation_cap} too small; need >= {need} "
-            f"for exactness at order {order}"
-        )
     # coroots alpha_i / d_i; the float ball is a superset of (beta, beta)/2 <= need,
     # and the exact drop test below decides
     coroots = [
@@ -440,7 +444,7 @@ def kac_wakimoto_numerator(
     gram = np.array([[float(rs.bilinear(u, v)) for v in coroots] for u in coroots])
     ball = _lattice_points(gram, np.zeros(rs.rank), float(2 * need) + 1e-6)
     den = math.lcm((kh * stride * stride).denominator * kh.denominator, (2 * kh).denominator)
-    num = TwoVarCharacter(rs.rank, {}, Fraction(order + 1))
+    num = TwoVarCharacter(rs.rank)
     for pt in ball:
         tb = sum((stride * int(c) * u for c, u in zip(pt, coroots)), rs.zero_weight())
         translated = affine_translation(rs, tb, shifted)
@@ -464,7 +468,6 @@ def irreducible_character(
     stride: int,
     order: int,
     depth: Optional[int] = None,
-    translation_cap: Optional[int] = None,
 ) -> TwoVarCharacter:
     """Kac-Wakimoto character: alternating Verma sum over W x t_{stride Q_check}.
 
@@ -474,7 +477,7 @@ def irreducible_character(
     weight up to q^order: for dominant integral ``lam`` it is
     ht(lam - w0 lam) + order ht(theta).
     """
-    num = kac_wakimoto_numerator(rs, lam, level, stride, order, translation_cap)
+    num = kac_wakimoto_numerator(rs, lam, level, stride, order)
     if depth is None and lam.is_dominant() and lam.is_integral():
         # grade n is spanned by at most n negative modes applied to the finite
         # module L(lam), whose lowest weight is w0 lam; each mode lowers the

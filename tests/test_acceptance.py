@@ -219,10 +219,9 @@ def test_criterion_11_verify_quick_and_probe_independence():
         lv = affine.make_admissible_level(rs, p, q)
         labs = affine.subregular_labels(lv)
         cons, _ = modular.conservative_weights(lv, labs)
-        ast = affine.alpha_star(rs)
         for ei in cons:
             for ej in cons:
-                k1 = modular.degenerate_kernel(rs, ast, modular.default_probe(rs), p, q, ei, ej)
-                k2 = modular.degenerate_kernel(rs, ast, modular.alternate_probe(rs), p, q, ei, ej)
+                k1 = modular.degenerate_kernel(rs, modular.default_probe(rs), p, q, ei, ej)
+                k2 = modular.degenerate_kernel(rs, modular.alternate_probe(rs), p, q, ei, ej)
                 assert abs(k1 - k2) < 1e-9
     _report(11, "verify --quick green; kernel probe independence on A3 and D4", t0, 60)

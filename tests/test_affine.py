@@ -20,7 +20,6 @@ from affw.affine import (
     subregular_labels,
 )
 from affw.liealg import CartanType, Weight, build_root_system
-from affw.modular import subregular_S
 from oracles import (
     principal_labels_fraction,
     subregular_eta_by_filter,
@@ -280,19 +279,3 @@ def test_subregular_labels_e8_do_no_fraction_arithmetic():
     assert len(labels) == 44
     assert sub.call_count + mul.call_count <= coords
     assert all(type(c) is Fraction for l in labels for c in l.nu.coords + l.eta.coords)
-
-
-def test_non_simple_alpha_star_is_refused():
-    lv = _level("D4", 7, 5)
-    rs = lv.root_system
-    theta = rs.highest_root
-    other = build_root_system(CartanType.parse("A4")).simple_roots[1]  # another rank
-    for bad in (theta, rs.positive_roots[4], other):
-        with pytest.raises(AffineDataError, match="simple root of D4"):
-            subregular_labels(lv, bad)
-        with pytest.raises(AffineDataError, match="simple root of D4"):
-            subregular_S(lv, alpha_st=bad)
-    # every simple root is accepted, and the default is the trivalent node
-    assert subregular_labels(lv, rs.simple_roots[1]) == subregular_labels(lv)
-    for root in rs.simple_roots:
-        assert subregular_labels(lv, root)

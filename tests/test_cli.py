@@ -1,3 +1,4 @@
+import hashlib
 import json
 import subprocess
 import sys
@@ -206,6 +207,34 @@ def test_smatrix_subregular_d6(tmp_path):
     assert data["labels"][0]["wall"] in (3, 4)
 
 
+# SHA-256 of the stdout of `affw smatrix` without its elapsed_s line, pinned so
+# that labels, matrix entries and the declared vacuum stay byte-identical; on a
+# mismatch, diff the printed payload against one from a commit that passes
+SMATRIX_DIGESTS = {
+    "--variant subregular --type D4 --p 7 --q 5":
+        "f7d368498027ef3748aca3ae5a69f3599727142ac0ef6d048e985d5073b6d70f",
+    "--variant subregular --type D4 --p 9 --q 4 --probe alt":
+        "d257550672cf5689b430a866ea40f485302d4678705b4b0e1d023f3da739e1b7",
+    "--variant subregular --type D5 --p 9 --q 7":
+        "8de498955e695cf832ed0ef9e267c7ba21764111709e8f76b929ef96374a8e55",
+    "--variant subregular --type D6 --p 11 --q 8":
+        "70f2bc482df54067a90bc419d2398ef9a8e77b9c0ebc17608d1a6811b0ad20fb",
+    "--variant principal --type A2 --p 8 --q 5":
+        "8f7256b339014966749f2988e69d02ceeb4bf7a70a4fea749db43b6103a79b51",
+    "--variant integrable --type A2 --level 3":
+        "6bb7d3af90643265100779303e26942ebeea54ad50a24b6789e7e5c9fc7eccc6",
+}
+
+
+@pytest.mark.parametrize("spec", list(SMATRIX_DIGESTS))
+def test_smatrix_output_is_pinned(spec, capsys):
+    assert main(["smatrix", *spec.split()]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    del payload["elapsed_s"]
+    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    assert hashlib.sha256(text.encode()).hexdigest() == SMATRIX_DIGESTS[spec]
+
+
 def test_smatrix_progress_goes_to_stderr(capsys):
     rc = main(["smatrix", "--variant", "subregular", "--type", "D4", "--p", "7", "--q", "5",
                "--workers", "2"])
@@ -313,6 +342,15 @@ def test_char_w_vacuum(tmp_path):
 
 def test_char_requires_level_or_pq():
     assert main(["char", "--type", "A1"]) == 2
+
+
+def test_char_oversized_window_exits_cleanly(monkeypatch, capsys):
+    from affw import qseries
+
+    monkeypatch.setattr(qseries, "MAX_BOX_CELLS", 100)
+    assert main(["char", "--type", "A2", "--level", "1", "--order", "2"]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and "cells, more than the limit of 100" in json.loads(err[0])["error"]
 
 
 def test_char_y_spec(tmp_path):
@@ -429,6 +467,16 @@ def test_reproducible_output(tmp_path):
     main(["roots", "--type", "D4", "--out", str(p1)])
     main(["roots", "--type", "D4", "--out", str(p2)])
     assert p1.read_bytes() == p2.read_bytes()
+
+
+def test_cli_import_leaves_sympy_unloaded():
+    # only `ope` and `verify` need sympy; every other command starts without it
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, affw.cli; print('sympy' in sys.modules)"],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 def test_entry_point_subprocess():

@@ -158,11 +158,10 @@ def test_degenerate_kernel_probe_invariance():
         lv = make_admissible_level(rs, p, q)
         labs = subregular_labels(lv)
         cons, _ = conservative_weights(lv, labs)
-        ast = alpha_star(rs)
         for ei in cons[: min(2, len(cons))]:
             for ej in cons[: min(2, len(cons))]:
-                k1 = degenerate_kernel(rs, ast, default_probe(rs), p, q, ei, ej)
-                k2 = degenerate_kernel(rs, ast, alternate_probe(rs), p, q, ei, ej)
+                k1 = degenerate_kernel(rs, default_probe(rs), p, q, ei, ej)
+                k2 = degenerate_kernel(rs, alternate_probe(rs), p, q, ei, ej)
                 assert abs(k1 - k2) < 1e-9
 
 
@@ -171,9 +170,8 @@ def test_degenerate_kernel_probe_scaling_exact():
     lv = make_admissible_level(rs, 4, 3)
     labs = subregular_labels(lv)
     cons, _ = conservative_weights(lv, labs)
-    ast = alpha_star(rs)
-    k1 = degenerate_kernel(rs, ast, (1, 2, 3), 4, 3, cons[0], cons[0])
-    k2 = degenerate_kernel(rs, ast, (2, 4, 6), 4, 3, cons[0], cons[0])
+    k1 = degenerate_kernel(rs, (1, 2, 3), 4, 3, cons[0], cons[0])
+    k2 = degenerate_kernel(rs, (2, 4, 6), 4, 3, cons[0], cons[0])
     assert k1 == k2  # homogeneous of degree zero, exactly
 
 
@@ -181,7 +179,7 @@ def test_degenerate_kernel_eta_zero_is_rational():
     # eta' = 0 kills the exponential: the value is the signed weight sum
     rs = build_root_system(CartanType.parse("A3"))
     ast = alpha_star(rs)
-    val = degenerate_kernel(rs, ast, default_probe(rs), 4, 3, rs.zero_weight(), rs.zero_weight())
+    val = degenerate_kernel(rs, default_probe(rs), 4, 3, rs.zero_weight(), rs.zero_weight())
     assert abs(val.imag) < 1e-12
     # brute force reference with no bucketing
     probe = default_probe(rs)
@@ -223,7 +221,7 @@ def test_degenerate_kernel_brute_force_a3():
 
     for i in range(len(cons)):
         for j in range(len(cons)):
-            fast = degenerate_kernel(rs, ast, probe, lv.p, lv.q, cons[i], cons[j])
+            fast = degenerate_kernel(rs, probe, lv.p, lv.q, cons[i], cons[j])
             assert abs(fast - brute(cons[i], cons[j])) < 1e-9
 
 
@@ -248,17 +246,21 @@ def test_degenerate_kernel_is_half_the_full_group_sum():
             for w, c in terms:
                 left = np.array([float(x) for x in w.act(ei).coords])
                 full += c * np.exp(-2j * np.pi * (lv.p / lv.q) * (left @ right))
-            half = degenerate_kernel(rs, ast, probe, lv.p, lv.q, ei, ej)
+            half = degenerate_kernel(rs, probe, lv.p, lv.q, ei, ej)
             assert abs(half - full / 2) < 1e-12
 
 
-@pytest.mark.parametrize("name,p,q,nlab", [("D6", 11, 8, 3), ("A3", 5, 3, 4), ("D4", 7, 5, 8), ("D4", 9, 4, 6)])
+@pytest.mark.parametrize("name,p,q,nlab", [("D6", 11, 8, 3), ("A3", 5, 3, 4), ("D4", 7, 5, 8), ("D4", 9, 4, 6),
+                                            ("D5", 9, 7, 12), ("E6", 13, 10, 6)])
 def test_subregular_S_unitary_symmetric(name, p, q, nlab):
+    from affw.fusion import find_vacuum
+
     rs = build_root_system(CartanType.parse(name))
     sm = subregular_S(make_admissible_level(rs, p, q))
     assert sm.size == nlab
     assert sm.unitarity_residual() < 1e-9
     assert sm.symmetry_residual() < 1e-9
+    assert find_vacuum(sm) == 0  # the declared vacuum is the unique candidate
 
 
 def test_subregular_probe_choice_changes_nothing():
@@ -300,7 +302,7 @@ def test_streamed_kernel_matches_direct():
     labs = subregular_labels(lv)
     cons, _ = conservative_weights(lv, labs)
     es = _weight_ints(cons)
-    direct = _half_group_kernel_matrix(rs, alpha_star(rs), default_probe(rs), 7, 5, es, es)
+    direct = _half_group_kernel_matrix(rs, default_probe(rs), 7, 5, es, es)
     sm = subregular_S(lv, workers=2)  # walked in subtree chunks
     streamed = sm.provenance["kernel"]
     assert [tuple(l.eta.coords) for l in sm.labels] == [tuple(l.eta.coords) for l in labs]
@@ -333,7 +335,7 @@ def test_subregular_conservative_choice_gives_same_rows_up_to_phase():
     def assemble(cws, signs):
         es = _weight_ints(cws)
         nus = _weight_ints([l.nu for l in labs])
-        kern = _half_group_kernel_matrix(rs, ast, default_probe(rs), lv.p, lv.q, es, es)
+        kern = _half_group_kernel_matrix(rs, default_probe(rs), lv.p, lv.q, es, es)
         f_nu = modular._alternating_sum_matrix(rs, nus, nus, Fraction(lv.q, lv.p))
         cross = modular._cross_phase(rs, es, nus) * modular._cross_phase(rs, nus, es)
         sg = np.array(signs, dtype=float)
@@ -439,7 +441,7 @@ def test_normalization_failure_raises():
     nus = _weight_ints([l.nu for l in bad])
     from fractions import Fraction
 
-    kern = _half_group_kernel_matrix(rs, alpha_star(rs), default_probe(rs), 7, 5, es, es)
+    kern = _half_group_kernel_matrix(rs, default_probe(rs), 7, 5, es, es)
     f_nu = modular._alternating_sum_matrix(rs, nus, nus, Fraction(lv.q, lv.p))
     cross = modular._cross_phase(rs, es, nus) * modular._cross_phase(rs, nus, es)
     sign = np.array(eps, dtype=float)
