@@ -213,33 +213,21 @@ def fusion_ring_isomorphic(f1: FusionTable, f2: FusionTable) -> Optional[list[in
         (a for a in range(n) if a != f1.vacuum), key=lambda a: len(cand[a])
     )
 
-    def consistent(a, assigned):
-        for x in assigned:
-            for c in assigned:
-                if n1[a, x, c] != n2[perm[a], perm[x], perm[c]]:
-                    return False
-                if n1[x, a, c] != n2[perm[x], perm[a], perm[c]]:
-                    return False
-                if n1[x, c, a] != n2[perm[x], perm[c], perm[a]]:
-                    return False
-        return True
-
-    def backtrack(idx, assigned):
-        if idx == len(order):
-            idxs = np.array(perm)
-            return bool(np.array_equal(n1, n2[np.ix_(idxs, idxs, idxs)]))
-        a = order[idx]
+    def backtrack(assigned):
+        # the structure constants among the labels assigned so far must match
+        # those among their images; once every label is assigned this is all of N
+        img = [perm[x] for x in assigned]
+        if not np.array_equal(n1[np.ix_(assigned, assigned, assigned)], n2[np.ix_(img, img, img)]):
+            return False
+        if len(assigned) == n:
+            return True
+        a = order[len(assigned) - 1]
         for b in cand[a]:
-            if used[b]:
-                continue
-            perm[a] = b
-            used[b] = True
-            if consistent(a, assigned) and backtrack(idx + 1, assigned + [a]):
-                return True
-            used[b] = False
-            perm[a] = -1
+            if not used[b]:
+                perm[a], used[b] = b, True
+                if backtrack(assigned + [a]):
+                    return True
+                used[b] = False
         return False
 
-    if backtrack(0, [f1.vacuum]):
-        return perm
-    return None
+    return perm if backtrack([f1.vacuum]) else None

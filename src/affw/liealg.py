@@ -345,11 +345,6 @@ class RootSystem:
             w = self.simple_reflection(i) * w
         return w
 
-    def to_dominant(self, lam: Weight) -> tuple[Weight, int]:
-        """Dominant representative of ``W.lam`` and the sign of the word used."""
-        coords, word = self.dominant_word(lam.coords)
-        return Weight(coords), (-1) ** len(word)
-
 
 def _positive_root_closure(a: tuple[tuple[int, ...], ...]) -> list[tuple[int, ...]]:
     """All positive roots in simple-root coordinates, sorted by (height, coords).

@@ -91,7 +91,6 @@ class Generator:
     name: str
     index: int
     parity: int  # 0 even, 1 odd
-    weight: Fraction = Fraction(1)  # conformal weight, bookkeeping only
 
     def __str__(self):
         return self.name
@@ -364,10 +363,10 @@ class ConformalAlgebra:
 
     # -- construction ------------------------------------------------------
 
-    def add_generator(self, name: str, parity=0, weight=Fraction(1)) -> Generator:
+    def add_generator(self, name: str, parity=0) -> Generator:
         if name in self._by_name:
             raise OpeError(f"duplicate generator name {name!r}")
-        g = Generator(name, len(self.generators), parity, Fraction(weight))
+        g = Generator(name, len(self.generators), parity)
         self.generators.append(g)
         self._by_name[name] = g
         return g
@@ -593,14 +592,12 @@ def heisenberg() -> ConformalAlgebra:
     return alg.finalize()
 
 
-def charged_fermions(dim: int, names: Optional[tuple[str, str]] = None) -> ConformalAlgebra:
+def charged_fermions(dim: int) -> ConformalAlgebra:
     """Odd generators phi_i, phi*_i with [phi_i la phi*_j] = delta_ij."""
     alg = ConformalAlgebra("charged_fermions")
-    pn, qn = names or ("phi", "phis")
-    for i in range(dim):
-        alg.add_generator(f"{pn}{i + 1}" if dim > 1 else pn, parity=1, weight=Fraction(0))
-    for i in range(dim):
-        alg.add_generator(f"{qn}{i + 1}" if dim > 1 else qn, parity=1, weight=Fraction(1))
+    for name in ("phi", "phis"):
+        for i in range(dim):
+            alg.add_generator(f"{name}{i + 1}" if dim > 1 else name, parity=1)
     for i in range(dim):
         a = alg.generators[i].name
         b = alg.generators[dim + i].name
@@ -655,10 +652,8 @@ def tensor_algebra(a: ConformalAlgebra, b: ConformalAlgebra, name=None) -> Confo
     """Tensor product: generators commute across the factors."""
     params = list(a.parameters) + [p for p in b.parameters if p not in a.parameters]
     alg = ConformalAlgebra(name or f"{a.name}(x){b.name}", parameters=params)
-    for g in a.generators:
-        alg.add_generator(g.name, g.parity, g.weight)
-    for g in b.generators:
-        alg.add_generator(g.name, g.parity, g.weight)
+    for g in a.generators + b.generators:
+        alg.add_generator(g.name, g.parity)
 
     def imported(src: ConformalAlgebra, offset: int):
         for (i, j), poly in src.table.items():
@@ -741,7 +736,7 @@ def virasoro_test(alg: ConformalAlgebra, L: Field) -> VirasoroReport:
     return VirasoroReport(not res, c if not res else None, res)
 
 
-def fermion_current(matrices: Sequence[Sequence[Sequence]], names=None):
+def fermion_current(matrices: Sequence[Sequence[Sequence]]):
     """Currents F^x = sum_i :(sigma(x) e_i) phi*_i: on charged fermions.
 
     Returns (algebra, [F^x for each matrix]); the bracket relation

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import cmath
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
@@ -19,7 +20,7 @@ from typing import Iterable, Optional, Sequence
 import numpy as np
 
 from .affine import AffineWeight, affine_translation, affine_weyl_vector
-from .liealg import RootSystem, Weight, _gauss_jordan, weyl_stream
+from .liealg import RootSystem, Weight, _gauss_jordan, weyl_blocks
 
 __all__ = [
     "QSeries",
@@ -317,6 +318,35 @@ def _shifted(d: int, size: int) -> tuple[slice, slice]:
     return slice(max(d, 0), size + min(d, 0)), slice(max(-d, 0), size - max(d, 0))
 
 
+def _binomial(a: np.ndarray, shift: Sequence[int], inverse: bool = False) -> None:
+    """``a *= (1 - x^shift)``, or ``a /= (1 - x^shift)`` with ``inverse``, in place.
+
+    ``x^shift`` moves every entry by ``shift[i]`` along axis i; terms moved out
+    of the array drop out, as in any truncated product.  Division is the
+    running sum ``a[x] += a[x - shift]``, taken one block of ``shift[axis]``
+    slices at a time along the first axis where the shift is positive, so
+    every block reads only finished entries.
+    """
+    cuts = [_shifted(d, size) for d, size in zip(shift, a.shape)]
+    dst, src = [d for d, _ in cuts], [c for _, c in cuts]
+    if not inverse:
+        a[tuple(dst)] -= a[tuple(src)].copy()
+        return
+    axis = next(i for i, d in enumerate(shift) if d > 0)
+    d, size = shift[axis], a.shape[axis]
+    for j in range(d, size, d):
+        dst[axis], src[axis] = slice(j, j + d), slice(j - d, min(j, size - d))
+        a[tuple(dst)] += a[tuple(src)]
+
+
+def _refuse_box(cells: int) -> None:
+    if cells > MAX_BOX_CELLS:
+        raise QSeriesError(
+            f"character window needs {cells} cells, more than the limit of "
+            f"{MAX_BOX_CELLS}: lower the order or the depth"
+        )
+
+
 def _divide_by_denominator(
     rs: RootSystem,
     lam: Weight,
@@ -339,9 +369,9 @@ def _divide_by_denominator(
     a running sum along the shift (n den, s gamma).  Raising the weight by a
     root costs at least q^1, so every partial product that ends in the window
     stays within height <= depth + order ht(theta) and coordinate
-    x_i >= min(numerator)_i - s order theta_i; the array spans that box, and
-    the cut to the window comes last.  A box of more than ``MAX_BOX_CELLS``
-    cells is refused before it is allocated.
+    x_i >= min(0, numerator)_i - s order theta_i; the array spans that box,
+    and the cut to the window comes last.  A box of more than
+    ``MAX_BOX_CELLS`` cells is refused before it is allocated.
     """
     den = math.lcm(*(series.den for series in numerator.terms.values()))
     top = order * den
@@ -362,25 +392,14 @@ def _divide_by_denominator(
     if not points:
         return out
     theta = rs.highest_root.root_coords
-    lo = [min(x[i] for _, x, _ in points) - s * order * theta[i] for i in range(rs.rank)]
+    lo = [min(0, *(x[i] for _, x, _ in points)) - s * order * theta[i] for i in range(rs.rank)]
     shape = [top + 1] + [reach - sum(lo) + 1] * rs.rank  # x_i <= reach - sum_{j != i} lo_j
-    cells = math.prod(shape)
-    if cells > MAX_BOX_CELLS:
-        raise QSeriesError(
-            f"character window needs {cells} cells, more than the limit of "
-            f"{MAX_BOX_CELLS}: lower the order or the depth"
-        )
+    _refuse_box(math.prod(shape))
     a = np.zeros(shape, dtype=object)
     for t, x, c in points:
         a[(t, *(xi - l for xi, l in zip(x, lo)))] += c
     for n, gamma in _denominator_steps(rs, order, finite_factor):
-        shift = (n * den, *(s * g for g in gamma))
-        axis = next(i for i, d in enumerate(shift) if d > 0)
-        cuts = [_shifted(d, size) for d, size in zip(shift, shape)]
-        dst, src = [d for d, _ in cuts], [c for _, c in cuts]
-        for j in range(shift[axis], shape[axis]):
-            dst[axis], src[axis] = j, j - shift[axis]
-            a[tuple(dst)] += a[tuple(src)]
+        _binomial(a, (n * den, *(s * g for g in gamma)), inverse=True)
     height = sum(g + l for g, l in zip(np.indices(shape[1:]), lo))
     for idx in zip(*np.nonzero((height <= keep_height) & (a != 0).any(axis=0))):
         mu = lam - rs.root_to_weight([Fraction(int(i) + l, s) for i, l in zip(idx, lo)])
@@ -408,6 +427,14 @@ def verma_character(
     return _divide_by_denominator(rs, lam, one, order, depth, finite_factor)
 
 
+def _level_shift(rs: RootSystem, level) -> Fraction:
+    """k + h_check, refused unless positive."""
+    kh = Fraction(level) + rs.dual_coxeter
+    if kh <= 0:
+        raise QSeriesError("level + dual Coxeter must be positive")
+    return kh
+
+
 def kac_wakimoto_numerator(
     rs: RootSystem,
     lam: Weight,
@@ -419,15 +446,12 @@ def kac_wakimoto_numerator(
 
     Keys are finite-weight differences; exponents of q are the delta-drops
     (rational for admissible levels).  Translations outside the norm bound
-    implied by ``order`` cannot contribute and are dropped.
+    implied by ``order`` cannot contribute and are dropped.  W is walked once
+    with :func:`weyl_blocks`, on lam + rho and every kept translate scaled
+    to integers by one common denominator.
     """
-    level = Fraction(level)
-    rho_hat = affine_weyl_vector(rs)
-    lam_hat = AffineWeight(lam, level, Fraction(0))
-    shifted = lam_hat + rho_hat
-    kh = shifted.level
-    if kh <= 0:
-        raise QSeriesError("level + dual Coxeter must be positive")
+    kh = _level_shift(rs, level)
+    shifted = AffineWeight(lam, Fraction(level), Fraction(0)) + affine_weyl_vector(rs)
     # delta-drop of t_{beta}: (beta, lam+rho) + |beta|^2/2 (k+h); minimising
     # over the W-orbit of lam+rho shows |beta|^2/2 (k+h) - |beta||lam+rho|
     # <= order is necessary.
@@ -444,20 +468,33 @@ def kac_wakimoto_numerator(
     gram = np.array([[float(rs.bilinear(u, v)) for v in coroots] for u in coroots])
     ball = _lattice_points(gram, np.zeros(rs.rank), float(2 * need) + 1e-6)
     den = math.lcm((kh * stride * stride).denominator * kh.denominator, (2 * kh).denominator)
-    num = TwoVarCharacter(rs.rank)
+    drops, points = [], []
     for pt in ball:
         tb = sum((stride * int(c) * u for c, u in zip(pt, coroots)), rs.zero_weight())
         translated = affine_translation(rs, tb, shifted)
-        drop = -translated.delta_coeff
-        if drop > order:
-            continue
-        dd = math.lcm(den, drop.denominator)
-        for w in weyl_stream(rs):
-            fin = w.act(translated.finite_part) - shifted.finite_part
-            num.add_term(
-                tuple(fin.coords),
-                QSeries.make([w.length_parity], int(drop * dd), dd, (order + 1) * dd),
-            )
+        if -translated.delta_coeff <= order:
+            drops.append(-translated.delta_coeff)
+            points.append(translated.finite_part.coords)
+    base = shifted.finite_part.coords
+    scale = math.lcm(*(c.denominator for v in (base, *points) for c in v))
+    v = np.array([[int(c * scale) for c in p] for p in points], dtype=np.int64).reshape(-1, rs.rank).T
+    v0 = np.array([int(c * scale) for c in base], dtype=np.int64)[:, None]
+    # (drop, scale (w(translate) - lam - rho)) -> sum of eps(w)
+    acc = Counter()
+    for blk in weyl_blocks(rs):
+        for drop, rows in zip(drops, (blk.matrices @ v - v0).transpose(2, 0, 1).tolist()):
+            for row in rows:
+                acc[drop, tuple(row)] += blk.parity
+    series: dict[tuple, dict] = {}
+    for (drop, x), c in acc.items():
+        if c:
+            series.setdefault(x, {})[drop] = c
+    num = TwoVarCharacter(rs.rank)
+    for x, terms in series.items():
+        dd = math.lcm(den, *(e.denominator for e in terms))
+        at = {int(e * dd): c for e, c in terms.items()}
+        cs = [at.get(t, 0) for t in range(min(at), max(at) + 1)]
+        num.terms[tuple(Fraction(c, scale) for c in x)] = QSeries.make(cs, min(at), dd, (order + 1) * dd)
     return num
 
 
@@ -475,9 +512,10 @@ def irreducible_character(
     vacuum-type integral coroot systems.  Truncation by q-order and weight
     depth; exact on the retained window.  The default depth holds every
     weight up to q^order: for dominant integral ``lam`` it is
-    ht(lam - w0 lam) + order ht(theta).
+    ht(lam - w0 lam) + order ht(theta).  A window too large for the dense
+    box is refused before W is walked.
     """
-    num = kac_wakimoto_numerator(rs, lam, level, stride, order)
+    kh = _level_shift(rs, level)
     if depth is None and lam.is_dominant() and lam.is_integral():
         # grade n is spanned by at most n negative modes applied to the finite
         # module L(lam), whose lowest weight is w0 lam; each mode lowers the
@@ -488,10 +526,14 @@ def irreducible_character(
         # |mu + rho|^2 <= |lam + rho|^2 + 2 (k+h) order
         shifted = lam + rs.weyl_vector
         norm2 = float(rs.bilinear(shifted, shifted))
-        kh = float(Fraction(level) + rs.dual_coxeter)
-        reach = math.sqrt(norm2 + 2 * kh * order) + math.sqrt(norm2)
+        reach = math.sqrt(norm2 + 2 * float(kh) * order) + math.sqrt(norm2)
         hmax = math.sqrt(float(rs.bilinear(rs.weyl_vector, rs.weyl_vector))) * 2
         depth = math.ceil(reach * hmax) + order + 2
+    # the box spans x = 0 and reaches s order theta_i below it on every axis,
+    # with s, den >= 1: for the vacuum this is its exact size
+    theta_height = rs.highest_root.height
+    _refuse_box((order + 1) * (math.floor(depth) + 2 * order * theta_height + 1) ** rs.rank)
+    num = kac_wakimoto_numerator(rs, lam, level, stride, order)
     return _divide_by_denominator(rs, lam, num, order, depth, True)
 
 
@@ -502,12 +544,6 @@ def irreducible_character(
 # Python ints, one row per y-power from the lowest one kept, one column per
 # q-power 0..order.  Factors are applied in place and terms past q^order
 # drop out, as in any truncated product.
-
-
-def _times_binomial(a: np.ndarray, dy: int, dq: int) -> None:
-    """``a *= (1 - y^dy q^dq)`` in place; terms shifted out of the array are dropped."""
-    (yd, ys), (qd, qs) = _shifted(dy, a.shape[0]), _shifted(dq, a.shape[1])
-    a[yd, qd] -= a[ys, qs].copy()
 
 
 def _dense_terms(a: np.ndarray, ymin: int) -> dict[tuple[int, int], Fraction]:
@@ -526,8 +562,8 @@ def _triple_product_lhs(order: int) -> dict[tuple[int, int], Fraction]:
     prod = np.zeros(shape, dtype=object)
     prod[reach, 0] = 1
     for n in range(1, order + 2):
-        _times_binomial(prod, -1, n - 1)
-        _times_binomial(prod, 1, n)
+        _binomial(prod, (-1, n - 1))
+        _binomial(prod, (1, n))
     lhs = np.zeros(shape, dtype=object)
     for m in range(-root, root + 1):
         (yd, ys), (qd, qs) = _shifted(m, shape[0]), _shifted(m * m, shape[1])
@@ -545,22 +581,11 @@ def triple_product_check(order: int) -> dict:
     lhs = _triple_product_lhs(order)
 
     rhs: dict[tuple[int, int], Fraction] = {}
-    n = 0
-    while True:
-        added = False
-        for nn in (n, -n) if n else (0,):
-            e1 = 3 * nn * nn + nn
-            if e1 <= order:
-                rhs[(3 * nn, e1)] = rhs.get((3 * nn, e1), Fraction(0)) + 1
-                added = True
-            e2 = 3 * nn * nn - nn
-            if e2 <= order:
-                rhs[(3 * nn - 1, e2)] = rhs.get((3 * nn - 1, e2), Fraction(0)) - 1
-                added = True
-        if not added and n * n > order:
-            break
-        n += 1
-    rhs = {k: v for k, v in rhs.items() if v != 0}
+    reach = math.isqrt(order) + 1  # 3n^2 - |n| > order beyond it
+    for n in range(-reach, reach + 1):
+        for y, q, c in ((3 * n, 3 * n * n + n, 1), (3 * n - 1, 3 * n * n - n, -1)):
+            if q <= order:
+                rhs[(y, q)] = Fraction(c)
 
     keys = set(lhs) | set(rhs)
     mismatches = sorted(
@@ -588,24 +613,12 @@ def brst_character(order: int) -> dict:
     by exact factor cancellation to (1 - y q) prod 1/(1 - q^n).  Returns the
     cancelled factor lists, the two-variable expansion, and the y -> 1 limit.
     """
-    num: dict[tuple[int, int], int] = {}
-    den: dict[tuple[int, int], int] = {}
-
-    def bump(d, key, k=1):
-        d[key] = d.get(key, 0) + k
-        if d[key] == 0:
-            del d[key]
-
+    den, num = Counter(), Counter()
     for n in range(1, order + 2):
-        bump(den, (-1, n - 1))
-        bump(den, (0, n))
-        bump(den, (1, n + 1))
-        bump(num, (-1, n - 1))
-        bump(num, (1, n))
-    for key in list(num):
-        while key in num and key in den:
-            bump(num, key, -1)
-            bump(den, key, -1)
+        den.update([(-1, n - 1), (0, n), (1, n + 1)])
+        num.update([(-1, n - 1), (1, n)])
+    common = num & den
+    num, den = num - common, den - common
     # factors (1 - y^a q^m) with m > order are 1 at this truncation
     num = {k: v for k, v in num.items() if k[1] <= order}
     den = {k: v for k, v in den.items() if k[1] <= order}
@@ -621,11 +634,10 @@ def brst_character(order: int) -> dict:
     two_var[-ymin, 0] = 1
     for (y, q), k in sorted(num.items()):
         for _ in range(k):
-            _times_binomial(two_var, y, q)
+            _binomial(two_var, (y, q))
     for (_, q), k in sorted(den.items()):
         for _ in range(k):
-            for j in range(q, order + 1):
-                two_var[:, j] += two_var[:, j - q]
+            _binomial(two_var, (0, q), inverse=True)
 
     y1 = eta_like_product([(2, -1, 1)], order)
     return {

@@ -5,21 +5,32 @@ rule for sl2 fusion, the Verlinde formula as a plain einsum, brute-force
 partition counters, two-variable series products as dict convolutions, the
 positive roots by alpha-string induction, and the label sets computed on
 ``Fraction`` weights by reflecting every class key and filtering all of
-P_+^q for the subregular eta.
+P_+^q for the subregular eta, and the Kac-Wakimoto numerator summed one
+Weyl element at a time on ``Fraction`` weights.
 These stay out of the library on purpose: they are the references the
 library is checked against.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 import numpy as np
 
-from affw.affine import AdmissibleLevel, PrincipalLabel, SubregularLabel, alpha_star
+from affw.affine import (
+    AdmissibleLevel,
+    AffineWeight,
+    PrincipalLabel,
+    SubregularLabel,
+    affine_translation,
+    affine_weyl_vector,
+    alpha_star,
+)
 from affw.fusion import FusionTable, verlinde
-from affw.liealg import RootSystem, Weight
+from affw.liealg import RootSystem, Weight, weyl_stream
 from affw.modular import SMatrix
+from affw.qseries import QSeries, TwoVarCharacter, _lattice_points
 
 
 def virasoro_S(p: int, q: int) -> SMatrix:
@@ -276,3 +287,40 @@ def subregular_labels_fraction(lv: AdmissibleLevel) -> list[SubregularLabel]:
     vacuum_key = class_key_fraction(rs, p, q, rho, eta_vac) if rs.level(eta_vac) <= q else None
     reps = sorted((key != vacuum_key, key, min(members)) for key, members in classes.items())
     return [SubregularLabel(Weight(nu), Weight(eta), wall) for _, _, (_, eta, nu, wall) in reps]
+
+
+# -- Kac-Wakimoto numerator, one Weyl element at a time --------------------------
+
+
+def kac_wakimoto_numerator_by_element(rs: RootSystem, lam: Weight, level, stride: int, order: int) -> TwoVarCharacter:
+    """``qseries.kac_wakimoto_numerator`` as one ``WeylElement.act`` on
+    ``Fraction`` weights and one added ``QSeries`` per element of
+    W x (kept translations)."""
+    level = Fraction(level)
+    shifted = AffineWeight(lam, level, Fraction(0)) + affine_weyl_vector(rs)
+    kh = shifted.level
+    norm2 = rs.bilinear(shifted.finite_part, shifted.finite_part)
+    b = (math.sqrt(float(norm2)) + math.sqrt(float(norm2 + 2 * kh * order))) / float(kh)
+    need = Fraction(math.ceil(b * b / 2 + 1), stride * stride)
+    coroots = [
+        Weight(tuple(Fraction(x) / d for x in row))
+        for row, d in zip(rs.cartan_matrix, rs.simple_root_norms_half)
+    ]
+    gram = np.array([[float(rs.bilinear(u, v)) for v in coroots] for u in coroots])
+    ball = _lattice_points(gram, np.zeros(rs.rank), float(2 * need) + 1e-6)
+    den = math.lcm((kh * stride * stride).denominator * kh.denominator, (2 * kh).denominator)
+    num = TwoVarCharacter(rs.rank)
+    for pt in ball:
+        tb = sum((stride * int(c) * u for c, u in zip(pt, coroots)), rs.zero_weight())
+        translated = affine_translation(rs, tb, shifted)
+        drop = -translated.delta_coeff
+        if drop > order:
+            continue
+        dd = math.lcm(den, drop.denominator)
+        for w in weyl_stream(rs):
+            fin = w.act(translated.finite_part) - shifted.finite_part
+            num.add_term(
+                tuple(fin.coords),
+                QSeries.make([w.length_parity], int(drop * dd), dd, (order + 1) * dd),
+            )
+    return num

@@ -353,6 +353,12 @@ def test_char_oversized_window_exits_cleanly(monkeypatch, capsys):
     assert len(err) == 1 and "cells, more than the limit of 100" in json.loads(err[0])["error"]
 
 
+def test_char_e8_window_is_refused_before_the_walk(capsys):
+    assert main(["char", "--type", "E8", "--level", "1", "--order", "1"]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and "cells, more than the limit of" in json.loads(err[0])["error"]
+
+
 def test_char_y_spec(tmp_path):
     out = tmp_path / "c.json"
     rc = main(["char", "--type", "A1", "--level", "1", "--order", "4",

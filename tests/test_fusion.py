@@ -104,6 +104,24 @@ def test_iso_size_mismatch(a1):
     assert fusion_ring_isomorphic(two, ising) is None
 
 
+def _group_ring(add, size):
+    n = np.zeros((size, size, size), dtype=np.int64)
+    for a in range(size):
+        for b in range(size):
+            n[a, b, add(a, b)] = 1
+    return FusionTable(list(range(size)), n, 0, np.ones(size), 1, 0.0)
+
+
+def test_iso_rejects_equal_invariants():
+    # Z/4 and Z/2 x Z/2: same size, and every non-vacuum label has the same
+    # N_aaa, row sums and quantum dimension, so only the search can tell them apart
+    z4 = _group_ring(lambda a, b: (a + b) % 4, 4)
+    klein = _group_ring(lambda a, b: a ^ b, 4)
+    assert fusion_ring_isomorphic(z4, klein) is None
+    assert fusion_ring_isomorphic(klein, z4) is None
+    assert fusion_ring_isomorphic(z4, z4) == [0, 1, 2, 3]
+
+
 def test_fkw_34_is_ising(a1):
     ours = verlinde(fkw_principal(make_admissible_level(a1, 3, 4)))
     ising = virasoro_fusion(3, 4)

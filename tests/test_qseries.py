@@ -1,15 +1,19 @@
 import math
 import random
+import time
 from fractions import Fraction
 
+import numpy as np
 import pytest
 import sympy
 
-from affw.liealg import CartanType, Weight, build_root_system
+from affw.affine import make_admissible_level
+from affw.liealg import CartanType, Weight, WeylElement, build_root_system
 from affw.qseries import (
     QSeries,
     QSeriesError,
     ThetaSpec,
+    _binomial,
     brst_character,
     dual_coset_representatives,
     eta_like_product,
@@ -26,6 +30,7 @@ from affw.qseries import (
 from oracles import (
     affine_sl3_verma,
     colored_tower_count,
+    kac_wakimoto_numerator_by_element,
     partitions_with_min_part,
     poly2_mul,
     triple_product_lhs,
@@ -165,6 +170,30 @@ def test_oversized_character_window_is_refused():
         verma_character(e6, e6.zero_weight(), 1)
 
 
+@pytest.mark.parametrize("cartan, cells", [
+    ("E6", 3_089_608_832), ("E7", 2_056_143_405_056), ("E8", 7_192_690_496_110_592),
+])
+def test_oversized_irreducible_window_is_refused_before_the_walk(cartan, cells):
+    # for the vacuum the up-front bound is the size of the box itself
+    rs = build_root_system(CartanType.parse(cartan))
+    start = time.perf_counter()
+    with pytest.raises(QSeriesError, match=f"needs {cells} cells"):
+        irreducible_character(rs, rs.zero_weight(), 1, 1, 1)
+    assert time.perf_counter() - start < 1
+
+
+def test_binomial_divide_undoes_multiply():
+    rng = np.random.default_rng(7)
+    a = rng.integers(-9, 10, size=(7, 5, 6))
+    # first positive axis 0 (block 3 in 7), 1 (block 2 in 5) and 2 (block 4 in 6)
+    for shift in [(3, -1, 2), (0, 2, -1), (-2, 0, 4)]:
+        b = a.copy()
+        _binomial(b, shift)
+        assert not np.array_equal(b, a)
+        _binomial(b, shift, inverse=True)
+        assert np.array_equal(b, a), shift
+
+
 def test_specialization_commutes_with_multiplication(a1):
     va = verma_character(a1, a1.zero_weight(), 3, depth=6, finite_factor=False)
     vb = verma_character(a1, a1.fundamental_weight(0), 3, depth=6, finite_factor=False)
@@ -244,10 +273,50 @@ def test_kw_numerator_matches_l1_form(a1):
         assert got[y].coeffs_dict() == {Fraction(q): Fraction(c) for q, c in terms.items()}
 
 
+def _numerator_cases():
+    for cartan, order in [("A1", 8), ("A2", 2), ("A3", 1), ("B2", 2), ("G2", 1), ("D4", 1)]:
+        rs = build_root_system(CartanType.parse(cartan))
+        yield rs, rs.zero_weight(), 1, 1, order
+        yield rs, rs.fundamental_weight(rs.rank - 1), 2, 1, order
+    for cartan, p, q, order in [("A1", 3, 2, 6), ("A2", 4, 3, 2)]:
+        lv = make_admissible_level(build_root_system(CartanType.parse(cartan)), p, q)
+        yield lv.root_system, lv.root_system.zero_weight(), lv.k, q, order
+    a1 = build_root_system(CartanType.parse("A1"))
+    yield a1, Weight.of(Fraction(-1, 2)), Fraction(3, 2) - 2, 2, 4
+    yield a1, Weight.of(Fraction(1, 2)), 1, 1, 3  # drops in (1/2)Z over den 1
+
+
+def test_kw_numerator_matches_the_per_element_sum():
+    for rs, lam, level, stride, order in _numerator_cases():
+        got = kac_wakimoto_numerator(rs, lam, level, stride, order).terms
+        ref = kac_wakimoto_numerator_by_element(rs, lam, level, stride, order).terms
+        assert got.keys() == ref.keys(), (rs.cartan_type, lam)
+        for key, s in ref.items():
+            assert got[key].coeffs_dict() == s.coeffs_dict(), (rs.cartan_type, lam, key)
+            assert got[key].order_frac == s.order_frac
+
+
+def test_irreducible_character_never_acts_one_weyl_element(monkeypatch):
+    def refuse(self, lam):
+        raise AssertionError("per-element WeylElement.act")
+
+    monkeypatch.setattr(WeylElement, "act", refuse)
+    d4 = build_root_system(CartanType.parse("D4"))
+    ch = irreducible_character(d4, d4.zero_weight(), 1, 1, 1)
+    assert ch.specialize_y1().coeffs_dict() == {0: 1, 1: 28}
+
+
 def test_admissible_character_fractional_exponents(a1):
     # k = -2 + 3/2 admissible with q = 2: delta-drops live in (1/2)Z
     ch = irreducible_character(a1, a1.zero_weight() + Weight.of(Fraction(-1, 2)), Fraction(3, 2) - 2, 2, 4)
     assert any(s.den > 1 for s in ch.terms.values())
+
+
+@pytest.mark.parametrize("lam", [(0,), (Fraction(1, 2),)])
+def test_level_below_minus_dual_coxeter_is_refused(a1, lam):
+    # also on the default-depth path for weights that are not dominant integral
+    with pytest.raises(QSeriesError, match="level \\+ dual Coxeter must be positive"):
+        irreducible_character(a1, Weight.of(*lam), Fraction(-5, 2), 1, 2)
 
 
 def test_numerator_below_q0_is_refused(a1):
