@@ -3,7 +3,7 @@
 Subpackages by concern:
 
 * :mod:`affw.liealg` — exact root systems, weight lattices, Weyl group streams
-* :mod:`affw.affine` — affine weights, admissible levels, S-matrix label sets
+* :mod:`affw.affine` — admissible levels, S-matrix label sets
 * :mod:`affw.qseries` — exact q-series, two-variable characters, theta functions
 * :mod:`affw.modular` — Kac-Peterson, principal and subregular S-matrices
 * :mod:`affw.fusion` — Verlinde fusion tables and fusion-ring comparison
@@ -15,7 +15,6 @@ __version__ = "0.1.0"
 
 from .affine import (
     AdmissibleLevel,
-    AffineWeight,
     PrincipalLabel,
     SubregularLabel,
     make_admissible_level,
@@ -32,7 +31,6 @@ __all__ = [
     "WeylElement",
     "build_root_system",
     "AdmissibleLevel",
-    "AffineWeight",
     "PrincipalLabel",
     "SubregularLabel",
     "make_admissible_level",

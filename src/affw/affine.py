@@ -1,4 +1,4 @@
-"""Affine weights, admissible levels, and the label sets behind the S-matrices.
+"""Admissible levels and the label sets behind the S-matrices.
 
 Label sets come in two flavours.  Principal labels are pairs (nu, eta) of
 strictly dominant (alcove-regular) weights at levels p and q.  Subregular
@@ -20,12 +20,10 @@ from typing import Iterator, Optional, Sequence
 from .liealg import Root, RootSystem, Weight
 
 __all__ = [
-    "AffineWeight",
     "AdmissibleLevel",
     "PrincipalLabel",
     "SubregularLabel",
     "make_admissible_level",
-    "affine_translation",
     "enumerate_P_plus_k",
     "enumerate_regular",
     "enumerate_subregular_eta",
@@ -36,70 +34,7 @@ __all__ = [
 
 
 class AffineDataError(ValueError):
-    """Inconsistent affine weight data or invalid admissibility parameters."""
-
-
-@dataclass(frozen=True)
-class AffineWeight:
-    """``finite_part + level*Lambda_0 + delta_coeff*delta``."""
-
-    finite_part: Weight
-    level: Fraction
-    delta_coeff: Fraction
-
-    @staticmethod
-    def of(finite: Weight, level=0, delta=0) -> "AffineWeight":
-        return AffineWeight(finite, Fraction(level), Fraction(delta))
-
-    def __add__(self, other: "AffineWeight") -> "AffineWeight":
-        return AffineWeight(
-            self.finite_part + other.finite_part,
-            self.level + other.level,
-            self.delta_coeff + other.delta_coeff,
-        )
-
-    def __sub__(self, other: "AffineWeight") -> "AffineWeight":
-        return AffineWeight(
-            self.finite_part - other.finite_part,
-            self.level - other.level,
-            self.delta_coeff - other.delta_coeff,
-        )
-
-
-def lambda0(rs: RootSystem) -> AffineWeight:
-    return AffineWeight(rs.zero_weight(), Fraction(1), Fraction(0))
-
-
-def affine_weyl_vector(rs: RootSystem) -> AffineWeight:
-    """rho_hat = h_check * Lambda_0 + rho."""
-    return AffineWeight(rs.weyl_vector, Fraction(rs.dual_coxeter), Fraction(0))
-
-
-def affine_translation(rs: RootSystem, alpha: Weight, lam: AffineWeight) -> AffineWeight:
-    """t_alpha(lam) = lam + lam(K) alpha - [(alpha,lam) + |alpha|^2/2 lam(K)] delta.
-
-    alpha must lie in the coroot lattice Q_check.
-    """
-    if not _in_coroot_lattice(rs, alpha):
-        raise AffineDataError("translation vector is not in the coroot lattice")
-    k = lam.level
-    pairing = rs.bilinear(alpha, lam.finite_part)
-    half_norm = rs.bilinear(alpha, alpha) / 2
-    return AffineWeight(
-        lam.finite_part + k * alpha,
-        k,
-        lam.delta_coeff - (pairing + half_norm * k),
-    )
-
-
-def _in_coroot_lattice(rs: RootSystem, alpha: Weight) -> bool:
-    # alpha in Q_check iff its coefficients over the simple coroots are
-    # integers; nu(alpha_i_check) has fundamental coordinates row_i(A)/d_i.
-    n = rs.rank
-    coords = rs.weight_to_root(alpha)  # coefficients over the alpha_i
-    coeffs = [coords[i] * rs.simple_root_norms_half[i] for i in range(n)]
-    # alpha = sum_i c_i alpha_i = sum_i (c_i d_i) alpha_i_check
-    return all(c.denominator == 1 for c in coeffs)
+    """Invalid admissibility parameters or label-set requests."""
 
 
 @dataclass(frozen=True)

@@ -31,6 +31,14 @@ class CliError(Exception):
         self.code = code
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a bad command line as a :class:`CliError`, not as usage text;
+    subparsers are built from the same class."""
+
+    def error(self, message):
+        raise CliError(f"{self.prog}: {message}", EXIT_VALIDATION)
+
+
 def _out_path(args, default_name):
     if getattr(args, "out", None):
         return args.out
@@ -461,7 +469,7 @@ def cmd_verify(args):
 
 
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(prog="affw", description=__doc__)
+    ap = _Parser(prog="affw", description=__doc__)
     ap.add_argument("--version", action="version", version=f"affw {__version__}")
     sub = ap.add_subparsers(dest="command", required=True)
 
@@ -525,8 +533,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         args.func(args)
     except CliError as e:
         print(json.dumps({"error": str(e), "exit_code": e.code}), file=sys.stderr)

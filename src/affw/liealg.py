@@ -15,6 +15,8 @@ positive) and det A (the product of the pivots).  The positive roots are the
 closure of the simple roots under the simple reflections that keep a root
 positive, and :func:`build_root_system` derives every other invariant from
 those two results before constructing the :class:`RootSystem` once.
+Where exact rationals feed integer numpy arithmetic, :func:`_int_numerators`
+scales them to one common denominator.
 
 Weyl groups are never materialised: :func:`weyl_blocks` walks the orbit tree
 of the Weyl vector with a canonical-parent rule, one layer slice at a time as
@@ -225,6 +227,18 @@ def _gauss_jordan(m: Sequence[Sequence]) -> tuple[list[list[Fraction]], list[Fra
             if r != col and f != 0:
                 aug[r] = [x - f * y for x, y in zip(aug[r], aug[col])]
     return [row[n:] for row in aug], pivots
+
+
+def _int_numerators(values) -> tuple[np.ndarray, int]:
+    """``(den * values, den)``: exact rationals as an int64 array over their
+    least common denominator.
+
+    ``values`` is a (nested) sequence of ints and Fractions; its array shape
+    is kept, and ``den`` is 1 when there are no entries.
+    """
+    a = np.array(values, dtype=object)
+    den = math.lcm(*(Fraction(x).denominator for x in a.flat))
+    return np.array([int(x * den) for x in a.flat], dtype=np.int64).reshape(a.shape), den
 
 
 @dataclass(frozen=True)

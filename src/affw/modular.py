@@ -42,7 +42,7 @@ from .affine import (
     principal_labels,
     subregular_labels,
 )
-from .liealg import WEYL_BLOCK_ROWS, RootSystem, Weight, WeylBlock, weyl_blocks
+from .liealg import WEYL_BLOCK_ROWS, RootSystem, Weight, WeylBlock, _int_numerators, weyl_blocks
 
 __all__ = [
     "SMatrix",
@@ -102,15 +102,6 @@ class SMatrix:
 # -- exact exponent helpers ---------------------------------------------------
 
 
-def _gram_int(rs: RootSystem) -> tuple[np.ndarray, int]:
-    """Integer matrix D*G and the common denominator D of the Gram matrix."""
-    den = math.lcm(*(x.denominator for row in rs.gram for x in row))
-    mg = np.array(
-        [[int(x * den) for x in row] for row in rs.gram], dtype=np.int64
-    )
-    return mg, den
-
-
 def _phase_table(den: int) -> np.ndarray:
     """e^{-2 pi i k / den} for k = 0..den-1."""
     return np.exp(-2j * np.pi * np.arange(den) / den)
@@ -142,7 +133,7 @@ class _Buckets:
     """
 
     def __init__(self, rs: RootSystem, left, right, coef: Fraction, probe=None):
-        mg, dg = _gram_int(rs)
+        mg, dg = _int_numerators(rs.gram)
         self.den = coef.denominator * dg
         self.left = left
         # (n, m): coef (v, right_j) = v . u[:, j] / den
@@ -157,9 +148,7 @@ class _Buckets:
             if self.w0 == 0:
                 raise SMatrixError("probe x is orthogonal to alpha_*")
             # the simple-root coordinates of a weight f are f A^{-1}
-            ainv = rs.cartan_inverse
-            scale = math.lcm(*(c.denominator for row in ainv for c in row))
-            to_roots = np.array([[int(c * scale) for c in row] for row in ainv], dtype=np.int64)
+            to_roots, scale = _int_numerators(rs.cartan_inverse)
             self.star = (_weight_ints([star.weight])[0], to_roots, scale, x)
 
     def add(self, blk: WeylBlock) -> None:
@@ -220,7 +209,7 @@ def _cross_phase(rs: RootSystem, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     Callers multiply ``_cross_phase(a, b) * _cross_phase(b, a)`` to get the
     symmetric cross phase ``exp(2 pi i [(a_i, b_j) + (b_i, a_j)])``.
     """
-    mg, dg = _gram_int(rs)
+    mg, dg = _int_numerators(rs.gram)
     dots = (a @ mg @ b.T) % dg  # exponent (a_i, b_j) mod 1 times dg
     return np.exp(2j * np.pi * dots / dg)
 

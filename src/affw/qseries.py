@@ -19,8 +19,7 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from .affine import AffineWeight, affine_translation, affine_weyl_vector
-from .liealg import RootSystem, Weight, _gauss_jordan, weyl_blocks
+from .liealg import RootSystem, Weight, _gauss_jordan, _int_numerators, weyl_blocks
 
 __all__ = [
     "QSeries",
@@ -384,10 +383,10 @@ def _divide_by_denominator(
                 raise QSeriesError("numerator has a term below q^0: lam is not a highest weight here")
             if c and t <= top:
                 points.append((t, beta, int(c)))
-    s = math.lcm(*(b.denominator for _, beta, _ in points for b in beta))
+    xs, s = _int_numerators([beta for _, beta, _ in points])
     keep_height = math.floor(s * depth)
     reach = keep_height + s * order * rs.highest_root.height
-    points = [(t, [int(s * b) for b in beta], c) for t, beta, c in points if s * sum(beta) <= reach]
+    points = [(t, x, c) for (t, _, c), x in zip(points, xs.tolist()) if sum(x) <= reach]
     out = TwoVarCharacter(rs.rank)
     if not points:
         return out
@@ -435,6 +434,38 @@ def _level_shift(rs: RootSystem, level) -> Fraction:
     return kh
 
 
+def _refuse_negative_order(order: int) -> None:
+    if order < 0:
+        raise QSeriesError("order must be non-negative")
+
+
+def _coroot_matrix(rs: RootSystem) -> np.ndarray:
+    """Row i is the simple coroot alpha_i / d_i in fundamental coordinates;
+    entry (i, j) is (alpha_i_check, alpha_j_check), an integer."""
+    return np.array(
+        [[int(a / d) for a in row] for row, d in zip(rs.cartan_matrix, rs.simple_root_norms_half)],
+        dtype=np.int64,
+    )
+
+
+def _translations(
+    co: np.ndarray, base: np.ndarray, kstride: int, stride: int, c: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Delta-drops and finite parts of ``t_beta`` on ``lam_hat + rho_hat``
+    for ``beta = stride sum_i c_i alpha_i_check``, one beta per row of ``c``.
+
+    All in integers over one denominator D: ``base`` is D (lam + rho) in
+    fundamental coordinates, ``kstride`` is D (k + h_check) stride, ``co`` is
+    :func:`_coroot_matrix`.  Row b of the two results is D times the drop
+    ``(beta, lam + rho) + (k + h_check) |beta|^2 / 2`` and D times the
+    translate ``lam + rho + (k + h_check) beta``.  The pairing of a coroot with
+    a weight is a coordinate read, and c^T co c is even because every
+    (alpha_i_check, alpha_i_check) is.
+    """
+    half_norms = np.einsum("bi,ij,bj->b", c, co, c) // 2
+    return stride * (c @ base + kstride * half_norms), base + kstride * (c @ co)
+
+
 def kac_wakimoto_numerator(
     rs: RootSystem,
     lam: Weight,
@@ -446,40 +477,34 @@ def kac_wakimoto_numerator(
 
     Keys are finite-weight differences; exponents of q are the delta-drops
     (rational for admissible levels).  Translations outside the norm bound
-    implied by ``order`` cannot contribute and are dropped.  W is walked once
-    with :func:`weyl_blocks`, on lam + rho and every kept translate scaled
-    to integers by one common denominator.
+    implied by ``order`` cannot contribute and are dropped.  The drops and
+    translates of the whole ball come from :func:`_translations` on integer
+    coroot coefficients, and W is walked once with :func:`weyl_blocks` on
+    lam + rho and every kept translate, all over one common denominator.
     """
+    _refuse_negative_order(order)
     kh = _level_shift(rs, level)
-    shifted = AffineWeight(lam, Fraction(level), Fraction(0)) + affine_weyl_vector(rs)
+    shifted = lam + rs.weyl_vector
     # delta-drop of t_{beta}: (beta, lam+rho) + |beta|^2/2 (k+h); minimising
     # over the W-orbit of lam+rho shows |beta|^2/2 (k+h) - |beta||lam+rho|
     # <= order is necessary.
-    norm2 = rs.bilinear(shifted.finite_part, shifted.finite_part)
+    norm2 = rs.bilinear(shifted, shifted)
     # bound: |t_beta-shift| <= (|lam+rho| + sqrt(|lam+rho|^2 + 2 (k+h) order)) / (k+h)
     b = (math.sqrt(float(norm2)) + math.sqrt(float(norm2 + 2 * kh * order))) / float(kh)
     need = Fraction(math.ceil(b * b / 2 + 1), stride * stride)
-    # coroots alpha_i / d_i; the float ball is a superset of (beta, beta)/2 <= need,
-    # and the exact drop test below decides
-    coroots = [
-        Weight(tuple(Fraction(x) / d for x in row))
-        for row, d in zip(rs.cartan_matrix, rs.simple_root_norms_half)
-    ]
-    gram = np.array([[float(rs.bilinear(u, v)) for v in coroots] for u in coroots])
-    ball = _lattice_points(gram, np.zeros(rs.rank), float(2 * need) + 1e-6)
+    # the float ball of coroot coefficients is a superset of
+    # (beta, beta)/2 <= need, and the exact drop test below decides
+    co = _coroot_matrix(rs)
+    ball = _lattice_points(co.astype(float), np.zeros(rs.rank), float(2 * need) + 1e-6)
+    ints, scale = _int_numerators([*shifted.coords, kh * stride])
+    base, kstride = ints[:-1], int(ints[-1])
+    c = np.array(ball, dtype=np.int64).reshape(-1, rs.rank)
+    drops, translates = _translations(co, base, kstride, stride, c)
+    keep = drops <= order * scale
+    drops = drops[keep].tolist()
+    v, v0 = translates[keep].T, base[:, None]
     den = math.lcm((kh * stride * stride).denominator * kh.denominator, (2 * kh).denominator)
-    drops, points = [], []
-    for pt in ball:
-        tb = sum((stride * int(c) * u for c, u in zip(pt, coroots)), rs.zero_weight())
-        translated = affine_translation(rs, tb, shifted)
-        if -translated.delta_coeff <= order:
-            drops.append(-translated.delta_coeff)
-            points.append(translated.finite_part.coords)
-    base = shifted.finite_part.coords
-    scale = math.lcm(*(c.denominator for v in (base, *points) for c in v))
-    v = np.array([[int(c * scale) for c in p] for p in points], dtype=np.int64).reshape(-1, rs.rank).T
-    v0 = np.array([int(c * scale) for c in base], dtype=np.int64)[:, None]
-    # (drop, scale (w(translate) - lam - rho)) -> sum of eps(w)
+    # (scale drop, scale (w(translate) - lam - rho)) -> sum of eps(w)
     acc = Counter()
     for blk in weyl_blocks(rs):
         for drop, rows in zip(drops, (blk.matrices @ v - v0).transpose(2, 0, 1).tolist()):
@@ -489,12 +514,15 @@ def kac_wakimoto_numerator(
     for (drop, x), c in acc.items():
         if c:
             series.setdefault(x, {})[drop] = c
+    # one Fraction per distinct coordinate, not one per coordinate of every key
+    coords = {c: Fraction(c, scale) for c in {c for x in series for c in x}}
     num = TwoVarCharacter(rs.rank)
     for x, terms in series.items():
-        dd = math.lcm(den, *(e.denominator for e in terms))
-        at = {int(e * dd): c for e, c in terms.items()}
+        # drop e / scale has denominator scale / gcd(e, scale)
+        dd = math.lcm(den, *(scale // math.gcd(e, scale) for e in terms))
+        at = {e * dd // scale: c for e, c in terms.items()}
         cs = [at.get(t, 0) for t in range(min(at), max(at) + 1)]
-        num.terms[tuple(Fraction(c, scale) for c in x)] = QSeries.make(cs, min(at), dd, (order + 1) * dd)
+        num.terms[tuple(coords[c] for c in x)] = QSeries.make(cs, min(at), dd, (order + 1) * dd)
     return num
 
 
@@ -515,6 +543,7 @@ def irreducible_character(
     ht(lam - w0 lam) + order ht(theta).  A window too large for the dense
     box is refused before W is walked.
     """
+    _refuse_negative_order(order)
     kh = _level_shift(rs, level)
     if depth is None and lam.is_dominant() and lam.is_integral():
         # grade n is spanned by at most n negative modes applied to the finite
@@ -793,15 +822,12 @@ def dual_coset_representatives(spec: ThetaSpec) -> list[tuple[Fraction, ...]]:
     L* = G^{-1} Z^n, so L*/L is the group the columns of G^{-1} generate
     modulo Z^n: the closure of {0} under adding them mod 1.
     """
-    for row in spec.gram:
-        for x in row:
-            if Fraction(x).denominator != 1:
-                raise QSeriesError("dual cosets need an integral Gram matrix")
-    ginv, _ = _gauss_jordan(spec.gram)
+    if _int_numerators(spec.gram)[1] != 1:
+        raise QSeriesError("dual cosets need an integral Gram matrix")
     # integer numerators over one common denominator: exact, and sorting them
     # sorts the fractions
-    den = math.lcm(*(x.denominator for row in ginv for x in row))
-    gens = [tuple(int(row[c] * den) % den for row in ginv) for c in range(spec.rank)]
+    ginv, den = _int_numerators(_gauss_jordan(spec.gram)[0])
+    gens = [tuple(col) for col in (ginv % den).T.tolist()]
     todo = [(0,) * spec.rank]
     reps = set(todo)
     while todo:

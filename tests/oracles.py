@@ -20,11 +20,8 @@ import numpy as np
 
 from affw.affine import (
     AdmissibleLevel,
-    AffineWeight,
     PrincipalLabel,
     SubregularLabel,
-    affine_translation,
-    affine_weyl_vector,
     alpha_star,
 )
 from affw.fusion import FusionTable, verlinde
@@ -295,11 +292,15 @@ def subregular_labels_fraction(lv: AdmissibleLevel) -> list[SubregularLabel]:
 def kac_wakimoto_numerator_by_element(rs: RootSystem, lam: Weight, level, stride: int, order: int) -> TwoVarCharacter:
     """``qseries.kac_wakimoto_numerator`` as one ``WeylElement.act`` on
     ``Fraction`` weights and one added ``QSeries`` per element of
-    W x (kept translations)."""
-    level = Fraction(level)
-    shifted = AffineWeight(lam, level, Fraction(0)) + affine_weyl_vector(rs)
-    kh = shifted.level
-    norm2 = rs.bilinear(shifted.finite_part, shifted.finite_part)
+    W x (kept translations).
+
+    Each translation t_beta of lam_hat + rho_hat is written out through
+    ``rs.bilinear``: the delta-drop (beta, lam + rho) + (k + h) |beta|^2 / 2
+    and the finite part lam + rho + (k + h) beta.
+    """
+    shifted = lam + rs.weyl_vector
+    kh = Fraction(level) + rs.dual_coxeter
+    norm2 = rs.bilinear(shifted, shifted)
     b = (math.sqrt(float(norm2)) + math.sqrt(float(norm2 + 2 * kh * order))) / float(kh)
     need = Fraction(math.ceil(b * b / 2 + 1), stride * stride)
     coroots = [
@@ -311,14 +312,14 @@ def kac_wakimoto_numerator_by_element(rs: RootSystem, lam: Weight, level, stride
     den = math.lcm((kh * stride * stride).denominator * kh.denominator, (2 * kh).denominator)
     num = TwoVarCharacter(rs.rank)
     for pt in ball:
-        tb = sum((stride * int(c) * u for c, u in zip(pt, coroots)), rs.zero_weight())
-        translated = affine_translation(rs, tb, shifted)
-        drop = -translated.delta_coeff
+        beta = sum((stride * int(c) * u for c, u in zip(pt, coroots)), rs.zero_weight())
+        drop = rs.bilinear(beta, shifted) + rs.bilinear(beta, beta) / 2 * kh
         if drop > order:
             continue
+        translated = shifted + kh * beta
         dd = math.lcm(den, drop.denominator)
         for w in weyl_stream(rs):
-            fin = w.act(translated.finite_part) - shifted.finite_part
+            fin = w.act(translated) - shifted
             num.add_term(
                 tuple(fin.coords),
                 QSeries.make([w.length_parity], int(drop * dd), dd, (order + 1) * dd),

@@ -3,23 +3,21 @@ import random
 from fractions import Fraction
 from unittest.mock import patch
 
+import numpy as np
 import pytest
 
 from affw.affine import (
     AffineDataError,
-    AffineWeight,
-    affine_translation,
-    affine_weyl_vector,
     alpha_star,
     enumerate_P_plus_k,
     enumerate_regular,
     enumerate_subregular_eta,
-    lambda0,
     make_admissible_level,
     principal_labels,
     subregular_labels,
 )
-from affw.liealg import CartanType, Weight, build_root_system
+from affw.liealg import CartanType, Weight, _int_numerators, build_root_system
+from affw.qseries import _coroot_matrix, _translations
 from oracles import (
     principal_labels_fraction,
     subregular_eta_by_filter,
@@ -49,45 +47,47 @@ def test_admissible_level_validation(a1):
     assert lv8.k == Fraction(30, 29) - 30
 
 
+def _translate(rs, base: Weight, kh, stride: int, coeffs) -> tuple[Fraction, Weight]:
+    """(delta-drop, finite part) of t_beta on base + kh Lambda_0 for
+    beta = stride sum_i coeffs_i alpha_i_check, back in Fractions."""
+    ints, den = _int_numerators([*base.coords, Fraction(kh) * stride])
+    c = np.array([coeffs], dtype=np.int64)
+    drops, translates = _translations(_coroot_matrix(rs), ints[:-1], int(ints[-1]), stride, c)
+    return Fraction(int(drops[0]), den), Weight(tuple(Fraction(int(x), den) for x in translates[0]))
+
+
 def test_affine_translation_basics(a1):
-    rho_hat = affine_weyl_vector(a1)
-    assert rho_hat.level == 2
-    lam = AffineWeight.of(Weight.of(1), level=Fraction(3, 2), delta=0)
-    assert affine_translation(a1, a1.zero_weight(), lam) == lam
+    # t_0 fixes lam_hat + rho_hat, whatever the stride
+    shifted = Weight.of(1) + a1.weyl_vector
+    for stride in (1, 2):
+        assert _translate(a1, shifted, Fraction(3, 2) + 2, stride, (0,)) == (0, shifted)
 
     # t_{alpha_check}(Lambda_0) = Lambda_0 + alpha - delta for sl2
     alpha = a1.simple_roots[0].weight
-    out = affine_translation(a1, alpha, lambda0(a1))
-    assert out.finite_part == alpha
-    assert out.level == 1
-    assert out.delta_coeff == -1
+    assert _translate(a1, a1.zero_weight(), 1, 1, (1,)) == (1, alpha)
 
     # level-0 weight: t_alpha(lam) = lam - (alpha, lam) delta
-    lam0 = AffineWeight.of(Weight.of(3), level=0, delta=0)
-    out = affine_translation(a1, alpha, lam0)
-    assert out.finite_part == lam0.finite_part
-    assert out.delta_coeff == -a1.bilinear(alpha, lam0.finite_part)
+    lam0 = Weight.of(3)
+    assert _translate(a1, lam0, 0, 1, (1,)) == (a1.bilinear(alpha, lam0), lam0)
+
+    # the stride scales the coroot coefficients
+    assert _translate(a1, shifted, Fraction(1, 2), 3, (1,)) == _translate(a1, shifted, Fraction(1, 2), 1, (3,))
 
 
-def test_affine_translation_composes(a2):
+def test_affine_translation_composes(a1, a2):
+    # t_a t_b = t_{a+b}: the drops add along the way, the finite parts agree
     rng = random.Random(3)
-    roots = [r.weight for r in a2.positive_roots]
-    for _ in range(10):
-        a = rng.choice(roots)
-        b = rng.choice(roots)
-        lam = AffineWeight.of(
-            Weight.of(rng.randint(-3, 3), rng.randint(-3, 3)),
-            level=Fraction(rng.randint(1, 5), rng.randint(1, 3)),
-            delta=Fraction(rng.randint(-2, 2)),
-        )
-        lhs = affine_translation(a2, a, affine_translation(a2, b, lam))
-        rhs = affine_translation(a2, a + b, lam)
-        assert lhs == rhs
-
-
-def test_translation_rejects_non_coroot(a1):
-    with pytest.raises(AffineDataError):
-        affine_translation(a1, a1.fundamental_weight(0), lambda0(a1))
+    for rs in (a1, a2):
+        for _ in range(10):
+            a = [rng.randint(-2, 2) for _ in range(rs.rank)]
+            b = [rng.randint(-2, 2) for _ in range(rs.rank)]
+            lam = Weight.of(*(Fraction(rng.randint(-3, 3), rng.randint(1, 2)) for _ in range(rs.rank)))
+            kh = Fraction(rng.randint(1, 5), rng.randint(1, 3))
+            stride = rng.randint(1, 3)
+            drop_b, fin_b = _translate(rs, lam, kh, stride, b)
+            drop_a, fin_ab = _translate(rs, fin_b, kh, stride, a)
+            both = _translate(rs, lam, kh, stride, [x + y for x, y in zip(a, b)])
+            assert both == (drop_b + drop_a, fin_ab)
 
 
 def test_P_plus_k(a1, a2):

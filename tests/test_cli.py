@@ -293,6 +293,11 @@ def test_bad_input_exits_cleanly(tmp_path, capsys):
          "--checkpoint", str(tmp_path / "x.npz")],
         ["smatrix", "--variant", "principal", "--type", "A1", "--p", "3", "--q", "4",
          "--checkpoint", str(tmp_path / "x.npz")],
+        # rejected by the argument parser itself
+        ["char", "--type", "A1", "--order", "abc"],
+        ["smatrix", "--variant", "nope", "--type", "A1"],
+        ["roots"],
+        ["roots", "--type", "A1", "--bogus"],
     ]
     errors, codes = {}, {}
     for argv in table:
@@ -310,6 +315,18 @@ def test_bad_input_exits_cleanly(tmp_path, capsys):
     assert errors[f"smatrix --variant integrable --type A1 --level 1 --checkpoint {tmp_path / 'x.npz'}"] \
         == "--checkpoint applies to --variant subregular only"
     assert not (tmp_path / "x.npz").exists()
+    assert "invalid int value: 'abc'" in errors["char --type A1 --order abc"]
+    assert "required: --type" in errors["roots"]
+    assert "unrecognized arguments: --bogus" in errors["roots --type A1 --bogus"]
+
+
+@pytest.mark.parametrize("flag", ["--help", "--version"])
+def test_help_and_version_exit_zero(flag, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([flag])
+    assert exc.value.code == 0
+    out = capsys.readouterr()
+    assert out.out and not out.err
 
 
 def test_char_irreducible(tmp_path):

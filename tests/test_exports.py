@@ -1,0 +1,15 @@
+import importlib
+import pkgutil
+
+import pytest
+
+import affw
+
+MODULES = sorted(m.name for m in pkgutil.iter_modules(affw.__path__))
+
+
+@pytest.mark.parametrize("name", ["affw"] + [f"affw.{m}" for m in MODULES])
+def test_every_exported_name_resolves(name):
+    module = importlib.import_module(name)
+    missing = [n for n in getattr(module, "__all__", ()) if not hasattr(module, n)]
+    assert not missing, f"{name}.__all__ names undefined {missing}"

@@ -11,6 +11,7 @@ from affw.liealg import (
     Weight,
     WeylBlock,
     _gauss_jordan,
+    _int_numerators,
     _positive_root_closure,
     build_root_system,
     dot_action,
@@ -78,6 +79,23 @@ def test_one_elimination_gives_inverse_and_det(name):
     det = {"A": n + 1, "B": 2, "C": 2, "D": 4, "E": 9 - n}.get(t.family, 1)
     assert all(p > 0 for p in pivots)
     assert math.prod(pivots) == det == build_root_system(t).index_P_mod_Q
+
+
+@pytest.mark.parametrize("name", sorted(CLASSICAL))
+def test_int_numerators_are_exact_over_the_least_denominator(name):
+    rs = build_root_system(CartanType.parse(name))
+    for values in (rs.gram, rs.cartan_inverse):
+        ints, den = _int_numerators(values)
+        assert ints.dtype == np.int64 and ints.shape == (rs.rank, rs.rank)
+        assert [[Fraction(x, den) for x in row] for row in ints.tolist()] == [list(row) for row in values]
+        assert math.gcd(den, *ints.ravel().tolist()) == 1  # no smaller den
+
+
+def test_int_numerators_of_mixed_and_empty_input():
+    ints, den = _int_numerators([(Fraction(1, 2), 3), (-1, Fraction(5, 6))])
+    assert den == 6 and ints.tolist() == [[3, 18], [-6, 5]]
+    ints, den = _int_numerators([])
+    assert den == 1 and ints.size == 0
 
 
 def test_zero_pivot_is_refused():

@@ -278,7 +278,11 @@ def _numerator_cases():
         rs = build_root_system(CartanType.parse(cartan))
         yield rs, rs.zero_weight(), 1, 1, order
         yield rs, rs.fundamental_weight(rs.rank - 1), 2, 1, order
-    for cartan, p, q, order in [("A1", 3, 2, 6), ("A2", 4, 3, 2)]:
+    # orders deep enough that the ball keeps non-zero translations
+    for cartan, order in [("A1", 12), ("A2", 3), ("B2", 3), ("G2", 3)]:
+        rs = build_root_system(CartanType.parse(cartan))
+        yield rs, rs.zero_weight(), 1, 1, order
+    for cartan, p, q, order in [("A1", 3, 2, 6), ("A2", 4, 3, 2), ("A1", 5, 2, 12), ("A2", 4, 3, 6)]:
         lv = make_admissible_level(build_root_system(CartanType.parse(cartan)), p, q)
         yield lv.root_system, lv.root_system.zero_weight(), lv.k, q, order
     a1 = build_root_system(CartanType.parse("A1"))
@@ -294,6 +298,7 @@ def test_kw_numerator_matches_the_per_element_sum():
         for key, s in ref.items():
             assert got[key].coeffs_dict() == s.coeffs_dict(), (rs.cartan_type, lam, key)
             assert got[key].order_frac == s.order_frac
+            assert got[key].den == s.den
 
 
 def test_irreducible_character_never_acts_one_weyl_element(monkeypatch):
@@ -317,6 +322,13 @@ def test_level_below_minus_dual_coxeter_is_refused(a1, lam):
     # also on the default-depth path for weights that are not dominant integral
     with pytest.raises(QSeriesError, match="level \\+ dual Coxeter must be positive"):
         irreducible_character(a1, Weight.of(*lam), Fraction(-5, 2), 1, 2)
+
+
+@pytest.mark.parametrize("build", [kac_wakimoto_numerator, irreducible_character])
+@pytest.mark.parametrize("lam", [(0,), (Fraction(1, 2),)])
+def test_negative_order_is_refused(a1, build, lam):
+    with pytest.raises(QSeriesError, match="order must be non-negative"):
+        build(a1, Weight.of(*lam), 1, 1, -1)
 
 
 def test_numerator_below_q0_is_refused(a1):
