@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import json
 import os
 import sys
@@ -48,14 +49,22 @@ def _out_path(args, default_name):
     return None
 
 
+def _write(path: str, text: str):
+    """Write ``text`` to ``path``; a path that cannot be opened exits 2."""
+    try:
+        with open(path, "w", newline="") as fh:
+            fh.write(text)
+    except OSError as e:
+        raise CliError(f"cannot write {path}: {e.strerror or e}", EXIT_VALIDATION)
+    print(f"wrote {path}")
+
+
 def _emit(payload: dict, args, default_name: str):
     payload = {"affw_version": __version__, "config": payload.pop("config"), **payload}
     text = json.dumps(payload, indent=2, sort_keys=True)
     path = _out_path(args, default_name)
     if path:
-        with open(path, "w") as fh:
-            fh.write(text + "\n")
-        print(f"wrote {path}")
+        _write(path, text + "\n")
     else:
         print(text)
 
@@ -276,12 +285,11 @@ def cmd_fusion(args):
     except fusion.FusionError as e:
         raise CliError(str(e), EXIT_TOLERANCE)
     if args.format == "csv":
-        path = _out_path(args, "fusion.csv") or "fusion.csv"
-        with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["a", "b", "c", "N"])
-            w.writerows([a, b, c, n] for a, b, c, n in _nonzero_coefficients(table))
-        print(f"wrote {path}")
+        buf = io.StringIO()
+        w = csv.writer(buf)
+        w.writerow(["a", "b", "c", "N"])
+        w.writerows([a, b, c, n] for a, b, c, n in _nonzero_coefficients(table))
+        _write(_out_path(args, "fusion.csv") or "fusion.csv", buf.getvalue())
         return
     payload = {
         "config": vars_config(args),

@@ -50,43 +50,42 @@ MAX_BOX_CELLS = 1 << 27
 
 @dataclass(frozen=True)
 class QSeries:
-    """Sum of c_i q^{(shift + i)/den} for i < len(coeffs), exact below order.
+    """Sum of c q^{e/den} over ``terms = {e: c}``, exact below order.
 
-    ``order`` is exclusive, in units of 1/den: coefficients of q^{e} with
-    e*den >= order are unknown (truncated), everything below is exact.
+    Every key e is an integer exponent numerator below ``order``, every value
+    c a non-zero Fraction, and the keys are in increasing order.  ``order`` is
+    exclusive, in units of 1/den: coefficients of q^{e} with e*den >= order
+    are unknown (truncated), everything below is exact.
     """
 
     den: int
-    shift: int
-    coeffs: tuple[Fraction, ...]
+    terms: dict[int, Fraction]
     order: int
+
+    def __hash__(self):
+        return hash((self.den, tuple(self.terms.items()), self.order))
+
+    @staticmethod
+    def _of(den: int, terms: Iterable[tuple[int, Fraction]], order: int) -> "QSeries":
+        """The series of the (e, c) pairs ``terms``, without zeros or e >= order."""
+        return QSeries(den, {e: c for e, c in sorted(terms) if c and e < order}, order)
 
     @staticmethod
     def make(coeffs: Iterable, shift=0, den=1, order=None) -> "QSeries":
+        """``sum_i coeffs[i] q^{(shift + i)/den}``, exact below q^{order/den}
+        (by default up to the last coefficient given)."""
         cs = [Fraction(c) for c in coeffs]
         if order is None:
             order = shift + len(cs)
-        return QSeries(den, shift, tuple(cs), order)._trim()
+        return QSeries._of(den, enumerate(cs, shift), order)
 
     @staticmethod
     def zero(order, den=1) -> "QSeries":
-        return QSeries(den, 0, (), order)
+        return QSeries(den, {}, order)
 
     @staticmethod
     def one(order, den=1) -> "QSeries":
         return QSeries.make([1], 0, den, order)
-
-    def _trim(self) -> "QSeries":
-        cs = list(self.coeffs)
-        shift = self.shift
-        if shift + len(cs) > self.order:
-            cs = cs[: max(0, self.order - shift)]
-        while cs and cs[0] == 0:
-            cs.pop(0)
-            shift += 1
-        while cs and cs[-1] == 0:
-            cs.pop()
-        return QSeries(self.den, shift if cs else 0, tuple(cs), self.order)
 
     def _with_den(self, den: int) -> "QSeries":
         if den == self.den:
@@ -94,22 +93,16 @@ class QSeries:
         if den % self.den:
             raise QSeriesError("denominator must refine")
         f = den // self.den
-        cs = [Fraction(0)] * (f * (len(self.coeffs) - 1) + 1 if self.coeffs else 0)
-        for i, c in enumerate(self.coeffs):
-            cs[i * f] = c
-        return QSeries(den, self.shift * f, tuple(cs), self.order * f)
+        return QSeries(den, {e * f: c for e, c in self.terms.items()}, self.order * f)
 
     def coefficient(self, exponent) -> Fraction:
         e = Fraction(exponent)
         scaled = e * self.den
         if scaled.denominator != 1:
             return Fraction(0)
-        i = int(scaled) - self.shift
-        if int(scaled) >= self.order:
+        if scaled >= self.order:
             raise QSeriesError(f"coefficient of q^{e} is beyond the truncation order")
-        if 0 <= i < len(self.coeffs):
-            return self.coeffs[i]
-        return Fraction(0)
+        return self.terms.get(int(scaled), Fraction(0))
 
     @property
     def order_frac(self) -> Fraction:
@@ -117,12 +110,11 @@ class QSeries:
 
     def valuation(self) -> Optional[Fraction]:
         """Exponent of the lowest nonzero term, or None for (truncated) zero."""
-        if not self.coeffs:
-            return None
-        return Fraction(self.shift, self.den)
+        e = next(iter(self.terms), None)
+        return None if e is None else Fraction(e, self.den)
 
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self.terms
 
     def _align(self, other: "QSeries") -> tuple["QSeries", "QSeries"]:
         den = math.lcm(self.den, other.den)
@@ -132,93 +124,68 @@ class QSeries:
         if not isinstance(other, QSeries):
             other = QSeries.make([other], 0, self.den, self.order)
         a, b = self._align(other)
-        order = min(a.order, b.order)
-        lo = min(a.shift, b.shift) if (a.coeffs or b.coeffs) else 0
-        hi = max(a.shift + len(a.coeffs), b.shift + len(b.coeffs), lo)
-        cs = [Fraction(0)] * (hi - lo)
-        for s, arr in ((a.shift, a.coeffs), (b.shift, b.coeffs)):
-            for i, c in enumerate(arr):
-                cs[s - lo + i] += c
-        return QSeries(a.den, lo, tuple(cs), order)._trim()
+        acc = dict(a.terms)
+        for e, c in b.terms.items():
+            acc[e] = acc.get(e, 0) + c
+        return QSeries._of(a.den, acc.items(), min(a.order, b.order))
 
     def __radd__(self, other):
         return self + other
 
     def __neg__(self) -> "QSeries":
-        return QSeries(self.den, self.shift, tuple(-c for c in self.coeffs), self.order)
+        return QSeries(self.den, {e: -c for e, c in self.terms.items()}, self.order)
 
     def __sub__(self, other) -> "QSeries":
-        return self + (-other if isinstance(other, QSeries) else QSeries.make([-Fraction(other)], 0, self.den, self.order))
+        return self + (-other if isinstance(other, QSeries) else -Fraction(other))
 
     def __mul__(self, other) -> "QSeries":
         if not isinstance(other, QSeries):
             c = Fraction(other)
-            return QSeries(self.den, self.shift, tuple(x * c for x in self.coeffs), self.order)._trim()
+            return QSeries._of(self.den, ((e, x * c) for e, x in self.terms.items()), self.order)
         a, b = self._align(other)
         # exactness: a is exact below a.order, so products are exact below
         # min(a.order + val(b), b.order + val(a)); empty (zero) factors keep
         # the other side's order plus their own guarantee.
-        va = a.shift if a.coeffs else a.order
-        vb = b.shift if b.coeffs else b.order
+        va = next(iter(a.terms), a.order)
+        vb = next(iter(b.terms), b.order)
         order = min(a.order + vb, b.order + va)
-        if not a.coeffs or not b.coeffs:
-            return QSeries(a.den, 0, (), order)
-        lo = a.shift + b.shift
-        n = min(order - lo, len(a.coeffs) + len(b.coeffs) - 1)
-        if n <= 0:
-            return QSeries(a.den, 0, (), order)
-        cs = [Fraction(0)] * n
-        for i, ca in enumerate(a.coeffs):
-            if ca == 0:
-                continue
-            jmax = min(len(b.coeffs), n - i)
-            for j in range(jmax):
-                cb = b.coeffs[j]
-                if cb != 0:
-                    cs[i + j] += ca * cb
-        return QSeries(a.den, lo, tuple(cs), order)._trim()
+        acc: dict[int, Fraction] = {}
+        for ea, ca in a.terms.items():
+            for eb, cb in b.terms.items():
+                e = ea + eb
+                if e >= order:
+                    break
+                acc[e] = acc.get(e, 0) + ca * cb
+        return QSeries._of(a.den, acc.items(), order)
 
     def __rmul__(self, other):
         return self * other
 
     def truncated(self, order) -> "QSeries":
-        scaled = Fraction(order) * self.den
-        o = int(scaled) if scaled.denominator == 1 else math.floor(scaled) + 1
-        return QSeries(self.den, self.shift, self.coeffs, min(self.order, o))._trim()
+        o = math.ceil(Fraction(order) * self.den)
+        return QSeries._of(self.den, self.terms.items(), min(self.order, o))
 
     def same_series(self, other: "QSeries") -> bool:
         """Equal coefficients below the common truncation order."""
         a, b = self._align(other)
         order = min(a.order, b.order)
-        return a.truncated(Fraction(order, a.den)).coeffs_dict() == b.truncated(
-            Fraction(order, b.den)
-        ).coeffs_dict()
+        return QSeries._of(a.den, a.terms.items(), order) == QSeries._of(b.den, b.terms.items(), order)
 
     def coeffs_dict(self) -> dict[Fraction, Fraction]:
-        return {
-            Fraction(self.shift + i, self.den): c
-            for i, c in enumerate(self.coeffs)
-            if c != 0
-        }
+        return {Fraction(e, self.den): c for e, c in self.terms.items()}
 
     def to_json(self) -> dict:
         return {
             "exponent_den": self.den,
             "coeffs": [
-                [f"{self.shift + i}/{self.den}", f"{c.numerator}/{c.denominator}"]
-                for i, c in enumerate(self.coeffs)
-                if c != 0
+                [f"{e}/{self.den}", f"{c.numerator}/{c.denominator}"]
+                for e, c in self.terms.items()
             ],
             "order": f"{self.order}/{self.den}",
         }
 
     def __str__(self):
-        parts = []
-        for i, c in enumerate(self.coeffs):
-            if c == 0:
-                continue
-            e = Fraction(self.shift + i, self.den)
-            parts.append(f"{c}*q^{e}")
+        parts = [f"{c}*q^{Fraction(e, self.den)}" for e, c in self.terms.items()]
         return " + ".join(parts) if parts else "0"
 
 
@@ -377,12 +344,12 @@ def _divide_by_denominator(
     points = []
     for coords, series in numerator.terms.items():
         beta = tuple(-c for c in rs.weight_to_root(Weight(coords)))
-        for i, c in enumerate(series.coeffs):
-            t = (series.shift + i) * (den // series.den)
-            if c and t < 0:
+        f = den // series.den
+        for e, c in series.terms.items():
+            if e < 0:
                 raise QSeriesError("numerator has a term below q^0: lam is not a highest weight here")
-            if c and t <= top:
-                points.append((t, beta, int(c)))
+            if e * f <= top:
+                points.append((e * f, beta, int(c)))
     xs, s = _int_numerators([beta for _, beta, _ in points])
     keep_height = math.floor(s * depth)
     reach = keep_height + s * order * rs.highest_root.height
@@ -520,9 +487,8 @@ def kac_wakimoto_numerator(
     for x, terms in series.items():
         # drop e / scale has denominator scale / gcd(e, scale)
         dd = math.lcm(den, *(scale // math.gcd(e, scale) for e in terms))
-        at = {e * dd // scale: c for e, c in terms.items()}
-        cs = [at.get(t, 0) for t in range(min(at), max(at) + 1)]
-        num.terms[tuple(coords[c] for c in x)] = QSeries.make(cs, min(at), dd, (order + 1) * dd)
+        at = ((e * dd // scale, Fraction(c)) for e, c in terms.items())
+        num.terms[tuple(coords[c] for c in x)] = QSeries._of(dd, at, (order + 1) * dd)
     return num
 
 

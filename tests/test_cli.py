@@ -246,7 +246,11 @@ def test_smatrix_progress_goes_to_stderr(capsys):
     assert progress and progress[-1].endswith("192/192 Weyl elements")
 
 
-def test_bad_input_exits_cleanly(tmp_path, capsys):
+def test_bad_input_exits_cleanly(tmp_path, capsys, monkeypatch):
+    smatrix = tmp_path / "s.json"
+    assert main(["smatrix", "--variant", "integrable", "--type", "A1", "--level", "1",
+                 "--out", str(smatrix)]) == 0
+    no_dir = tmp_path / "missing"
     pairs = tmp_path / "pairs.json"
     pairs.write_text(json.dumps({"labels": [0, 1], "matrix": [[1, 0], [0, 1]]}))
     ragged = tmp_path / "ragged.json"
@@ -298,9 +302,13 @@ def test_bad_input_exits_cleanly(tmp_path, capsys):
         ["smatrix", "--variant", "nope", "--type", "A1"],
         ["roots"],
         ["roots", "--type", "A1", "--bogus"],
+        # output paths that cannot be opened
+        ["roots", "--type", "A1", "--out", str(no_dir / "x.json")],
+        ["fusion", "--from", str(smatrix), "--format", "csv", "--out", str(no_dir / "f.csv")],
     ]
     errors, codes = {}, {}
-    for argv in table:
+
+    def run(argv):
         rc = main(argv)
         codes[" ".join(argv)] = rc
         err = capsys.readouterr().err.strip().splitlines()
@@ -308,6 +316,11 @@ def test_bad_input_exits_cleanly(tmp_path, capsys):
         assert len(err) == 1, (argv, err)
         assert json.loads(err[0])["exit_code"] == rc
         errors[" ".join(argv)] = json.loads(err[0])["error"]
+
+    for argv in table:
+        run(argv)
+    monkeypatch.setenv("AFFW_OUT_DIR", str(no_dir))
+    run(["roots", "--type", "A1"])
     assert errors["char --type A1 --p 3 --q 0"] == "p and q must be positive integers"
     assert "vacuum must be a label index" in errors[f"fusion --from {bad_vacuum}"]
     assert all(rc == 2 for argv, rc in codes.items() if argv.startswith("smatrix"))
@@ -318,6 +331,9 @@ def test_bad_input_exits_cleanly(tmp_path, capsys):
     assert "invalid int value: 'abc'" in errors["char --type A1 --order abc"]
     assert "required: --type" in errors["roots"]
     assert "unrecognized arguments: --bogus" in errors["roots --type A1 --bogus"]
+    assert errors["roots --type A1"].startswith(f"cannot write {no_dir / 'roots_A1.json'}:")
+    assert codes[f"roots --type A1 --out {no_dir / 'x.json'}"] == 2
+    assert not no_dir.exists()
 
 
 @pytest.mark.parametrize("flag", ["--help", "--version"])

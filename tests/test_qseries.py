@@ -1,4 +1,5 @@
 import math
+import pickle
 import random
 import time
 from fractions import Fraction
@@ -79,6 +80,105 @@ def test_truncation_order_tracking():
     assert prod.order == 7                   # 4 + valuation 3
     with pytest.raises(QSeriesError):
         prod.coefficient(8)
+
+
+# A reference series is (coefficients, order): {Fraction exponent: Fraction}
+# without zeros, every exponent below the Fraction order.
+
+
+def _ref_of(coeffs, order):
+    return {e: c for e, c in coeffs.items() if c and e < order}, order
+
+
+def _ref_add(a, b):
+    acc = dict(a[0])
+    for e, c in b[0].items():
+        acc[e] = acc.get(e, 0) + c
+    return _ref_of(acc, min(a[1], b[1]))
+
+
+def _ref_mul(a, b):
+    va, vb = min(a[0], default=a[1]), min(b[0], default=b[1])
+    acc = {}
+    for ea, ca in a[0].items():
+        for eb, cb in b[0].items():
+            acc[ea + eb] = acc.get(ea + eb, 0) + ca * cb
+    return _ref_of(acc, min(a[1] + vb, b[1] + va))
+
+
+def _ref_scaled(a, x):
+    return _ref_of({e: c * x for e, c in a[0].items()}, a[1])
+
+
+def _random_pair(rng):
+    """A QSeries and its reference: mixed denominators, mostly-zero
+    coefficients, and truncation orders that may lie below the support."""
+    den = rng.choice([1, 2, 3, 6])
+    shift = rng.randint(-3, 6)
+    coeffs = [Fraction(rng.choice([0, 0, rng.randint(-3, 3)]), rng.randint(1, 3)) for _ in range(rng.randint(0, 7))]
+    order = rng.randint(shift - 2, shift + 10)
+    s = QSeries.make(coeffs, shift, den, order)
+    ref = _ref_of({Fraction(shift + i, den): c for i, c in enumerate(coeffs)}, Fraction(order, den))
+    return s, ref
+
+
+def _assert_matches(s, ref):
+    assert all(isinstance(c, Fraction) and c != 0 for c in s.terms.values())
+    assert all(e < s.order for e in s.terms)
+    assert list(s.terms) == sorted(s.terms)
+    assert s.coeffs_dict() == ref[0]
+    assert s.order_frac == ref[1]
+    assert s.valuation() == min(ref[0], default=None)
+    assert s.is_zero() == (not ref[0])
+
+
+def test_series_arithmetic_against_exponent_maps():
+    rng = random.Random(7)
+    for _ in range(300):
+        (a, ra), (b, rb) = _random_pair(rng), _random_pair(rng)
+        x = Fraction(rng.randint(-2, 2), rng.randint(1, 3))
+        zero = QSeries.zero(rng.randint(0, 8), rng.choice([1, 2]))
+        rzero = ({}, zero.order_frac)
+        _assert_matches(a, ra)
+        _assert_matches(a + b, _ref_add(ra, rb))
+        _assert_matches(a - b, _ref_add(ra, _ref_scaled(rb, -1)))
+        _assert_matches(a - a, _ref_of({}, ra[1]))
+        _assert_matches(a + a * -1, _ref_of({}, ra[1]))
+        _assert_matches(a + x, _ref_add(ra, ({0: x}, ra[1])))
+        _assert_matches(a - x, _ref_add(ra, ({0: -x}, ra[1])))
+        _assert_matches(a * b, _ref_mul(ra, rb))
+        _assert_matches(a * zero, _ref_mul(ra, rzero))
+        _assert_matches(zero * b, _ref_mul(rzero, rb))
+        _assert_matches(a * x, _ref_scaled(ra, x))
+        _assert_matches(x * a, _ref_scaled(ra, x))
+        for e in {*ra[0], Fraction(rng.randint(-4, 12), rng.choice([1, 2, 3, 6]))}:
+            if e * a.den % 1:
+                assert a.coefficient(e) == 0
+            elif e < ra[1]:
+                assert a.coefficient(e) == ra[0].get(e, 0)
+            else:
+                with pytest.raises(QSeriesError):
+                    a.coefficient(e)
+        below = min(ra[1], rb[1])
+        assert a.same_series(b) == (_ref_of(ra[0], below) == _ref_of(rb[0], below))
+        assert (a + b - b).same_series(a)
+        t = Fraction(rng.randint(-4, 12), rng.choice([1, 2, 3]))
+        _assert_matches(a.truncated(t), _ref_of(ra[0], min(ra[1], Fraction(math.ceil(t * a.den), a.den))))
+        assert a.truncated(t).same_series(a)
+
+
+def test_equal_series_hash_equal_and_pickle():
+    rng = random.Random(8)
+    for _ in range(50):
+        a, _ = _random_pair(rng)
+        b = QSeries.make([a.coefficient(e) for e in [Fraction(i, a.den) for i in range(-3, a.order)]], -3, a.den, a.order)
+        c = QSeries.make([1, -2, 3], -2, a.den, a.order)
+        for equal in (b, a + c - c):
+            assert equal == a and hash(equal) == hash(a)
+        c = pickle.loads(pickle.dumps(a))
+        assert c == a and hash(c) == hash(a) and list(c.terms) == list(a.terms)
+    assert QSeries.one(3) != QSeries.one(4)
+    assert QSeries.one(4) != QSeries.one(8, 2)
 
 
 # -- eta products and characters -----------------------------------------------
