@@ -228,13 +228,18 @@ def cmd_smatrix(args):
             probe = None
             if args.probe == "alt":
                 probe = modular.alternate_probe(rs)
+
+            def progress(seen, total):
+                print(f"subregular {rs.cartan_type} ({lv.p},{lv.q}): {seen}/{total} "
+                      "Weyl elements", file=sys.stderr, flush=True)
+
             sm = modular.subregular_S(
                 lv,
                 x_probe=probe,
                 checkpoint=args.checkpoint,
                 checkpoint_every=args.checkpoint_every,
                 workers=args.workers,
-                progress=True,
+                progress=progress,
             )
     except modular.SMatrixError as e:
         code = EXIT_TOLERANCE if e.residual is not None else EXIT_VALIDATION

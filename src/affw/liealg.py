@@ -510,40 +510,39 @@ class WeylBlock(NamedTuple):
     def parity(self) -> int:
         return -1 if self.depth % 2 else 1
 
+    @classmethod
+    def identity(cls, rank: int) -> "WeylBlock":
+        """The root of the walk: the identity, at rho."""
+        return cls(np.ones((1, rank), np.int64), np.eye(rank, dtype=np.int64)[None], 0)
+
 
 WEYL_BLOCK_ROWS = 256  # larger slices gain little speed and cost peak memory
 
 
 def weyl_blocks(
     rs: RootSystem,
-    start: Optional[WeylBlock] = None,
-    max_depth: Optional[int] = None,
+    stack: Optional[list[WeylBlock]] = None,
     rows: int = WEYL_BLOCK_ROWS,
 ) -> Iterator[WeylBlock]:
-    """Yield every element of the subtree below ``start`` exactly once, in blocks.
+    """Yield every element of the subtrees below ``stack`` exactly once, in blocks.
 
     The orbit tree of the (regular) Weyl vector: node v = w(rho) has child
     s_k(v) for exactly those k with v_k > 0 whose canonical parent rule
     (reflect at the first negative coordinate) points back through k.  The
-    children of a block under all simple reflections are computed together
-    and cut into slices of at most ``rows`` elements; slices are taken
-    depth-first, so at most ``rank`` pending slices per layer are held and
-    memory is bounded by ``rows * rank * (length of w0 + 1)`` elements, never
-    by the width of a layer.  ``start`` defaults to the identity (the whole
-    group); ``max_depth`` stops that many layers below it.  The order is
-    deterministic.
+    children of a block under all simple reflections are computed together,
+    cut into slices of at most ``rows`` elements and pushed onto ``stack``
+    (default: the identity, so the whole group) before the block is yielded;
+    slices are popped depth-first.  So between yields the subtrees below the
+    stack are exactly the elements not yet visited (a copy resumes the walk),
+    and it holds at most ``rank`` slices per layer: memory is bounded by ``rows
+    * rank * (length of w0 + 1)`` elements.  The order is deterministic.
     """
     a = np.array(rs.cartan_matrix, dtype=np.int64)
     n = rs.rank
-    if start is None:
-        start = WeylBlock(np.ones((1, n), np.int64), np.eye(n, dtype=np.int64)[None], 0)
-    last = None if max_depth is None else start.depth + max_depth
-    stack = [start]
+    if stack is None:
+        stack = [WeylBlock.identity(n)]
     while stack:
         blk = stack.pop()
-        yield blk
-        if blk.depth == last:
-            continue
         # u[b, k] = s_k(v_b); keep (b, k) when v_bk > 0 and the first
         # negative coordinate of u[b, k] is k (the canonical parent rule)
         u = blk.points[:, None, :] - blk.points[:, :, None] * a
@@ -553,6 +552,7 @@ def weyl_blocks(
         mats = m - a[k][:, :, None] * m[np.arange(len(b)), k][:, None, :]
         for s in reversed(range(0, len(b), rows)):
             stack.append(WeylBlock(points[s : s + rows], mats[s : s + rows], blk.depth + 1))
+        yield blk
 
 
 def weyl_stream(rs: RootSystem) -> Iterator[WeylElement]:

@@ -23,13 +23,14 @@ import copy
 import json
 import math
 import os
-import sys
+import threading
+import zipfile
 import zlib
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -56,7 +57,7 @@ __all__ = [
 ]
 
 NORMALIZATION_TOL = 1e-8
-CHECKPOINT_FORMAT = 2  # bump when the bucket or chunk layout changes
+CHECKPOINT_FORMAT = 3  # bump when the bucket or stack layout changes
 
 
 class SMatrixError(ValueError):
@@ -120,7 +121,6 @@ def _weight_ints(ws: Sequence[Weight]) -> np.ndarray:
 # -- batched Weyl sums ---------------------------------------------------------
 
 SLICE_TERMS = 1 << 18  # bucket increments per walker slice (bounds temporaries)
-CHUNK_DEPTH = 3  # subregular chunks: the layers above, then one subtree per node here
 
 
 class _Buckets:
@@ -171,7 +171,7 @@ class _Buckets:
             self.acc += hits.astype(np.int64).reshape(self.acc.shape)
 
     def fresh(self) -> "_Buckets":
-        """Empty buckets sharing these constants (a chunk's private table)."""
+        """Empty buckets sharing these constants (a worker's private table)."""
         twin = copy.copy(self)
         twin.acc = np.zeros_like(self.acc)
         return twin
@@ -182,16 +182,16 @@ class _Buckets:
         return vals if self.star is None else vals / self.w0
 
 
-def _walk(rs: RootSystem, sums: Sequence[_Buckets], **where) -> int:
-    """Feed every Weyl block below ``where`` (see :func:`weyl_blocks`) to ``sums``."""
-    terms = sum(s.slots.size for s in sums)
-    rows = max(1, min(WEYL_BLOCK_ROWS, SLICE_TERMS // terms))
-    seen = 0
-    for blk in weyl_blocks(rs, rows=rows, **where):
-        seen += len(blk.points)
+def _rows(sums: Sequence[_Buckets]) -> int:
+    """Walker slice size that keeps one slice's temporaries near SLICE_TERMS."""
+    return max(1, min(WEYL_BLOCK_ROWS, SLICE_TERMS // sum(s.slots.size for s in sums)))
+
+
+def _walk(rs: RootSystem, sums: Sequence[_Buckets]) -> None:
+    """Feed every Weyl block to ``sums``."""
+    for blk in weyl_blocks(rs, rows=_rows(sums)):
         for s in sums:
             s.add(blk)
-    return seen
 
 
 def _alternating_sum_matrix(
@@ -389,33 +389,27 @@ def degenerate_kernel(
     return complex(k[0, 0])
 
 
-def _chunks(rs: RootSystem) -> list[dict]:
-    """Split the walk: the layers above CHUNK_DEPTH, then each subtree rooted
-    at that depth.  Every group element lands in exactly one chunk."""
-    chunks = [{"max_depth": CHUNK_DEPTH - 1}]
-    for blk in weyl_blocks(rs, max_depth=CHUNK_DEPTH):
-        if blk.depth == CHUNK_DEPTH:
-            chunks += [
-                {"start": WeylBlock(blk.points[r : r + 1], blk.matrices[r : r + 1], blk.depth)}
-                for r in range(len(blk.points))
-            ]
-    return chunks
+def _stack_arrays(stack: list[WeylBlock], rank: int) -> dict:
+    """The pending blocks of a walk, one row per element.  A matrix entry is a
+    coefficient of a coroot on the simple coroots, |entry| <= 6: int8 holds it."""
+    blocks = [WeylBlock(np.empty((0, rank), np.int64), np.empty((0, rank, rank), np.int64), 0), *stack]
+    return {
+        "matrices": np.concatenate([b.matrices for b in blocks]).astype(np.int8),
+        "depth": np.concatenate([np.full(len(b.points), b.depth, np.int16) for b in blocks]),
+    }
 
 
-def _checkpoint_load(path: str, fingerprint: dict) -> dict:
+def _checkpoint_load(path: str, fingerprint: dict) -> list:
     try:
-        with np.load(path) as data:
-            state = {k: data[k] for k in data.files}
-        stored = json.loads(str(state.pop("fingerprint", "{}")))
-    except (OSError, ValueError) as e:
+        with open(path, "rb") as fh, np.load(fh) as data:
+            stored = json.loads(str(data["fingerprint"])) if "fingerprint" in data.files else {}
+            other = [key for key, want in fingerprint.items() if stored.get(key) != want]
+            if not other:
+                return [data[k] for k in ("kernel", "nu", "count", "matrices", "depth")]
+    except (OSError, ValueError, KeyError, zipfile.BadZipFile, zlib.error) as e:
         raise SMatrixError(f"checkpoint {path} is not a readable affw checkpoint: {e}")
-    for key, want in fingerprint.items():
-        if stored.get(key) != want:
-            raise SMatrixError(
-                f"checkpoint {path} belongs to another job: {key} is "
-                f"{stored.get(key)!r} there, {want!r} here"
-            )
-    return state
+    raise SMatrixError(f"checkpoint {path} belongs to another job: {other[0]} is "
+                       f"{stored.get(other[0])!r} there, {fingerprint[other[0]]!r} here")
 
 
 def _checkpoint_save(path: str, fingerprint: dict, **state) -> None:
@@ -432,7 +426,7 @@ def subregular_S(
     checkpoint: Optional[str] = None,
     checkpoint_every: int = 10_000_000,
     workers: int = 1,
-    progress: bool = False,
+    progress: Optional[Callable[[int, int], None]] = None,
 ) -> SMatrix:
     """Subregular S-matrix: degenerate kernel times the full-Weyl nu factor.
 
@@ -442,15 +436,16 @@ def subregular_S(
 
     One walk over W fills the integer buckets of both K and F; F is summed
     on the distinct nu only (a single global constant when p = h_check, as
-    for E8 at (30, 29)).  The walk is split into chunks that ``workers``
-    (at least 1) threads take in any order: the buckets are integers, so the
-    result does not depend on the order or the number of workers.  With
-    ``checkpoint`` (npz) the buckets and finished chunks are saved every
-    ``checkpoint_every`` elements and at the end, and a rerun of the same
-    job resumes from them; a checkpoint of any other job, one whose
-    directory does not exist, or a ``checkpoint_every`` below 1 is refused
-    before the walk starts.
-    ``progress`` reports the elements done out of |W| on stderr.
+    for E8 at (30, 29)).  ``workers`` (at least 1) threads take its blocks
+    into private integer buckets, so the result does not depend on their
+    order or number.  Every ``checkpoint_every`` elements the walk pauses
+    between blocks, merges the buckets, calls ``progress(done, |W|)`` and
+    saves the buckets and its pending stack to ``checkpoint`` (npz), where a
+    rerun of the same job resumes.  If a worker raises or the walk is
+    interrupted, every worker stops at its next block and the last
+    checkpoint stays valid.  A checkpoint of another job or an unreadable
+    one, one whose directory does not exist, or a ``checkpoint_every``
+    below 1 is refused before the walk starts.
     """
     if workers < 1:
         raise SMatrixError(f"workers must be a positive integer, not {workers}")
@@ -476,10 +471,7 @@ def subregular_S(
     f_nu = _Buckets(rs, nu_rows, nu_rows, Fraction(q, p))
     node = _star_wall(rs)
 
-    # one chunk (the whole group) unless the walk is shared or saved
-    chunks = _chunks(rs) if checkpoint or workers > 1 else [{}]
-    done = np.zeros(len(chunks), dtype=bool)
-    seen = 0
+    seen, stack = 0, [WeylBlock.identity(rs.rank)]
     fingerprint = {
         "format": CHECKPOINT_FORMAT,
         "type": str(rs.cartan_type),
@@ -489,41 +481,48 @@ def subregular_S(
         "alpha_star_node": node,
         "den": [kern.den, f_nu.den],
         "labels": zlib.crc32(repr([(l.nu.coords, l.eta.coords, l.wall_id) for l in labels]).encode()),
-        "chunks": len(chunks),
     }
     if checkpoint and os.path.exists(checkpoint):
-        state = _checkpoint_load(checkpoint, fingerprint)
-        kern.acc, f_nu.acc, done = state["kernel"], state["nu"], state["done"]
-        seen = int(state["count"])
+        kern.acc, f_nu.acc, count, mats, depth = _checkpoint_load(checkpoint, fingerprint)
+        # one block per depth, as each depth is one block's children; w(rho) = row sums
+        mats = mats.astype(np.int64)
+        stack = [WeylBlock(mats[depth == d].sum(axis=2), mats[depth == d], int(d)) for d in np.unique(depth)]
+        seen = int(count)
+    blocks = weyl_blocks(rs, stack, _rows([kern, f_nu]))
+    lock, halt = threading.Lock(), threading.Event()
 
-    def save():
-        _checkpoint_save(checkpoint, fingerprint, kernel=kern.acc, nu=f_nu.acc, done=done, count=seen)
-
-    def walk_chunk(where):
+    def work(until):
+        nonlocal seen
         part = [kern.fresh(), f_nu.fresh()]
-        return part, _walk(rs, part, **where)
+        try:
+            while not halt.is_set():
+                with lock:
+                    if seen >= until or not stack:
+                        break
+                    blk = next(blocks)
+                    seen += len(blk.points)
+                for s in part:
+                    s.add(blk)
+        except BaseException:
+            halt.set()  # the other workers stop at their next block
+            raise
+        return part
 
-    since = 0
-    todo = np.flatnonzero(~done)
     pool = ThreadPoolExecutor(workers)
     try:
-        # results merge in chunk order, so a checkpoint is the same whatever the timing
-        for c, (parts, n) in zip(todo, pool.map(walk_chunk, [chunks[c] for c in todo])):
-            kern.acc += parts[0].acc
-            f_nu.acc += parts[1].acc
-            done[c] = True
-            seen += n
-            since += n
-            if checkpoint and since >= checkpoint_every:
-                save()
-                since = 0
+        while stack:
+            until = seen + checkpoint_every  # one pause for all workers: saves do not depend on them
+            for f in [pool.submit(work, until) for _ in range(workers)]:
+                for total, part in zip((kern, f_nu), f.result()):
+                    total.acc += part.acc
+            if checkpoint:
+                _checkpoint_save(checkpoint, fingerprint, kernel=kern.acc, nu=f_nu.acc,
+                                 count=seen, **_stack_arrays(stack, rs.rank))
             if progress:
-                print(f"subregular {rs.cartan_type} ({p},{q}): {seen}/{rs.weyl_order} "
-                      "Weyl elements", file=sys.stderr, flush=True)
+                progress(seen, rs.weyl_order)
     finally:
-        pool.shutdown(cancel_futures=True)  # an error or interrupt drops the chunks not started
-    if checkpoint:
-        save()
+        halt.set()
+        pool.shutdown()
 
     k = kern.value()
     f = f_nu.value()[np.ix_(nu_of, nu_of)]

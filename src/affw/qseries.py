@@ -138,6 +138,9 @@ class QSeries:
     def __sub__(self, other) -> "QSeries":
         return self + (-other if isinstance(other, QSeries) else -Fraction(other))
 
+    def __rsub__(self, other) -> "QSeries":
+        return -self + other
+
     def __mul__(self, other) -> "QSeries":
         if not isinstance(other, QSeries):
             c = Fraction(other)

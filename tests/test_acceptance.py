@@ -128,7 +128,7 @@ def test_criterion_7_stretch_e8_full():
     sm = modular.subregular_S_streamed(
         lv,
         checkpoint=os.environ.get("AFFW_E8_CHECKPOINT", "e8_checkpoint.npz"),
-        progress=True,
+        progress=lambda seen, total: print(f"{seen}/{total} Weyl elements", flush=True),
     )
     assert sm.size == 44
     assert sm.unitarity_residual() < 1e-7

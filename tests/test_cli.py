@@ -257,6 +257,11 @@ def test_bad_input_exits_cleanly(tmp_path, capsys, monkeypatch):
     ragged.write_text(json.dumps({"labels": [0, 1], "matrix": [[[1, 0], [0, 0]], [[0, 0]]]}))
     garbage = tmp_path / "garbage.json"
     garbage.write_text("not json")
+    truncated = tmp_path / "truncated.npz"
+    assert main(["smatrix", "--variant", "subregular", "--type", "D4", "--p", "7", "--q", "4",
+                 "--checkpoint", str(truncated), "--out", str(tmp_path / "d4.json")]) == 0
+    truncated.write_bytes(truncated.read_bytes()[:200])
+    capsys.readouterr()
     bad_vacuum = tmp_path / "bad_vacuum.json"
     bad_vacuum.write_text(json.dumps({"labels": [0, 1], "matrix": [[[1, 0], [0, 0]], [[0, 0], [1, 0]]],
                                       "vacuum": 2}))
@@ -282,6 +287,8 @@ def test_bad_input_exits_cleanly(tmp_path, capsys, monkeypatch):
         ["smatrix", "--variant", "principal", "--type", "B2", "--p", "5", "--q", "2"],
         ["smatrix", "--variant", "subregular", "--type", "D4", "--p", "7", "--q", "4",
          "--checkpoint", str(tmp_path / "missing" / "x.npz")],
+        ["smatrix", "--variant", "subregular", "--type", "D4", "--p", "7", "--q", "4",
+         "--checkpoint", str(truncated)],
         ["smatrix", "--variant", "subregular", "--type", "D4", "--p", "7", "--q", "4", "--workers", "0"],
         ["smatrix", "--variant", "subregular", "--type", "D4", "--p", "7", "--q", "4", "--workers", "-3"],
         ["smatrix", "--variant", "subregular", "--type", "D4", "--p", "7", "--q", "4",

@@ -228,22 +228,20 @@ def test_weyl_blocks_e7_count_and_parity():
 
 
 def test_weyl_blocks_subtrees_partition_the_group():
-    """The top layers plus the subtrees below one depth cover W exactly once."""
+    """Between yields the stack holds exactly the unvisited subtrees: the
+    prefix walked so far plus a walk resumed from a copy of it cover W once."""
     rs = build_root_system(CartanType.parse("D5"))
-    top = list(weyl_blocks(rs, max_depth=3))
-    pieces = [b.matrices for b in top if b.depth < 3]
-    for b in top:
-        assert b.depth <= 3
-        if b.depth == 3:
-            for r in range(len(b.points)):
-                start = WeylBlock(b.points[r : r + 1], b.matrices[r : r + 1], 3)
-                pieces += [s.matrices for s in weyl_blocks(rs, start=start, rows=7)]
-    mats = np.concatenate(pieces)
-    assert len(mats) == rs.weyl_order
-    assert len({m.tobytes() for m in mats}) == rs.weyl_order
-    assert {m.tobytes() for m in mats} == {
-        np.array(w.matrix, dtype=np.int64).tobytes() for w in weyl_stream(rs)
-    }
+    group = {np.array(w.matrix, dtype=np.int64).tobytes() for w in weyl_stream(rs)}
+    for k in (1, 2, 5, 40, 150):
+        stack = [WeylBlock.identity(rs.rank)]
+        walk = weyl_blocks(rs, stack, rows=7)
+        prefix = [next(walk).matrices for _ in range(k)]
+        rest = [b.matrices for b in weyl_blocks(rs, list(stack), rows=7)]
+        mats = np.concatenate(prefix + rest)
+        assert len(mats) == rs.weyl_order
+        assert {m.tobytes() for m in mats} == group
+        # the original walk is untouched by the resumed copy
+        assert sum(len(b.points) for b in walk) + sum(len(m) for m in prefix) == rs.weyl_order
 
 
 def test_reflection_involution_and_sign_multiplicativity():

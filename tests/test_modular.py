@@ -1,3 +1,4 @@
+import json
 import math
 import os
 import sys
@@ -387,30 +388,93 @@ def test_streamed_kernel_checkpoint_resume(tmp_path):
     assert np.abs(k1 - k2).max() == 0
 
 
-def test_checkpoint_resumes_an_interrupted_walk(tmp_path, monkeypatch):
+@pytest.mark.parametrize("workers", [1, 2])
+def test_checkpoint_resumes_an_interrupted_walk(tmp_path, monkeypatch, workers):
     import affw.modular as modular
 
     rs = build_root_system(CartanType.parse("D4"))
     lv = make_admissible_level(rs, 7, 5)
     fresh = subregular_S(lv)
     ck = str(tmp_path / "ck.npz")
-    walk, calls = modular._walk, []
+    add, calls = modular._Buckets.add, []
 
-    def dies_after_three_chunks(*args, **kw):
+    def dies_after_ten_blocks(self, blk):
         calls.append(1)
-        if len(calls) > 3:
+        if len(calls) > 20:  # two bucket tables per block
             raise KeyboardInterrupt
-        return walk(*args, **kw)
+        add(self, blk)
 
-    monkeypatch.setattr(modular, "_walk", dies_after_three_chunks)
+    monkeypatch.setattr(modular._Buckets, "add", dies_after_ten_blocks)
     with pytest.raises(KeyboardInterrupt):
-        subregular_S(lv, checkpoint=ck, checkpoint_every=1)
-    monkeypatch.setattr(modular, "_walk", walk)
-    assert int(np.load(ck)["done"].sum()) == 3
+        subregular_S(lv, checkpoint=ck, checkpoint_every=16, workers=workers)
+    monkeypatch.setattr(modular._Buckets, "add", add)
+    assert 0 < int(np.load(ck)["count"]) < rs.weyl_order
     resumed = subregular_S(lv, checkpoint=ck)
     assert np.array_equal(resumed.entries, fresh.entries)
     assert resumed.provenance["weyl_elements"] == rs.weyl_order
     assert not os.path.exists(ck + ".tmp")
+
+
+def test_a_failing_worker_stops_the_others(monkeypatch):
+    import threading
+
+    import affw.modular as modular
+
+    lv = make_admissible_level(build_root_system(CartanType.parse("D6")), 11, 8)
+    add, calls, first, failed = modular._Buckets.add, [], [], []
+
+    def fails_off_the_first_thread(self, blk):
+        calls.append(1)
+        first[:] = first or [threading.get_ident()]
+        if threading.get_ident() != first[0]:
+            failed[:] = failed or [len(calls)]
+            raise RuntimeError("a worker failed")
+        add(self, blk)
+
+    monkeypatch.setattr(modular._Buckets, "add", fails_off_the_first_thread)
+    # switching as often as the interpreter allows, so the second thread takes blocks early
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with pytest.raises(RuntimeError, match="a worker failed"):
+            subregular_S(lv, workers=2)
+    finally:
+        sys.setswitchinterval(interval)
+    # the first thread finishes at most the block it holds (two bucket tables)
+    # instead of walking the rest of W(D6), over 200 blocks
+    assert len(calls) - failed[0] <= 2
+
+
+def test_checkpoints_do_not_depend_on_workers(tmp_path):
+    rs = build_root_system(CartanType.parse("D5"))
+    lv = make_admissible_level(rs, 9, 7)
+    pauses, saved = {}, {}
+    # switching as often as the interpreter allows, so that workers start
+    # taking blocks while the others are still being handed the pause
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for workers in (1, 2, 5):
+            pauses[workers] = []
+
+            def pause(seen, total):
+                pauses[workers].append(seen)
+                if seen >= 1000:
+                    raise KeyboardInterrupt
+
+            ck = str(tmp_path / f"ck{workers}.npz")
+            with pytest.raises(KeyboardInterrupt):
+                subregular_S(lv, checkpoint=ck, checkpoint_every=50, workers=workers, progress=pause)
+            with np.load(ck) as data:
+                saved[workers] = {k: data[k] for k in data.files}
+    finally:
+        sys.setswitchinterval(interval)
+    assert 0 < int(saved[1]["count"]) < rs.weyl_order and len(saved[1]["depth"]) > 0
+    for workers in (2, 5):
+        assert pauses[workers] == pauses[1]
+        assert saved[workers].keys() == saved[1].keys()
+        for k in saved[1]:
+            assert np.array_equal(saved[workers][k], saved[1][k]), (workers, k)
 
 
 def test_checkpoint_of_another_job_is_refused(tmp_path):
@@ -426,6 +490,21 @@ def test_checkpoint_of_another_job_is_refused(tmp_path):
     np.savez_compressed(ck, acc=np.zeros((6, 6, 8), dtype=np.int64), done=np.ones(30, bool), count=192)
     with pytest.raises(SMatrixError, match="format is None there"):
         subregular_S(make_admissible_level(rs, 7, 4), checkpoint=ck)
+
+
+def test_checkpoint_of_the_chunked_walk_is_refused(tmp_path):
+    """A format-2 checkpoint (buckets and a mask of finished subtree chunks)."""
+    rs = build_root_system(CartanType.parse("D4"))
+    lv = make_admissible_level(rs, 7, 4)
+    ck = str(tmp_path / "ck.npz")
+    subregular_S(lv, checkpoint=ck)
+    with np.load(ck) as data:
+        state = {k: data[k] for k in ("kernel", "nu", "count")}
+        fingerprint = {**json.loads(str(data["fingerprint"])), "format": 2, "chunks": 31}
+    np.savez_compressed(ck, fingerprint=json.dumps(fingerprint, sort_keys=True),
+                        done=np.ones(31, bool), **state)
+    with pytest.raises(SMatrixError, match="format is 2 there, 3 here"):
+        subregular_S(lv, checkpoint=ck)
 
 
 def test_normalization_failure_raises():

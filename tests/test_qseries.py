@@ -146,6 +146,7 @@ def test_series_arithmetic_against_exponent_maps():
         _assert_matches(a + a * -1, _ref_of({}, ra[1]))
         _assert_matches(a + x, _ref_add(ra, ({0: x}, ra[1])))
         _assert_matches(a - x, _ref_add(ra, ({0: -x}, ra[1])))
+        _assert_matches(x - a, _ref_add(_ref_scaled(ra, -1), ({0: x}, ra[1])))
         _assert_matches(a * b, _ref_mul(ra, rb))
         _assert_matches(a * zero, _ref_mul(ra, rzero))
         _assert_matches(zero * b, _ref_mul(rzero, rb))
