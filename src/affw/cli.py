@@ -267,6 +267,8 @@ def _read_smatrix(path) -> modular.SMatrix:
         m = np.array([[complex(re, im) for re, im in row] for row in data["matrix"]])
         if m.ndim != 2 or m.shape[0] != m.shape[1] or len(data["labels"]) != m.shape[0]:
             raise ValueError("matrix must be square with one row per label")
+        if not np.isfinite(m).all():
+            raise ValueError("matrix entries must be finite, not NaN or infinite")
         vacuum = data.get("vacuum")
         if vacuum is not None and (type(vacuum) is not int or not 0 <= vacuum < m.shape[0]):
             raise ValueError(f"vacuum must be a label index, not {vacuum!r}")

@@ -18,6 +18,7 @@ __all__ = ["FusionTable", "FusionError", "find_vacuum", "verlinde", "fusion_ring
 
 INTEGRALITY_TOL = 1e-6
 PERMUTATION_TOL = 1e-9  # how far charge_conjugation lets S^2 stray from a permutation
+ZERO_TOL = 1e-12  # an S-matrix entry this small counts as zero: its row cannot be the vacuum
 
 
 class FusionError(ValueError):
@@ -45,29 +46,47 @@ class FusionTable:
             raise FusionError("N_{v a}^b != delta_a^b")
         if not np.array_equal(n, n.transpose(1, 0, 2)):
             raise FusionError("fusion coefficients not symmetric in (a, b)")
-        # sum_e N_ab^e N_ec^d == sum_e N_bc^e N_ae^d, one a at a time in
-        # float64 BLAS: exact while every partial sum (an integer of at most
-        # size * max^2) stays below 2^53.
+        # With (M_a)_{b,e} = N_ab^e and the symmetry above, associativity
+        # sum_e N_ab^e N_ec^d == sum_e N_bc^e N_ae^d is M_a M_c == M_c M_a:
+        # one a at a time against every c > a, as stacked BLAS products.
+        # Exact while every partial sum (an integer of at most size * max^2)
+        # is representable: float32 below 2^24, float64 below 2^53.
         top = int(np.abs(n).max(initial=0))
-        if size * top * top >= 2**53:
-            raise FusionError(
-                f"associativity check not exact in float64: n * max^2 = "
-                f"{size} * {top}^2 >= 2^53"
-            )
-        f = n.astype(np.float64)
-        rows, cols = f.reshape(size * size, size), f.reshape(size, size * size)
-        for a in range(size):
-            if not np.array_equal((f[a] @ cols).ravel(), (rows @ f[a]).ravel()):
+        f = n.astype(_exact_float(size, top))
+        for a in range(size - 1):
+            if not np.array_equal(f[a] @ f[a + 1:], f[a + 1:] @ f[a]):
                 raise FusionError("fusion coefficients are not associative")
 
 
-def _verlinde_raw(s: np.ndarray, vacuum: int) -> np.ndarray:
-    """N_{ab}^c = sum_j S_aj S_bj conj(S_cj) / S_vj, as one (n^2 x n) @ (n x n) product."""
+def _exact_float(size: int, top: int) -> type:
+    """The narrowest float type holding every integer up to ``size * top^2`` exactly."""
+    bound = size * top * top
+    if bound < 2**24:
+        return np.float32
+    if bound < 2**53:
+        return np.float64
+    raise FusionError(
+        f"associativity check not exact in float64: n * max^2 = "
+        f"{size} * {top}^2 >= 2^53"
+    )
+
+
+def _pairs(s: np.ndarray) -> np.ndarray:
+    """pairs[j, (b, c)] = S_bj conj(S_cj), an n x n^2 matrix."""
     n = s.shape[0]
-    with np.errstate(divide="raise", invalid="raise"):
-        inv = 1.0 / s[vacuum]
-    x = s[:, None, :] * (s * inv)[None, :, :]
-    return (x.reshape(n * n, n) @ s.conj().T).reshape(n, n, n)
+    return (s.T[:, :, None] * s.conj().T[:, None, :]).reshape(n, n * n)
+
+
+def _verlinde_raw(s: np.ndarray, vacuum: int, pairs: Optional[np.ndarray] = None) -> np.ndarray:
+    """N_{ab}^c = sum_j (S_aj / S_vj) S_bj conj(S_cj), as one (n x n) @ (n x n^2) product.
+
+    ``pairs`` is :func:`_pairs` of ``s``, built here when not passed in; the
+    row ``s[vacuum]`` must have no zero entry.
+    """
+    n = s.shape[0]
+    if pairs is None:
+        pairs = _pairs(s)
+    return ((s / s[vacuum]) @ pairs).reshape(n, n, n)
 
 
 def _integral_nonnegative(raw: np.ndarray) -> bool:
@@ -81,22 +100,23 @@ def _integral_nonnegative(raw: np.ndarray) -> bool:
 def _candidate_vacua(s: np.ndarray) -> tuple[list[int], Optional[np.ndarray]]:
     """Rows v against which Verlinde gives non-negative integers, and a tensor.
 
-    The a = 0 slice N_{0b}^c(v) = sum_j (S_0j / S_vj) S_bj conj(S_cj) of every
-    row comes from one (n x n) @ (n x n^2) product; only the rows that pass
-    it get the full tensor test.  Those are tested last row first and each
-    tensor is dropped before the next is built, so at most one n^3 tensor is
-    alive: the one returned, which is the first candidate's (None when the
-    last row tested failed).
+    Every tensor is :func:`_verlinde_raw` on one shared ``pairs`` matrix.
+    The a = 0 slices N_{0b}^c(v) = sum_j (S_0j / S_vj) S_bj conj(S_cj) of all
+    rows come from one (rows x n) @ (n x n^2) product; only the rows that
+    pass them get the full tensor test.  Those are tested last row first and
+    each tensor is dropped before the next is built, so at most one n^3
+    tensor is alive: the one returned, which is the first candidate's (None
+    when the last row tested failed).
     """
     n = s.shape[0]
-    rows = np.flatnonzero(np.abs(s).min(axis=1) >= 1e-12)
-    pairs = (s.T[:, :, None] * s.conj().T[:, None, :]).reshape(n, n * n)
+    rows = np.flatnonzero(np.abs(s).min(axis=1) >= ZERO_TOL)
+    pairs = _pairs(s)
     slices = ((s[0] / s[rows]) @ pairs).reshape(len(rows), n, n)
     cands, first = [], None
     for v, slice0 in zip(rows[::-1], slices[::-1]):
         if _integral_nonnegative(slice0):
             first = raw = None  # free the last tensor before building the next
-            raw = _verlinde_raw(s, v)
+            raw = _verlinde_raw(s, v, pairs)
             if _integral_nonnegative(raw):
                 cands.insert(0, int(v))
                 first = raw
@@ -141,9 +161,18 @@ def find_vacuum(s: SMatrix) -> int:
 
 
 def verlinde(s: SMatrix, vacuum: Optional[int] = None) -> FusionTable:
+    """The fusion table of ``s`` against ``vacuum`` (:func:`find_vacuum` when None).
+
+    A ``vacuum`` that is not an index in ``range(n)``, or whose row has a zero
+    entry, is a :class:`FusionError`.
+    """
     raw = None
     if vacuum is None:
         vacuum, raw = _find_vacuum(s)
+    elif not (isinstance(vacuum, (int, np.integer)) and 0 <= vacuum < s.size):
+        raise FusionError(f"vacuum must be a label index in range({s.size}), not {vacuum!r}")
+    elif np.abs(s.entries[vacuum]).min() < ZERO_TOL:
+        raise FusionError(f"vacuum row {vacuum} has a zero entry")
     if raw is None:
         raw = _verlinde_raw(s.entries, vacuum)
     rounded = np.round(raw.real)

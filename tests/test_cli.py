@@ -265,6 +265,12 @@ def test_bad_input_exits_cleanly(tmp_path, capsys, monkeypatch):
     bad_vacuum = tmp_path / "bad_vacuum.json"
     bad_vacuum.write_text(json.dumps({"labels": [0, 1], "matrix": [[[1, 0], [0, 0]], [[0, 0], [1, 0]]],
                                       "vacuum": 2}))
+    s_data = json.loads(smatrix.read_text())
+    non_finite = {}
+    for name, x in [("inf", float("inf")), ("nan", float("nan"))]:
+        s_data["matrix"][0][1] = [x, 0.0]
+        non_finite[name] = tmp_path / f"{name}.json"
+        non_finite[name].write_text(json.dumps(s_data))
     table = [
         ["smatrix", "--variant", "principal", "--type", "A1", "--p", "3"],
         ["smatrix", "--variant", "subregular", "--type", "D4", "--q", "5"],
@@ -274,6 +280,8 @@ def test_bad_input_exits_cleanly(tmp_path, capsys, monkeypatch):
         ["fusion", "--from", str(garbage)],
         ["fusion", "--from", str(tmp_path / "missing.json")],
         ["fusion", "--from", str(bad_vacuum)],
+        ["fusion", "--from", str(non_finite["inf"])],
+        ["fusion", "--from", str(non_finite["nan"])],
         ["char", "--type", "A1", "--level", "abc"],
         ["char", "--type", "A1", "--level", "1", "--y-spec", "x"],
         ["char", "--type", "A2", "--level", "1", "--order", "2", "--y-spec", "1/2,0"],
@@ -330,6 +338,9 @@ def test_bad_input_exits_cleanly(tmp_path, capsys, monkeypatch):
     run(["roots", "--type", "A1"])
     assert errors["char --type A1 --p 3 --q 0"] == "p and q must be positive integers"
     assert "vacuum must be a label index" in errors[f"fusion --from {bad_vacuum}"]
+    for path in non_finite.values():
+        assert codes[f"fusion --from {path}"] == 2
+        assert "must be finite" in errors[f"fusion --from {path}"]
     assert all(rc == 2 for argv, rc in codes.items() if argv.startswith("smatrix"))
     assert "empty principal label set" in errors["smatrix --variant principal --type B2 --p 5 --q 2"]
     assert errors[f"smatrix --variant integrable --type A1 --level 1 --checkpoint {tmp_path / 'x.npz'}"] \

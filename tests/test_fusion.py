@@ -6,6 +6,7 @@ from affw.fusion import (
     FusionError,
     FusionTable,
     _candidate_vacua,
+    _exact_float,
     _verlinde_raw,
     charge_conjugation,
     find_vacuum,
@@ -157,7 +158,8 @@ def test_verlinde_rejects_nonunitary():
         find_vacuum(s)
 
 
-@pytest.mark.parametrize("case", ["KP A2 k=6", "KP A3 k=2", "FKW A2 (7,4)", "subregular D4 (9,4)"])
+@pytest.mark.parametrize("case", ["KP A2 k=6", "KP A2 k=9", "KP A3 k=2", "FKW A1 (11,10)",
+                                  "FKW A2 (7,4)", "subregular D4 (9,4)"])
 def test_blas_kernels_match_einsum_oracle(case):
     kind, cartan, arg = case.split(" ", 2)
     rs = build_root_system(CartanType.parse(cartan))
@@ -211,3 +213,73 @@ def test_check_axioms_refuses_tables_past_the_float64_bound():
     table(2**25).check_axioms()
     with pytest.raises(FusionError, match=r"2\^53"):
         table(2**26).check_axioms()
+
+
+def _random_table(rng, size):
+    """Symmetric, unital, entries 0-3, most of them 0."""
+    n = np.zeros((size, size, size), dtype=np.int64)
+    for a in range(1, size):
+        for b in range(a, size):
+            n[a, b] = n[b, a] = rng.integers(0, 4, size) * (rng.random(size) < 0.3)
+    n[0], n[:, 0] = np.eye(size, dtype=np.int64), np.eye(size, dtype=np.int64)
+    return n
+
+
+def _kron(n1, n2):
+    """The product ring: labels (a1, a2), unit (0, 0)."""
+    s1, s2 = n1.shape[0], n2.shape[0]
+    return np.einsum("abc,def->adbecf", n1, n2).reshape(s1 * s2, s1 * s2, s1 * s2)
+
+
+def test_check_axioms_matches_einsum_oracle_on_random_tables():
+    rng = np.random.default_rng(14)
+    seen = set()
+    for _ in range(150):
+        n = _random_table(rng, int(rng.integers(2, 6)))
+        if rng.random() < 0.3:
+            n = _kron(n, _random_table(rng, int(rng.integers(2, 4))))
+        associative = is_associative_einsum(n)
+        seen.add((n.shape[0] > 2, associative))
+        if associative:
+            _table(n).check_axioms()
+        else:
+            with pytest.raises(FusionError, match="not associative"):
+                _table(n).check_axioms()
+    assert seen == {(False, True), (True, True), (True, False)}
+
+
+def test_check_axioms_float32_float64_boundary():
+    # every partial sum is an integer of at most size * max^2: float32 holds
+    # it exactly below 2^24, float64 below 2^53
+    assert _exact_float(2, 2896) is np.float32  # 2 * 2896^2 < 2^24
+    assert _exact_float(2, 2897) is np.float64  # 2 * 2897^2 >= 2^24
+    e = np.eye(2, dtype=np.int64)
+    for m in (2896, 2897):
+        n = np.zeros((2, 2, 2), dtype=np.int64)
+        n[0], n[:, 0] = e, e
+        n[1, 1, 1] = m  # x x = m x
+        assert is_associative_einsum(n)
+        _table(n).check_axioms()
+    # the non-associative table above with its products scaled by m:
+    # x x = m y, x y = m 1, y y = m y, so (x x) y = m^2 y but x (x y) = m x;
+    # 3 m^2 < 2^24 iff m <= 2364
+    e = np.eye(3, dtype=np.int64)
+    for m, dtype in ((2364, np.float32), (2365, np.float64)):
+        assert _exact_float(3, m) is dtype
+        n = np.zeros((3, 3, 3), dtype=np.int64)
+        n[0], n[:, 0] = e, e
+        n[1, 1], n[1, 2], n[2, 1], n[2, 2] = m * e[2], m * e[0], m * e[0], m * e[2]
+        assert not is_associative_einsum(n)
+        with pytest.raises(FusionError, match="not associative"):
+            _table(n).check_axioms()
+
+
+def test_verlinde_refuses_a_bad_vacuum():
+    sm = SMatrix(["0", "1"], np.array([[1, 1], [1, -1]]) / np.sqrt(2), "unitary", {})
+    for vacuum in (5, 2, -1, 0.0, "0"):
+        with pytest.raises(FusionError, match=r"label index in range\(2\)"):
+            verlinde(sm, vacuum)
+    assert verlinde(sm, np.int64(0)).vacuum == 0
+    zero = SMatrix(["0", "1"], np.array([[0, 1], [1, 0]], dtype=complex), "unitary", {})
+    with pytest.raises(FusionError, match="vacuum row 1 has a zero entry"):
+        verlinde(zero, 1)
