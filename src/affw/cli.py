@@ -327,11 +327,13 @@ def cmd_ope(args):
             "central_charge": str(rep.central_charge),
         }
     elif args.preset == "sugawara":
+        if args.rank is not None and args.type is not None:
+            raise CliError("give --rank or --type, not both", EXIT_VALIDATION)
         if args.rank is not None:
             if args.rank < 1:
                 raise CliError("--rank must be a positive integer", EXIT_VALIDATION)
             n = args.rank + 1
-        elif getattr(args, "type", None):
+        elif args.type is not None:
             ct = _root_system(args).cartan_type
             if ct.family != "A":
                 raise CliError("sugawara preset supports type A only", EXIT_UNSUPPORTED)
@@ -438,6 +440,10 @@ def cmd_verify(args):
         L = alg.normal_product(h, h).scaled(F(1, 2))
         rep = opecalc.virasoro_test(alg, L)
         assert rep.ok and sympy.cancel(rep.central_charge - 1) == 0
+        alg3, L3 = opecalc.sugawara_sl(3)
+        rep = opecalc.virasoro_test(alg3, L3)
+        k = alg3.param("k")
+        assert rep.ok and sympy.cancel(rep.central_charge - 8 * k / (k + 3)) == 0
         algq, q = opecalc.brst_charge_sl2()
         assert opecalc.brst_nilpotency_abelian(algq, q)["nilpotent"]
 

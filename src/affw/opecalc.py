@@ -10,20 +10,28 @@ bracket that would need a deeper normally ordered intermediate raises
 
 Scalars are rational functions over Q in the algebra's declared parameters.
 Each :class:`ConformalAlgebra` holds one ``sympy.polys.fields.FracField``,
-``K``, over those parameters, and every coefficient inside a :class:`Field`
-is an element of ``K``.  ``K`` keeps each element as a reduced p/q, so a
-coefficient is zero exactly when it is falsy and zero tests need no
-simplification pass.  The public edges speak sympy:
+``K``, over those parameters and its polynomial ring ``ring`` = QQ[params].
+A :class:`Field` is one content scalar in ``K`` times terms whose
+coefficients are polynomials in ``ring``, so multiplying two fields
+multiplies their two contents once and their term polynomials without any
+gcd.  Adding two fields with equal contents (the common case inside one
+bracket) adds the polynomials; different contents are brought to one common
+content once per sum, not once per coefficient.  A bracket multiplies the
+contents of its two arguments once, at the end; the Sugawara vector keeps
+its prefactor 1/(2(k + h^vee)) as its content.  ``K`` stays at the edges:
+:meth:`ConformalAlgebra.scalar` accepts and validates any element of
+Q(params), and ``Field.scaled`` and :func:`register_algebra` tables go
+through it.  A polynomial over Q is zero exactly when it is falsy, so zero
+tests need no simplification pass.  The public edges speak sympy:
 :meth:`ConformalAlgebra.param` returns the ``Symbol``,
 :attr:`VirasoroReport.central_charge` is an ``Expr``, and printed fields use
-``sympy.sstr`` of ``sympy.cancel`` of the coefficient (``K`` does not fix the
-sign of p and q, ``cancel`` does).  No floating point enters anywhere in this
-module.
+``sympy.sstr`` of ``sympy.cancel`` of content times term.  No floating point
+enters anywhere in this module.
 
 Two invariants hold everywhere, each kept in one place:
 
 * **Zero-free containers.**  ``Field._add`` and ``LambdaPolynomial.add`` drop
-  an entry whose sum cancels, so no :class:`Field` stores a zero coefficient
+  an entry whose sum cancels, so no :class:`Field` stores a zero polynomial
   and no :class:`LambdaPolynomial` stores an empty field; zero is the empty
   container.
 * **One skew rule, one complete table.**  ``_skew`` is the only place that
@@ -31,9 +39,12 @@ Two invariants hold everywhere, each kept in one place:
   :meth:`ConformalAlgebra.finalize` the bracket table holds every ordered
   pair of generators, so a lookup is one dictionary read.
 
-On a 2-vCPU KVM guest (Python 3.11, sympy 1.14) the Sugawara Virasoro test,
-affine algebra build included, takes 0.014 s for sl_2, 0.09 s for sl_3 and
-0.28 s for sl_4 (medians of repeated calls in one warm process).
+On a 2-vCPU KVM guest (Python 3.11, sympy 1.14, pure-Python rationals) the
+Sugawara Virasoro test, affine algebra build included, takes about 0.012 s
+for sl_2, 0.05 s for sl_3, 0.11-0.15 s for sl_4 and 0.25-0.31 s for sl_5
+(medians of repeated calls in one warm process; the same runs gave
+0.03-0.04 / 0.20-0.23 / 0.70-0.72 / 1.3-1.5 s with every coefficient one
+reduced element of ``K``).
 """
 
 from __future__ import annotations
@@ -49,6 +60,7 @@ import sympy
 from sympy.polys.domains import QQ
 from sympy.polys.fields import FracElement, FracField
 from sympy.polys.polyerrors import GeneratorsError
+from sympy.polys.rings import PolyElement
 
 from .liealg import _gauss_jordan
 
@@ -128,46 +140,85 @@ def _mono_str(mono: Monomial, gens) -> str:
 
 
 class Field:
-    """Linear combination of grammar monomials with coefficients in ``algebra.K``."""
+    """Linear combination of grammar monomials: ``content`` times polynomial terms.
 
-    __slots__ = ("algebra", "terms")
+    ``content`` is one element of ``algebra.K`` and ``terms`` maps monomials to
+    non-zero elements of ``algebra.ring``; the coefficient of ``m`` is
+    ``content * terms[m]``.
+    """
+
+    __slots__ = ("algebra", "content", "terms")
 
     def __init__(self, algebra: "ConformalAlgebra", terms: Optional[dict] = None):
         self.algebra = algebra
-        self.terms: dict[Monomial, FracElement] = {}
+        self.content: FracElement = algebra.K.one
+        self.terms: dict[Monomial, PolyElement] = {}
         if terms:
             for m, c in terms.items():
-                self._add(m, algebra.scalar(c))
+                content, poly = algebra._split(c)
+                self._merge(content, ((m, poly),))
 
-    def _add(self, mono: Monomial, coef: FracElement):
-        """Add ``coef`` at ``mono``; a coefficient that ends up zero is not kept."""
-        total = self.terms[mono] + coef if mono in self.terms else coef
+    @classmethod
+    def _of(cls, algebra: "ConformalAlgebra", content: FracElement, terms: dict) -> "Field":
+        out = cls.__new__(cls)
+        out.algebra, out.content, out.terms = algebra, content, terms
+        return out
+
+    def _add(self, mono: Monomial, poly: PolyElement):
+        """Add ``poly`` (relative to this field's content) at ``mono``; a
+        coefficient that ends up zero is not kept."""
+        total = self.terms[mono] + poly if mono in self.terms else poly
         if total:
             self.terms[mono] = total
         else:
             self.terms.pop(mono, None)
 
+    def _merge(self, content: FracElement, pairs):
+        """Add ``content`` times the (monomial, polynomial) ``pairs`` in place.
+
+        Equal contents add the polynomials as they are; otherwise both sides
+        move to one common content first, once for all of ``pairs``.
+        """
+        scale = None
+        if content is not self.content and content != self.content:
+            if not self.terms:
+                self.content = content
+            else:
+                self.content, mine, scale = _common(self.content, content)
+                self.terms = {m: x * mine for m, x in self.terms.items()}
+        for m, x in pairs:
+            self._add(m, x if scale is None else x * scale)
+
+    def _times(self, poly: PolyElement, content: Optional[FracElement] = None) -> "Field":
+        """This field times ``content * poly``, with no gcd on the terms."""
+        if not poly:
+            return Field(self.algebra)
+        c = self.content if content is None else _prod(self.content, content)
+        if poly.is_ground:
+            q = poly.LC
+            return Field._of(self.algebra, c, {m: x.mul_ground(q) for m, x in self.terms.items()})
+        return Field._of(self.algebra, c, {m: x * poly for m, x in self.terms.items()})
+
+    def _scalar(self, mono: Monomial) -> FracElement:
+        """The coefficient of ``mono`` as one reduced element of ``K``."""
+        poly = self.terms.get(mono)
+        return self.algebra.K.zero if poly is None else self.content * poly
+
     def __add__(self, other: "Field") -> "Field":
-        out = Field(self.algebra)
-        out.terms = dict(self.terms)
-        for m, c in other.terms.items():
-            out._add(m, c)
+        out = Field._of(self.algebra, self.content, dict(self.terms))
+        out._merge(other.content, other.terms.items())
         return out
 
     def __sub__(self, other: "Field") -> "Field":
         return self + other.scaled(-1)
 
     def scaled(self, c) -> "Field":
-        out = Field(self.algebra)
-        if c == 1:  # skips the gcd that every field product runs
-            out.terms = dict(self.terms)
-        elif c == -1:
-            out.terms = {m: -x for m, x in self.terms.items()}
-        else:
-            c = self.algebra.scalar(c)
-            if c:
-                out.terms = {m: x * c for m, x in self.terms.items()}
-        return out
+        if c == 1:
+            return Field._of(self.algebra, self.content, dict(self.terms))
+        if c == -1:
+            return Field._of(self.algebra, self.content, {m: -x for m, x in self.terms.items()})
+        content, poly = self.algebra._split(c)
+        return self._times(poly, content)
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -177,35 +228,54 @@ class Field:
         gens = self.algebra.generators
         for m, c in self.terms.items():
             p = _mono_parity(m, gens)
-            parts.setdefault(p, Field(self.algebra))._add(m, c)
+            parts.setdefault(p, Field._of(self.algebra, self.content, {}))._add(m, c)
         return sorted(parts.items())
 
     def derivative(self) -> "Field":
-        out = Field(self.algebra)
+        alg = self.algebra
+        out = Field._of(alg, self.content, {})
         for m, c in self.terms.items():
-            if m[0] == "1":
-                continue
             if m[0] == "d":
-                out._add(("d", m[1] + 1, m[2]), c)
-            else:
+                out._merge(self.content, ((("d", m[1] + 1, m[2]), c),))
+            elif m[0] == "no":
                 _, a, i, b, j = m
-                for mono, cc in self.algebra._no_mono(a + 1, i, b, j):
-                    out._add(mono, c * cc)
-                for mono, cc in self.algebra._no_mono(a, i, b + 1, j):
-                    out._add(mono, c * cc)
+                for no in (alg._no_mono(a + 1, i, b, j), alg._no_mono(a, i, b + 1, j)):
+                    out._merge(_prod(self.content, no.content),
+                               ((mono, x * c) for mono, x in no.terms.items()))
         return out
 
     def __str__(self):
         gens = self.algebra.generators
         bits = []
-        for m, c in sorted(self.terms.items(), key=lambda t: t[0]):
-            bits.append(f"({_scalar_str(c)})*{_mono_str(m, gens)}")
+        for m in sorted(self.terms):
+            bits.append(f"({_scalar_str(self._scalar(m))})*{_mono_str(m, gens)}")
         return " + ".join(bits) if bits else "0"
 
     __repr__ = __str__
 
     def equal(self, other: "Field") -> bool:
         return (self - other).is_zero()
+
+
+def _prod(c1: FracElement, c2: FracElement) -> FracElement:
+    """c1 * c2 in K; a factor ``K.one`` costs no gcd."""
+    one = c1.field.one
+    if c1 is one:
+        return c2
+    if c2 is one:
+        return c1
+    return c1 * c2
+
+
+def _common(c1: FracElement, c2: FracElement) -> tuple[FracElement, PolyElement, PolyElement]:
+    """(c, r1, r2) with c1 = c r1 and c2 = c r2 for polynomials r1 and r2.
+
+    c = gcd(numerators) / lcm(denominators), which is reduced because c1 and
+    c2 are: one gcd per pair of contents, none per coefficient.
+    """
+    g, a1, a2 = c1.numer.cofactors(c2.numer)
+    _, e1, e2 = c1.denom.cofactors(c2.denom)
+    return c1.field.raw_new(g, c1.denom * e2), a1 * e2, a2 * e1
 
 
 class LambdaPolynomial:
@@ -236,8 +306,13 @@ class LambdaPolynomial:
         return out
 
     def scaled(self, c) -> "LambdaPolynomial":
-        c = self.algebra.scalar(c)
-        return LambdaPolynomial(self.algebra, {k: f.scaled(c) for k, f in self.coeffs.items()})
+        content, poly = self.algebra._split(c)
+        return self._times(poly, content)
+
+    def _times(self, poly: PolyElement,
+               content: Optional[FracElement] = None) -> "LambdaPolynomial":
+        return LambdaPolynomial(self.algebra,
+                                {k: f._times(poly, content) for k, f in self.coeffs.items()})
 
     def coefficient(self, power: int) -> Field:
         return self.coeffs.get(power, Field(self.algebra))
@@ -316,6 +391,7 @@ class ConformalAlgebra:
         self.name = name
         self.parameters = {p: sympy.Symbol(p) for p in parameters}
         self.K = FracField(tuple(self.parameters.values()), QQ)
+        self.ring = self.K.ring
         self.generators: list[Generator] = []
         self._by_name: dict[str, Generator] = {}
         self.table: dict[tuple[int, int], LambdaPolynomial] = {}
@@ -357,6 +433,16 @@ class ConformalAlgebra:
             raise OpeError(
                 f"coefficient {x!r} is not a rational function over Q in {self._param_names()}"
             ) from None
+
+    def _split(self, x) -> tuple[FracElement, PolyElement]:
+        """The scalar ``x`` as (content, polynomial): content one when ``x`` is
+        a polynomial, else one over its denominator."""
+        if isinstance(x, (int, Fraction)):
+            return self.K.one, self.ring.ground_new(QQ(x.numerator, x.denominator))
+        c = self.scalar(x)
+        if c.denom.is_ground:
+            return self.K.one, c.numer.quo_ground(c.denom.LC)
+        return self.K.raw_new(self.ring.one, c.denom), c.numer
 
     def _param_names(self) -> str:
         return "(" + ", ".join(self.parameters) + ")"
@@ -426,8 +512,8 @@ class ConformalAlgebra:
     def zero_field(self) -> Field:
         return Field(self)
 
-    def _no_mono(self, m, i, n, j):
-        """Canonical expansion of :(T^m g_i)(T^n g_j): as (monomial, coef) pairs.
+    def _no_mono(self, m, i, n, j) -> Field:
+        """Canonical expansion of :(T^m g_i)(T^n g_j): as a field.
 
         Reorders via quasi-commutativity when (m, i) is above (n, j) in the
         canonical order; for an odd generator against itself the skew rule is
@@ -437,24 +523,24 @@ class ConformalAlgebra:
             if (i, m) == (j, n) and self.generators[i].parity == 1:
                 # :aa: = 1/2 int_{-del}^0 [a_la a] dla  (odd a)
                 corr = self._db_bracket(m, i, m, i).integrate_minus_del_to_zero()
-                return list(corr.scaled(Fraction(1, 2)).terms.items())
-            return [(("no", m, i, n, j), self.K.one)]
+                return corr.scaled(Fraction(1, 2))
+            return Field._of(self, self.K.one, {("no", m, i, n, j): self.ring.one})
         sign = (-1) ** (self.generators[i].parity * self.generators[j].parity)
-        swapped = Field(self, {("no", n, j, m, i): sign})
-        corr = self._db_bracket(m, i, n, j).integrate_minus_del_to_zero()
-        return list((swapped + corr).terms.items())
+        swapped = Field._of(self, self.K.one, {("no", n, j, m, i): self.ring(sign)})
+        return swapped + self._db_bracket(m, i, n, j).integrate_minus_del_to_zero()
 
     def normal_product(self, a: Field, b: Field) -> Field:
         """:ab: for fields whose monomials are at most unary."""
-        out = Field(self)
+        content = _prod(a.content, b.content)
+        out = Field._of(self, content, {})
         for ma, ca in a.terms.items():
             for mb, cb in b.terms.items():
                 coef = ca * cb
                 if ma[0] == "1":
-                    out._add(mb, coef)
+                    out._merge(content, ((mb, coef),))
                     continue
                 if mb[0] == "1":
-                    out._add(ma, coef)
+                    out._merge(content, ((ma, coef),))
                     continue
                 if ma[0] != "d" or mb[0] != "d":
                     bad = ma if ma[0] == "no" else mb
@@ -462,8 +548,9 @@ class ConformalAlgebra:
                         f"normally ordered product would nest "
                         f"{_mono_str(bad, self.generators)}"
                     )
-                for mono, c2 in self._no_mono(ma[1], ma[2], mb[1], mb[2]):
-                    out._add(mono, coef * c2)
+                no = self._no_mono(ma[1], ma[2], mb[1], mb[2])
+                out._merge(_prod(content, no.content),
+                           ((mono, x * coef) for mono, x in no.terms.items()))
         return out
 
     # -- brackets -------------------------------------------------------------
@@ -477,9 +564,11 @@ class ConformalAlgebra:
         out = LambdaPolynomial(self)
         for pa, part in a.parity_parts():
             out = out + self._bracket_hom(part, pa, b)
-        return out
+        content = _prod(a.content, b.content)
+        return out if content is self.K.one else out._times(self.ring.one, content)
 
     def _bracket_hom(self, a: Field, pa: int, b: Field) -> LambdaPolynomial:
+        """[a_lambda b] for homogeneous a, without the contents of a and b."""
         out = LambdaPolynomial(self)
         for mb, cb in b.terms.items():
             if mb[0] == "1":
@@ -489,30 +578,32 @@ class ConformalAlgebra:
                 term = term.apply_del_plus_lambda(mb[1])
             else:
                 term = self._bracket_field_no(a, pa, mb)
-            out = out + term.scaled(cb)
+            out = out + term._times(cb)
         return out
 
     def _bracket_field_gen(self, a: Field, pa: int, j: int) -> LambdaPolynomial:
-        """[a_lambda g_j] for homogeneous a."""
+        """[a_lambda g_j] for homogeneous a, without the content of a."""
         out = LambdaPolynomial(self)
         for ma, ca in a.terms.items():
             if ma[0] == "1":
                 continue
             if ma[0] == "d":
                 base = self._db_bracket(ma[1], ma[2], 0, j)
-                out = out + base.scaled(ca)
+                out = out + base._times(ca)
             else:
                 # skew from [g_j _la a-monomial]
                 pj = self.generators[j].parity
-                rev = self._bracket_hom(self.gen_field(j), pj, Field(self, {ma: ca}))
+                bare = Field._of(self, self.K.one, {ma: ca})
+                rev = self._bracket_hom(self.gen_field(j), pj, bare)
                 out = out + _skew(rev, pj, pa)
         return out
 
     def gen_field(self, j: int, der: int = 0) -> Field:
-        return Field(self, {("d", der, j): self.K.one})
+        return Field._of(self, self.K.one, {("d", der, j): self.ring.one})
 
     def _bracket_field_no(self, a: Field, pa: int, mb: Monomial) -> LambdaPolynomial:
-        """Non-commutative Wick formula for [a_lambda :(T^m g_i)(T^n g_j):]."""
+        """Non-commutative Wick formula for [a_lambda :(T^m g_i)(T^n g_j):],
+        without the content of a."""
         _, m, i, n, j = mb
         bfld = self.gen_field(i, m)
         cfld = self.gen_field(j, n)
@@ -659,9 +750,9 @@ def tensor_algebra(a: ConformalAlgebra, b: ConformalAlgebra, name=None) -> Confo
         for (i, j), poly in src.table.items():
             out = LambdaPolynomial(alg)
             for p, f in poly.coeffs.items():
-                nf = Field(alg)
+                nf = Field._of(alg, f.content.set_field(alg.K), {})
                 for mono, c in f.terms.items():
-                    c = c.set_field(alg.K)
+                    c = c.set_ring(alg.ring)
                     if mono[0] == "1":
                         nf._add(("1",), c)
                     elif mono[0] == "d":
@@ -724,12 +815,11 @@ def virasoro_test(alg: ConformalAlgebra, L: Field) -> VirasoroReport:
         res["lambda^2"] = str(r2)
     c = None
     r3 = br.coefficient(3)
-    central = r3.terms.get(("1",), alg.K.zero)
-    rest = Field(alg, {m: x for m, x in r3.terms.items() if m != ("1",)})
+    rest = Field._of(alg, r3.content, {m: x for m, x in r3.terms.items() if m != ("1",)})
     if not rest.is_zero():
         res["lambda^3"] = str(rest)
     else:
-        c = sympy.cancel(12 * central.as_expr())
+        c = sympy.cancel(12 * r3._scalar(("1",)).as_expr())
     for p in br.coeffs:
         if p > 3 and not br.coefficient(p).is_zero():
             res[f"lambda^{p}"] = str(br.coefficient(p))

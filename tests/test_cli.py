@@ -289,6 +289,7 @@ def test_bad_input_exits_cleanly(tmp_path, capsys, monkeypatch):
         ["ope", "--preset", "sugawara", "--type", "X9"],
         ["ope", "--preset", "sugawara", "--rank", "-3"],
         ["ope", "--preset", "sugawara", "--rank", "0"],
+        ["ope", "--preset", "sugawara", "--rank", "1", "--type", "A3"],
         ["char", "--type", "A1", "--p", "3", "--q", "0"],
         ["smatrix", "--variant", "principal", "--type", "A1", "--p", "3", "--q", "1"],
         ["smatrix", "--variant", "principal", "--type", "A2", "--p", "5", "--q", "2"],
@@ -337,6 +338,8 @@ def test_bad_input_exits_cleanly(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("AFFW_OUT_DIR", str(no_dir))
     run(["roots", "--type", "A1"])
     assert errors["char --type A1 --p 3 --q 0"] == "p and q must be positive integers"
+    assert codes["ope --preset sugawara --rank 1 --type A3"] == 2
+    assert "not both" in errors["ope --preset sugawara --rank 1 --type A3"]
     assert "vacuum must be a label index" in errors[f"fusion --from {bad_vacuum}"]
     for path in non_finite.values():
         assert codes[f"fusion --from {path}"] == 2

@@ -186,6 +186,29 @@ def test_sugawara_sl3():
     assert sympy.limit(rep.central_charge, k, sympy.oo) == 8
 
 
+def test_sugawara_sl5():
+    alg, L = sugawara_sl(5)
+    k = alg.param("k")
+    # the prefactor 1/(2(k + 5)) is stored once, as L's content
+    assert sympy.cancel(L.content.as_expr() - 1 / (2 * (k + 5))) == 0
+    assert all(x.is_ground for x in L.terms.values())
+    rep = virasoro_test(alg, L)
+    assert rep.ok
+    assert sympy.cancel(rep.central_charge - 24 * k / (k + 5)) == 0
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_sugawara_currents_are_primary(n):
+    # [L_la J] = del J + la J for every generator J of sl_n
+    alg, L = sugawara_sl(n)
+    for g in alg.generators:
+        j = alg.gen(g.name)
+        br = alg.bracket(L, j)
+        assert set(br.coeffs) == {0, 1}, g.name
+        assert br.coefficient(0).equal(j.derivative()), g.name
+        assert br.coefficient(1).equal(j), g.name
+
+
 def test_affine_preset_requires_type_A():
     from affw.liealg import CartanType, build_root_system
 
@@ -289,11 +312,12 @@ def test_tensor_algebra_cross_brackets_vanish():
         (lambda: register_algebra("u", [("a", 0)], {("a", "a"): {1: [("1", sympy.sqrt(2))]}}),
          "sqrt\\(2\\)"),
         (lambda: register_algebra("u", [("a", 0)], {("a", "a"): {1: [("1", 0.5)]}}), "0.5"),
+        (lambda: register_algebra("u", [("a", 0)], {("a", "a"): {1: [("1", "1/0")]}}), "1/0"),
         (lambda: heisenberg().gen("x"), "'x'"),
         (lambda: affine_sl(2).param("level"), "'level'"),
     ],
     ids=["table-key", "table-target", "undeclared", "partly-undeclared", "irrational",
-         "float", "gen", "param"],
+         "float", "zero-denominator", "gen", "param"],
 )
 def test_user_tables_and_names_raise_ope_error(build, offender):
     with pytest.raises(OpeError, match=offender):
@@ -330,6 +354,47 @@ def test_printed_coefficients_are_cancelled_sympy_forms():
     f = alg.one(1 / (-4 * beta * k**2 / 3 - 2))
     assert str(f) == "(-3/(4*beta*k**2 + 6))*1"
     assert f.equal(alg.one(-3 / (4 * beta * k**2 + 6)))
+
+
+def test_rational_coefficients_print_as_before():
+    # strings printed by the engine when every coefficient was one reduced
+    # element of Q(params); the content-plus-polynomial fields must match them
+    alg = register_algebra(
+        "rat", [("a", 0), ("b", 0)],
+        {("a", "b"): {0: [("b", "1/(k**2-1)")], 1: [("1", "(k+1)/(k-1)")]},
+         ("a", "a"): {1: [("1", "(k+1)/(k-1)")]}},
+        parameters=("k",))
+    a, b = alg.gen("a"), alg.gen("b")
+    assert str(alg.bracket(a, b)) == "(1/(k**2 - 1))*b + lambda^1 * [((k + 1)/(k - 1))*1]"
+    assert str(alg.bracket(b, a)) == "(-1/(k**2 - 1))*b + lambda^1 * [((k + 1)/(k - 1))*1]"
+    x = alg.normal_product(a, b) + a.derivative().scaled("1/(k**2-1)")
+    assert str(alg.bracket(x, a)) == (
+        "((k + 1)/(k - 1))*T a + ((k + 1)/(k - 1))*T b + (-1/(k**2 - 1))*:a b: + "
+        "lambda^1 * [((k + 1)/(k - 1))*a + ((k + 1)/(k - 1))*b] + "
+        "lambda^2 * [(-1/(k**2 - 2*k + 1))*1]")
+    assert str(alg.bracket(a, x)) == (
+        "(1/(k**2 - 1))*:a b: + lambda^1 * [((k + 1)/(k - 1))*a + ((k + 1)/(k - 1))*b] + "
+        "lambda^2 * [(1/(k**2 - 2*k + 1))*1]")
+    assert str(x.scaled(Fraction(-3, 7))) == "(-3/(7*k**2 - 7))*T a + (-3/7)*:a b:"
+    sl2 = affine_sl(2)
+    y = sl2.normal_product(sl2.gen("E12"), sl2.gen("E21")).scaled(Fraction(-3, 7))
+    assert str(y + sl2.gen("H1", 1)) == "(1)*T H1 + (-3/7)*:E12 E21:"
+    # Sugawara sl2 plus :hh:/(2 beta): a sum of fields with different contents
+    h = ConformalAlgebra("heis_beta", parameters=("beta",))
+    h.add_generator("h")
+    h.set_bracket("h", "h", LambdaPolynomial(h, {1: h.one(h.param("beta"))}))
+    h.finalize()
+    t = tensor_algebra(affine_sl(2), h)
+    _, L = sugawara_sl(2, t)
+    T = L + t.normal_product(t.gen("h"), t.gen("h")).scaled(1 / (2 * t.param("beta")))
+    assert str(T) == ("(-1/(2*k + 4))*T H1 + (1/(k + 2))*:E12 E21: + (1/(4*k + 8))*:H1 H1: + "
+                      "(1/(2*beta))*:h h:")
+    assert str(t.bracket(T, T)) == (
+        "(-1/(2*k + 4))*T^2 H1 + (1/(k + 2))*:E12 T E21: + (1/(2*k + 4))*:H1 T H1: + "
+        "(1/beta)*:h T h: + (1/(k + 2))*:T E12 E21: + lambda^1 * [(-1/(k + 2))*T H1 + "
+        "(2/(k + 2))*:E12 E21: + (1/(2*k + 4))*:H1 H1: + (1/beta)*:h h:] + "
+        "lambda^3 * [((2*k + 1)/(6*k + 12))*1]")
+    assert str(t.bracket(T, t.gen("E12"))) == "(1)*T E12 + lambda^1 * [(1)*E12]"
 
 
 # -- the two invariants: zero-free containers, one complete skew table --------------
