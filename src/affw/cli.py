@@ -526,10 +526,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--p", type=int)
     p.add_argument("--q", type=int)
     p.add_argument("--probe", choices=["default", "alt"], default="default")
-    p.add_argument("--workers", type=int, default=1, help="parallel stream workers (subregular)")
+    p.add_argument("--workers", type=int, default=1, help="threads taking Weyl-group cosets (subregular)")
     p.add_argument("--checkpoint", help="npz checkpoint path for long subregular runs")
     p.add_argument("--checkpoint-every", type=int, default=10_000_000,
-                   help="elements between checkpoint writes")
+                   help="Weyl elements between checkpoint writes, rounded up to whole cosets")
     p.add_argument("--out")
     p.set_defaults(func=cmd_smatrix)
 

@@ -5,8 +5,9 @@ rule for sl2 fusion, the Verlinde formula as a plain einsum, brute-force
 partition counters, two-variable series products as dict convolutions, the
 positive roots by alpha-string induction, and the label sets computed on
 ``Fraction`` weights by reflecting every class key and filtering all of
-P_+^q for the subregular eta, and the Kac-Wakimoto numerator summed one
-Weyl element at a time on ``Fraction`` weights.
+P_+^q for the subregular eta, the Kac-Wakimoto numerator summed one
+Weyl element at a time on ``Fraction`` weights, and the Weyl sums of the
+S-matrices as a walk over every element of W into integer buckets.
 These stay out of the library on purpose: they are the references the
 library is checked against.
 """
@@ -16,6 +17,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 
 from affw.affine import (
@@ -25,7 +27,7 @@ from affw.affine import (
     alpha_star,
 )
 from affw.fusion import FusionTable, verlinde
-from affw.liealg import RootSystem, Weight, weyl_stream
+from affw.liealg import WEYL_BLOCK_ROWS, RootSystem, Weight, WeylBlock, _int_numerators, weyl_blocks, weyl_stream
 from affw.modular import SMatrix
 from affw.qseries import QSeries, TwoVarCharacter, _lattice_points
 
@@ -325,3 +327,91 @@ def kac_wakimoto_numerator_by_element(rs: RootSystem, lam: Weight, level, stride
                 QSeries.make([w.length_parity], int(drop * dd), dd, (order + 1) * dd),
             )
     return num
+
+
+# -- Weyl sums of the S-matrices, walked over all of W ----------------------------
+
+SLICE_TERMS = 1 << 18  # bucket increments per walker slice (bounds temporaries)
+
+
+class Buckets:
+    """Integer buckets of ``sum_w c(w) exp(-2 pi i coef (w(left_i), right_j))``.
+
+    ``acc[i, j, r]`` adds the integer weight c(w) of every element w with
+    ``coef * (w(left_i), right_j) = r / den (mod 1)``.  The weight is the
+    parity eps(w); with a ``probe`` x it is eps(y) <y(alpha_*), x> on the
+    half group ``y(alpha_*) > 0`` and zero elsewhere.  The sum is exact up
+    to the final contraction with the roots of unity.
+    """
+
+    def __init__(self, rs: RootSystem, left, right, coef: Fraction, probe=None):
+        mg, dg = _int_numerators(rs.gram)
+        self.den = coef.denominator * dg
+        self.left = left
+        # (n, m): coef (v, right_j) = v . u[:, j] / den
+        self.u = coef.numerator * (mg @ right.T)
+        self.acc = np.zeros((len(left), len(right), self.den), dtype=np.int64)
+        self.slots = (np.arange(self.acc[..., 0].size) * self.den).reshape(self.acc.shape[:2])
+        self.star = None
+        if probe is not None:
+            star = alpha_star(rs)
+            x = np.array([int(c) for c in probe], dtype=np.int64)
+            self.w0 = int(np.array(star.root_coords) @ x)
+            # the simple-root coordinates of a weight f are f A^{-1}
+            to_roots, scale = _int_numerators(rs.cartan_inverse)
+            alpha_w = np.array([int(c) for c in star.weight.coords], dtype=np.int64)
+            self.star = (alpha_w, to_roots, scale, x)
+
+    def add(self, blk: WeylBlock) -> None:
+        mats, weights = blk.matrices, blk.parity
+        if self.star is not None:
+            alpha_w, to_roots, scale, x = self.star
+            roots = (mats @ alpha_w) @ to_roots // scale  # y(alpha_*) on simple roots
+            keep = roots.sum(axis=1) > 0
+            mats = mats[keep]
+            weights = np.repeat(blk.parity * (roots[keep] @ x), self.slots.size)
+        # coef (w(left_i), right_j) den = left_i . (w^T u)_j
+        dots = self.left @ (mats.transpose(0, 2, 1) @ self.u)
+        idx = (dots % self.den + self.slots).ravel()
+        if np.isscalar(weights):
+            self.acc += weights * np.bincount(idx, minlength=self.acc.size).reshape(self.acc.shape)
+        else:
+            # bincount adds in float64, exactly: a slice adds a few thousand
+            # integers |<y(alpha_*), x>| <= ht(theta) max(x), far below 2**53
+            hits = np.bincount(idx, weights, minlength=self.acc.size)
+            self.acc += hits.astype(np.int64).reshape(self.acc.shape)
+
+    def value(self, dps: int = 30) -> np.ndarray:
+        """The sums as complex128, rounded once from :meth:`exact`."""
+        return np.array([[complex(z) for z in row] for row in self.exact(dps)])
+
+    def exact(self, dps: int = 30) -> list:
+        """The sums as mpmath complex numbers at ``dps`` digits."""
+        with mpmath.workdps(dps):
+            table = [mpmath.expjpi(mpmath.mpf(-2 * r) / self.den) for r in range(self.den)]
+            w0 = 1 if self.star is None else self.w0
+            return [[mpmath.fsum(int(c) * z for c, z in zip(acc, table) if c) / w0 for acc in row]
+                    for row in self.acc]
+
+
+def walk(rs: RootSystem, sums) -> None:
+    """Feed every element of W, block by block, to each of ``sums``."""
+    rows = max(1, min(WEYL_BLOCK_ROWS, SLICE_TERMS // sum(s.slots.size for s in sums)))
+    for blk in weyl_blocks(rs, rows=rows):
+        for s in sums:
+            s.add(blk)
+
+
+def alternating_sum_matrix(rs: RootSystem, left, right, coef: Fraction) -> np.ndarray:
+    """``A[i,j] = sum_w eps(w) exp(-2 pi i coef (w(left_i), right_j))``, walked."""
+    acc = Buckets(rs, left, right, coef)
+    walk(rs, [acc])
+    return acc.value()
+
+
+def half_group_kernel_matrix(rs: RootSystem, x_probe, p: int, q: int, left, right) -> np.ndarray:
+    """``K[i,j] = sum_{y(alpha_*)>0} eps(y) <y(alpha_*),x>/<alpha_*,x>
+    e^{-2 pi i (p/q)(y(left_i), right_j)}``, walked."""
+    acc = Buckets(rs, left, right, Fraction(p, q), probe=x_probe)
+    walk(rs, [acc])
+    return acc.value()

@@ -1,8 +1,8 @@
 """Acceptance suite: one test per criterion, each printing a pass/fail line.
 
 Run ``pytest -s tests/test_acceptance.py`` to see the per-criterion lines.
-Criterion 7 (the full E8 subregular S-matrix and fusion table) is a
-multi-hour opt-in job: set AFFW_RUN_STRETCH=1 to include it.
+Criterion 7 (the full E8 subregular S-matrix and fusion table) is an
+opt-in job of about 10 s: set AFFW_RUN_STRETCH=1 to include it.
 """
 
 import math
@@ -119,7 +119,7 @@ def test_criterion_6_e8_label_count():
 @pytest.mark.stretch
 @pytest.mark.skipif(
     os.environ.get("AFFW_RUN_STRETCH") != "1",
-    reason="multi-hour E8 job; set AFFW_RUN_STRETCH=1",
+    reason="opt-in E8 job of about 10 s; set AFFW_RUN_STRETCH=1",
 )
 def test_criterion_7_stretch_e8_full():
     t0 = time.time()

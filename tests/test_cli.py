@@ -212,17 +212,17 @@ def test_smatrix_subregular_d6(tmp_path):
 # mismatch, diff the printed payload against one from a commit that passes
 SMATRIX_DIGESTS = {
     "--variant subregular --type D4 --p 7 --q 5":
-        "f7d368498027ef3748aca3ae5a69f3599727142ac0ef6d048e985d5073b6d70f",
+        "bf78f7be58dd2dedfa1a6e33f0f869f794e1acbcdb3abfd738a838e3fb408210",
     "--variant subregular --type D4 --p 9 --q 4 --probe alt":
-        "d257550672cf5689b430a866ea40f485302d4678705b4b0e1d023f3da739e1b7",
+        "c6850f25dc40aff3b843219a2b135d1243a1be452b49e898343f6585eabe5716",
     "--variant subregular --type D5 --p 9 --q 7":
-        "8de498955e695cf832ed0ef9e267c7ba21764111709e8f76b929ef96374a8e55",
+        "67bb78abe8f6c7cffcf0470b1473a223ea1b32662579264faea2c24fb0afcd14",
     "--variant subregular --type D6 --p 11 --q 8":
-        "70f2bc482df54067a90bc419d2398ef9a8e77b9c0ebc17608d1a6811b0ad20fb",
+        "e2415555af8a40d44063ef5f4ecafbe44b2d971e32841d3dc688e59368b1be6d",
     "--variant principal --type A2 --p 8 --q 5":
-        "8f7256b339014966749f2988e69d02ceeb4bf7a70a4fea749db43b6103a79b51",
+        "fed87f6f5b0e4617679f23cf439f930e7e45fe05d35bca517dfbb4020b4dac0c",
     "--variant integrable --type A2 --level 3":
-        "6bb7d3af90643265100779303e26942ebeea54ad50a24b6789e7e5c9fc7eccc6",
+        "dd006e30d968294a675b9f333d47601db81efad2158dfee33a3b9049faf99761",
 }
 
 
@@ -520,6 +520,14 @@ def test_verify_quick(capsys):
     out = capsys.readouterr().out
     assert rc == 0
     assert "PASS" in out and "FAIL" not in out
+
+
+def test_verify_full(capsys):
+    rc = main(["verify"])
+    out = capsys.readouterr().out
+    assert rc == 0
+    assert "FAIL" not in out
+    assert any(line.startswith("subregular D6") and "PASS" in line for line in out.splitlines())
 
 
 def test_reproducible_output(tmp_path):

@@ -17,11 +17,11 @@ from affw.modular import (
     fkw_principal,
     kac_peterson,
     subregular_S,
-    _half_group_kernel_matrix,
     _weight_ints,
+    _weyl_sum,
 )
 
-from oracles import virasoro_S
+from oracles import Buckets, alternating_sum_matrix, half_group_kernel_matrix, virasoro_S, walk
 
 
 @pytest.fixture(scope="module")
@@ -42,7 +42,7 @@ def test_kac_peterson_sl2_level2_middle_column(a1):
     assert abs(col[0] + col[2]) < 1e-12
 
 
-@pytest.mark.parametrize("name", ["A1", "A2", "A3", "B2", "B3", "C2", "C3", "G2", "D3"])
+@pytest.mark.parametrize("name", ["A1", "A2", "A3", "B2", "B3", "C2", "C3", "G2", "D3", "E6", "E7"])
 @pytest.mark.parametrize("k", [0, 1, 2, 3])
 def test_kac_peterson_unitary_symmetric_s4(name, k):
     rs = build_root_system(CartanType.parse(name))
@@ -138,10 +138,10 @@ def test_fkw_diagonal_identification_rows_agree_up_to_phase(a1):
     etas = _weight_ints([l.eta for l in swapped])
     from fractions import Fraction
 
-    from affw.modular import _alternating_sum_matrix, _cross_phase
+    from affw.modular import _cross_phase
 
-    f_nu = _alternating_sum_matrix(a1, nus, nus, Fraction(lv.q, lv.p))
-    f_eta = _alternating_sum_matrix(a1, etas, etas, Fraction(lv.p, lv.q))
+    f_nu = alternating_sum_matrix(a1, nus, nus, Fraction(lv.q, lv.p))
+    f_eta = alternating_sum_matrix(a1, etas, etas, Fraction(lv.p, lv.q))
     cross = _cross_phase(a1, nus, etas) * _cross_phase(a1, etas, nus)
     raw2 = cross * f_nu * f_eta
     raw1 = (
@@ -251,8 +251,74 @@ def test_degenerate_kernel_is_half_the_full_group_sum():
             assert abs(half - full / 2) < 1e-12
 
 
+def _walk_cases():
+    """(root system, left, right, coef, probe) of every Weyl sum the walk checks."""
+    from fractions import Fraction
+
+    from affw.affine import enumerate_P_plus_k, principal_labels
+
+    for name in ["A1", "A2", "A3", "A4", "A5", "B2", "B3", "B4", "C2", "C3", "C4",
+                 "D4", "D5", "D6", "E6", "F4", "G2"]:
+        rs = build_root_system(CartanType.parse(name))
+        for k in (1, 2):
+            lab = _weight_ints([l + rs.weyl_vector for l in enumerate_P_plus_k(rs, k)])
+            yield f"Kac-Peterson {name} k={k}", rs, lab, lab, Fraction(1, k + rs.dual_coxeter), None
+    for name, p, q in [("A1", 5, 3), ("A2", 8, 5), ("A3", 5, 4), ("B2", 5, 3)]:
+        lv = make_admissible_level(build_root_system(CartanType.parse(name)), p, q)
+        labels = principal_labels(lv)
+        nus, etas = _weight_ints([l.nu for l in labels]), _weight_ints([l.eta for l in labels])
+        yield f"principal {name} ({p},{q}) nu", lv.root_system, nus, nus, Fraction(q, p), None
+        yield f"principal {name} ({p},{q}) eta", lv.root_system, etas, etas, Fraction(p, q), None
+    for name, p, q in [("A3", 5, 3), ("D4", 7, 5), ("D5", 9, 7), ("D6", 11, 8), ("E6", 13, 10)]:
+        lv = make_admissible_level(build_root_system(CartanType.parse(name)), p, q)
+        labels = subregular_labels(lv)
+        es = _weight_ints(conservative_weights(lv, labels)[0])
+        nus = np.unique(_weight_ints([l.nu for l in labels]), axis=0)
+        rs = lv.root_system
+        yield f"subregular {name} ({p},{q}) kernel", rs, es, es, Fraction(p, q), default_probe(rs)
+        yield f"subregular {name} ({p},{q}) nu", rs, nus, nus, Fraction(q, p), None
+        # left and right apart: no symmetry to lean on
+        yield f"subregular {name} ({p},{q}) kernel, right reversed", rs, es, es[::-1], Fraction(p, q), default_probe(rs)
+        yield f"subregular {name} ({p},{q}) nu against kernel weights", rs, nus, es, Fraction(q, p), None
+
+
+def test_weyl_sum_matches_the_exact_walk():
+    """The coset determinants against integer buckets over all of W, entry by
+    entry to 1e-12 relative (absolute below modulus 1; the sums are sums of
+    roots of unity).  The walk's buckets are contracted at 30 digits, and the
+    three largest kernel entries of D6 (11,8) and E6 (13,10) are compared
+    with those mpmath numbers directly."""
+    import mpmath
+
+    for case, rs, left, right, coef, probe in _walk_cases():
+        fast = _weyl_sum(rs, left, right, coef, probe)
+        acc = Buckets(rs, left, right, coef, probe)
+        walk(rs, [acc])
+        exact = acc.value()
+        err = np.abs(fast - exact) / np.maximum(np.abs(exact), 1)
+        assert err.max() <= 1e-12, (case, err.max())
+        if case in ("subregular D6 (11,8) kernel", "subregular E6 (13,10) kernel"):
+            digits = acc.exact(30)
+            for flat in np.argsort(-np.abs(exact), axis=None)[:3]:
+                i, j = divmod(int(flat), exact.shape[1])
+                ref = digits[i][j]
+                assert abs(mpmath.mpc(fast[i, j]) - ref) <= 1e-12 * abs(ref), (case, i, j)
+
+
+def test_degenerate_kernel_refuses_weights_off_the_star_wall():
+    """The half-group kernel is half the full-group sum only when
+    <eta, alpha_*> = 0 (mod q); other left weights are refused."""
+    rs = build_root_system(CartanType.parse("A3"))
+    rho, zero = rs.weyl_vector, rs.zero_weight()
+    with pytest.raises(SMatrixError, match="alpha_"):
+        degenerate_kernel(rs, default_probe(rs), 4, 3, rho, rho)  # <rho, alpha_*> = 1
+    on_wall = 3 * rs.fundamental_weight(alpha_star(rs).root_coords.index(1))
+    for eta in (zero, on_wall):
+        assert np.isfinite(degenerate_kernel(rs, default_probe(rs), 4, 3, eta, rho))
+
+
 @pytest.mark.parametrize("name,p,q,nlab", [("D6", 11, 8, 3), ("A3", 5, 3, 4), ("D4", 7, 5, 8), ("D4", 9, 4, 6),
-                                            ("D5", 9, 7, 12), ("E6", 13, 10, 6)])
+                                            ("D5", 9, 7, 12), ("E6", 13, 10, 6), ("E7", 19, 15, 4)])
 def test_subregular_S_unitary_symmetric(name, p, q, nlab):
     from affw.fusion import find_vacuum
 
@@ -303,8 +369,8 @@ def test_streamed_kernel_matches_direct():
     labs = subregular_labels(lv)
     cons, _ = conservative_weights(lv, labs)
     es = _weight_ints(cons)
-    direct = _half_group_kernel_matrix(rs, default_probe(rs), 7, 5, es, es)
-    sm = subregular_S(lv, workers=2)  # walked in subtree chunks
+    direct = half_group_kernel_matrix(rs, default_probe(rs), 7, 5, es, es)
+    sm = subregular_S(lv, workers=2)
     streamed = sm.provenance["kernel"]
     assert [tuple(l.eta.coords) for l in sm.labels] == [tuple(l.eta.coords) for l in labs]
     assert np.abs(direct - streamed).max() < 1e-12
@@ -336,8 +402,8 @@ def test_subregular_conservative_choice_gives_same_rows_up_to_phase():
     def assemble(cws, signs):
         es = _weight_ints(cws)
         nus = _weight_ints([l.nu for l in labs])
-        kern = _half_group_kernel_matrix(rs, default_probe(rs), lv.p, lv.q, es, es)
-        f_nu = modular._alternating_sum_matrix(rs, nus, nus, Fraction(lv.q, lv.p))
+        kern = half_group_kernel_matrix(rs, default_probe(rs), lv.p, lv.q, es, es)
+        f_nu = alternating_sum_matrix(rs, nus, nus, Fraction(lv.q, lv.p))
         cross = modular._cross_phase(rs, es, nus) * modular._cross_phase(rs, nus, es)
         sg = np.array(signs, dtype=float)
         return modular._normalize(sg[:, None] * sg[None, :] * cross * kern * f_nu, labs, {})
@@ -388,26 +454,31 @@ def test_streamed_kernel_checkpoint_resume(tmp_path):
     assert np.abs(k1 - k2).max() == 0
 
 
+@pytest.fixture(scope="module")
+def e6_level():
+    """E6 (13,10): 27 cosets of W(D5), so a run has many coset boundaries."""
+    return make_admissible_level(build_root_system(CartanType.parse("E6")), 13, 10)
+
+
 @pytest.mark.parametrize("workers", [1, 2])
-def test_checkpoint_resumes_an_interrupted_walk(tmp_path, monkeypatch, workers):
+def test_checkpoint_resumes_an_interrupted_walk(tmp_path, monkeypatch, workers, e6_level):
     import affw.modular as modular
 
-    rs = build_root_system(CartanType.parse("D4"))
-    lv = make_admissible_level(rs, 7, 5)
+    lv, rs = e6_level, e6_level.root_system
     fresh = subregular_S(lv)
     ck = str(tmp_path / "ck.npz")
-    add, calls = modular._Buckets.add, []
+    weyl_sum, calls = modular._weyl_sum, []
 
-    def dies_after_ten_blocks(self, blk):
+    def dies_after_ten_cosets(*args):
         calls.append(1)
-        if len(calls) > 20:  # two bucket tables per block
+        if len(calls) > 20:  # two sums per coset
             raise KeyboardInterrupt
-        add(self, blk)
+        return weyl_sum(*args)
 
-    monkeypatch.setattr(modular._Buckets, "add", dies_after_ten_blocks)
+    monkeypatch.setattr(modular, "_weyl_sum", dies_after_ten_cosets)
     with pytest.raises(KeyboardInterrupt):
         subregular_S(lv, checkpoint=ck, checkpoint_every=16, workers=workers)
-    monkeypatch.setattr(modular._Buckets, "add", add)
+    monkeypatch.setattr(modular, "_weyl_sum", weyl_sum)
     assert 0 < int(np.load(ck)["count"]) < rs.weyl_order
     resumed = subregular_S(lv, checkpoint=ck)
     assert np.array_equal(resumed.entries, fresh.entries)
@@ -415,42 +486,40 @@ def test_checkpoint_resumes_an_interrupted_walk(tmp_path, monkeypatch, workers):
     assert not os.path.exists(ck + ".tmp")
 
 
-def test_a_failing_worker_stops_the_others(monkeypatch):
+def test_a_failing_worker_stops_the_others(monkeypatch, e6_level):
     import threading
 
     import affw.modular as modular
 
-    lv = make_admissible_level(build_root_system(CartanType.parse("D6")), 11, 8)
-    add, calls, first, failed = modular._Buckets.add, [], [], []
+    weyl_sum, calls, first, failed = modular._weyl_sum, [], [], []
 
-    def fails_off_the_first_thread(self, blk):
+    def fails_off_the_first_thread(*args):
         calls.append(1)
         first[:] = first or [threading.get_ident()]
         if threading.get_ident() != first[0]:
             failed[:] = failed or [len(calls)]
             raise RuntimeError("a worker failed")
-        add(self, blk)
+        return weyl_sum(*args)
 
-    monkeypatch.setattr(modular._Buckets, "add", fails_off_the_first_thread)
-    # switching as often as the interpreter allows, so the second thread takes blocks early
+    monkeypatch.setattr(modular, "_weyl_sum", fails_off_the_first_thread)
+    # switching as often as the interpreter allows, so the second thread takes a coset early
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
         with pytest.raises(RuntimeError, match="a worker failed"):
-            subregular_S(lv, workers=2)
+            subregular_S(e6_level, workers=2)
     finally:
         sys.setswitchinterval(interval)
-    # the first thread finishes at most the block it holds (two bucket tables)
-    # instead of walking the rest of W(D6), over 200 blocks
+    # the first thread finishes at most the coset it holds (two sums)
+    # instead of the rest of the 27 cosets
     assert len(calls) - failed[0] <= 2
 
 
-def test_checkpoints_do_not_depend_on_workers(tmp_path):
-    rs = build_root_system(CartanType.parse("D5"))
-    lv = make_admissible_level(rs, 9, 7)
+def test_checkpoints_do_not_depend_on_workers(tmp_path, e6_level):
+    lv, rs = e6_level, e6_level.root_system
     pauses, saved = {}, {}
     # switching as often as the interpreter allows, so that workers start
-    # taking blocks while the others are still being handed the pause
+    # taking cosets while the others are still being handed the pause
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
@@ -459,17 +528,17 @@ def test_checkpoints_do_not_depend_on_workers(tmp_path):
 
             def pause(seen, total):
                 pauses[workers].append(seen)
-                if seen >= 1000:
+                if seen >= 20000:
                     raise KeyboardInterrupt
 
             ck = str(tmp_path / f"ck{workers}.npz")
             with pytest.raises(KeyboardInterrupt):
-                subregular_S(lv, checkpoint=ck, checkpoint_every=50, workers=workers, progress=pause)
+                subregular_S(lv, checkpoint=ck, checkpoint_every=5000, workers=workers, progress=pause)
             with np.load(ck) as data:
                 saved[workers] = {k: data[k] for k in data.files}
     finally:
         sys.setswitchinterval(interval)
-    assert 0 < int(saved[1]["count"]) < rs.weyl_order and len(saved[1]["depth"]) > 0
+    assert 0 < int(saved[1]["count"]) < rs.weyl_order and 0 < int(saved[1]["next"]) < 27
     for workers in (2, 5):
         assert pauses[workers] == pauses[1]
         assert saved[workers].keys() == saved[1].keys()
@@ -493,7 +562,8 @@ def test_checkpoint_of_another_job_is_refused(tmp_path):
 
 
 def test_checkpoint_of_the_chunked_walk_is_refused(tmp_path):
-    """A format-2 checkpoint (buckets and a mask of finished subtree chunks)."""
+    """Format-2 (buckets and a mask of finished subtree chunks) and format-3
+    (buckets and the walk's pending stack) checkpoints."""
     rs = build_root_system(CartanType.parse("D4"))
     lv = make_admissible_level(rs, 7, 4)
     ck = str(tmp_path / "ck.npz")
@@ -503,7 +573,15 @@ def test_checkpoint_of_the_chunked_walk_is_refused(tmp_path):
         fingerprint = {**json.loads(str(data["fingerprint"])), "format": 2, "chunks": 31}
     np.savez_compressed(ck, fingerprint=json.dumps(fingerprint, sort_keys=True),
                         done=np.ones(31, bool), **state)
-    with pytest.raises(SMatrixError, match="format is 2 there, 3 here"):
+    with pytest.raises(SMatrixError, match="format is 2 there, 4 here"):
+        subregular_S(lv, checkpoint=ck)
+    # a format-3 checkpoint: integer buckets and the pending stack of the walk
+    fingerprint.update(format=3, den=[20, 7])
+    del fingerprint["chunks"]
+    np.savez_compressed(ck, fingerprint=json.dumps(fingerprint, sort_keys=True), count=64,
+                        kernel=np.zeros((6, 6, 20), np.int64), nu=np.zeros((2, 2, 7), np.int64),
+                        matrices=np.zeros((3, 4, 4), np.int8), depth=np.ones(3, np.int16))
+    with pytest.raises(SMatrixError, match="format is 3 there, 4 here"):
         subregular_S(lv, checkpoint=ck)
 
 
@@ -520,8 +598,8 @@ def test_normalization_failure_raises():
     nus = _weight_ints([l.nu for l in bad])
     from fractions import Fraction
 
-    kern = _half_group_kernel_matrix(rs, default_probe(rs), 7, 5, es, es)
-    f_nu = modular._alternating_sum_matrix(rs, nus, nus, Fraction(lv.q, lv.p))
+    kern = half_group_kernel_matrix(rs, default_probe(rs), 7, 5, es, es)
+    f_nu = alternating_sum_matrix(rs, nus, nus, Fraction(lv.q, lv.p))
     cross = modular._cross_phase(rs, es, nus) * modular._cross_phase(rs, nus, es)
     sign = np.array(eps, dtype=float)
     raw = sign[:, None] * sign[None, :] * cross * kern * f_nu
