@@ -208,12 +208,6 @@ def vars_config(args):
 
 
 def cmd_smatrix(args):
-    # checked on every variant, so a typo in a long job's flags never passes silently
-    for flag, value in (("--workers", args.workers), ("--checkpoint-every", args.checkpoint_every)):
-        if value < 1:
-            raise CliError(f"{flag} must be a positive integer, not {value}", EXIT_VALIDATION)
-    if args.checkpoint and args.variant != "subregular":
-        raise CliError("--checkpoint applies to --variant subregular only", EXIT_VALIDATION)
     rs = _root_system(args)
     t0 = time.time()
     try:
@@ -228,19 +222,7 @@ def cmd_smatrix(args):
             probe = None
             if args.probe == "alt":
                 probe = modular.alternate_probe(rs)
-
-            def progress(seen, total):
-                print(f"subregular {rs.cartan_type} ({lv.p},{lv.q}): {seen}/{total} "
-                      "Weyl elements", file=sys.stderr, flush=True)
-
-            sm = modular.subregular_S(
-                lv,
-                x_probe=probe,
-                checkpoint=args.checkpoint,
-                checkpoint_every=args.checkpoint_every,
-                workers=args.workers,
-                progress=progress,
-            )
+            sm = modular.subregular_S(lv, x_probe=probe)
     except modular.SMatrixError as e:
         code = EXIT_TOLERANCE if e.residual is not None else EXIT_VALIDATION
         raise CliError(str(e), code)
@@ -526,10 +508,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--p", type=int)
     p.add_argument("--q", type=int)
     p.add_argument("--probe", choices=["default", "alt"], default="default")
-    p.add_argument("--workers", type=int, default=1, help="threads taking Weyl-group cosets (subregular)")
-    p.add_argument("--checkpoint", help="npz checkpoint path for long subregular runs")
-    p.add_argument("--checkpoint-every", type=int, default=10_000_000,
-                   help="Weyl elements between checkpoint writes, rounded up to whole cosets")
     p.add_argument("--out")
     p.set_defaults(func=cmd_smatrix)
 

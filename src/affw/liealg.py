@@ -156,9 +156,6 @@ class Weight:
         c = Fraction(c)
         return Weight(tuple(c * a for a in self.coords))
 
-    def is_zero(self) -> bool:
-        return all(a == 0 for a in self.coords)
-
     def is_dominant(self) -> bool:
         return all(a >= 0 for a in self.coords)
 

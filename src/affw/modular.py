@@ -35,7 +35,7 @@ from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -575,7 +575,6 @@ def subregular_S(
     checkpoint: Optional[str] = None,
     checkpoint_every: int = 10_000_000,
     workers: int = 1,
-    progress: Optional[Callable[[int, int], None]] = None,
 ) -> SMatrix:
     """Subregular S-matrix: degenerate kernel times the full-Weyl nu factor.
 
@@ -588,13 +587,14 @@ def subregular_S(
     (30, 29)).  ``workers`` (at least 1) threads take the cosets, and their
     contributions are added in coset order, so the result does not depend on
     the number of workers.  Once ``checkpoint_every`` Weyl elements have
-    passed, and at the end, the run pauses at a coset boundary, calls
-    ``progress(done, |W|)`` and saves the partial sums and the next coset to
-    ``checkpoint`` (npz), where a rerun of the same job resumes.  If a worker
-    raises or the run is interrupted, every worker stops after its coset and
-    the last checkpoint stays valid.  A checkpoint of another job or an
-    unreadable one, one whose directory does not exist, or a
-    ``checkpoint_every`` below 1 is refused before the run starts.
+    passed, and at the end, the run pauses at a coset boundary and saves the
+    partial sums and the next coset to ``checkpoint`` (npz), where a rerun of
+    the same job resumes.  If a worker raises or the run is interrupted,
+    every worker stops after its coset and the last checkpoint stays valid.
+    A checkpoint of another job or an unreadable one, one whose directory
+    does not exist, or a ``checkpoint_every`` below 1 is refused before the
+    run starts.  Only the streamed job of ``affwbench`` sets ``workers`` and
+    ``checkpoint``.
     """
     if workers < 1:
         raise SMatrixError(f"workers must be a positive integer, not {workers}")
@@ -669,8 +669,6 @@ def subregular_S(
             if checkpoint:
                 _checkpoint_save(checkpoint, fingerprint, kernel=kern, nu=f_nu,
                                  count=done * fr.size, next=done)
-            if progress:
-                progress(done * fr.size, rs.weyl_order)
     finally:
         halt.set()
         pool.shutdown()

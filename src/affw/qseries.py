@@ -235,12 +235,6 @@ class TwoVarCharacter:
         if self.terms[coords].is_zero():
             del self.terms[coords]
 
-    def __add__(self, other: "TwoVarCharacter") -> "TwoVarCharacter":
-        out = TwoVarCharacter(self.rank, dict(self.terms))
-        for c, s in other.terms.items():
-            out.add_term(c, s)
-        return out
-
     def __mul__(self, other: "TwoVarCharacter") -> "TwoVarCharacter":
         out = TwoVarCharacter(self.rank)
         for ca, sa in self.terms.items():

@@ -212,17 +212,17 @@ def test_smatrix_subregular_d6(tmp_path):
 # mismatch, diff the printed payload against one from a commit that passes
 SMATRIX_DIGESTS = {
     "--variant subregular --type D4 --p 7 --q 5":
-        "bf78f7be58dd2dedfa1a6e33f0f869f794e1acbcdb3abfd738a838e3fb408210",
+        "8fee90473b8fbff025a75e1b8521baa30a85f871a11dc09c33b0963f57e0d0b1",
     "--variant subregular --type D4 --p 9 --q 4 --probe alt":
-        "c6850f25dc40aff3b843219a2b135d1243a1be452b49e898343f6585eabe5716",
+        "f30de60b825542da6083cd1829885b1a53082b16aa3406f068d57ebda59256a1",
     "--variant subregular --type D5 --p 9 --q 7":
-        "67bb78abe8f6c7cffcf0470b1473a223ea1b32662579264faea2c24fb0afcd14",
+        "2597798ab5e4ece034fe2da164f98509987487abf2a8f58b2cfb879e17a32a07",
     "--variant subregular --type D6 --p 11 --q 8":
-        "e2415555af8a40d44063ef5f4ecafbe44b2d971e32841d3dc688e59368b1be6d",
+        "e16493bfd4219bd9348ed28f8a864315c8357fc1b192b158db5df07e8a840efc",
     "--variant principal --type A2 --p 8 --q 5":
-        "fed87f6f5b0e4617679f23cf439f930e7e45fe05d35bca517dfbb4020b4dac0c",
+        "aae3a96703faa5a42759459c90b5d85dbb8dad07ab88ef4e1708e71db3412cd8",
     "--variant integrable --type A2 --level 3":
-        "dd006e30d968294a675b9f333d47601db81efad2158dfee33a3b9049faf99761",
+        "856d0ff757ff450758f4d5c5cc730eb893549c90881aaa2cbf5327c94637c62b",
 }
 
 
@@ -233,17 +233,6 @@ def test_smatrix_output_is_pinned(spec, capsys):
     del payload["elapsed_s"]
     text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
     assert hashlib.sha256(text.encode()).hexdigest() == SMATRIX_DIGESTS[spec]
-
-
-def test_smatrix_progress_goes_to_stderr(capsys):
-    rc = main(["smatrix", "--variant", "subregular", "--type", "D4", "--p", "7", "--q", "5",
-               "--workers", "2"])
-    assert rc == 0
-    out = capsys.readouterr()
-    data = json.loads(out.out)
-    assert len(data["labels"]) == 8
-    progress = out.err.strip().splitlines()
-    assert progress and progress[-1].endswith("192/192 Weyl elements")
 
 
 def test_bad_input_exits_cleanly(tmp_path, capsys, monkeypatch):
@@ -257,11 +246,6 @@ def test_bad_input_exits_cleanly(tmp_path, capsys, monkeypatch):
     ragged.write_text(json.dumps({"labels": [0, 1], "matrix": [[[1, 0], [0, 0]], [[0, 0]]]}))
     garbage = tmp_path / "garbage.json"
     garbage.write_text("not json")
-    truncated = tmp_path / "truncated.npz"
-    assert main(["smatrix", "--variant", "subregular", "--type", "D4", "--p", "7", "--q", "4",
-                 "--checkpoint", str(truncated), "--out", str(tmp_path / "d4.json")]) == 0
-    truncated.write_bytes(truncated.read_bytes()[:200])
-    capsys.readouterr()
     bad_vacuum = tmp_path / "bad_vacuum.json"
     bad_vacuum.write_text(json.dumps({"labels": [0, 1], "matrix": [[[1, 0], [0, 0]], [[0, 0], [1, 0]]],
                                       "vacuum": 2}))
@@ -294,30 +278,16 @@ def test_bad_input_exits_cleanly(tmp_path, capsys, monkeypatch):
         ["smatrix", "--variant", "principal", "--type", "A1", "--p", "3", "--q", "1"],
         ["smatrix", "--variant", "principal", "--type", "A2", "--p", "5", "--q", "2"],
         ["smatrix", "--variant", "principal", "--type", "B2", "--p", "5", "--q", "2"],
-        ["smatrix", "--variant", "subregular", "--type", "D4", "--p", "7", "--q", "4",
-         "--checkpoint", str(tmp_path / "missing" / "x.npz")],
-        ["smatrix", "--variant", "subregular", "--type", "D4", "--p", "7", "--q", "4",
-         "--checkpoint", str(truncated)],
-        ["smatrix", "--variant", "subregular", "--type", "D4", "--p", "7", "--q", "4", "--workers", "0"],
-        ["smatrix", "--variant", "subregular", "--type", "D4", "--p", "7", "--q", "4", "--workers", "-3"],
-        ["smatrix", "--variant", "subregular", "--type", "D4", "--p", "7", "--q", "4",
-         "--checkpoint-every", "0"],
-        ["smatrix", "--variant", "subregular", "--type", "D4", "--p", "7", "--q", "4",
-         "--checkpoint-every", "-5"],
-        ["smatrix", "--variant", "integrable", "--type", "A1", "--level", "1", "--workers", "0",
-         "--checkpoint", "/nonexistent/x.npz", "--checkpoint-every", "-5"],
-        ["smatrix", "--variant", "integrable", "--type", "A1", "--level", "1", "--workers", "0"],
-        ["smatrix", "--variant", "integrable", "--type", "A1", "--level", "1",
-         "--checkpoint-every", "-5"],
-        ["smatrix", "--variant", "integrable", "--type", "A1", "--level", "1",
-         "--checkpoint", str(tmp_path / "x.npz")],
-        ["smatrix", "--variant", "principal", "--type", "A1", "--p", "3", "--q", "4",
-         "--checkpoint", str(tmp_path / "x.npz")],
         # rejected by the argument parser itself
         ["char", "--type", "A1", "--order", "abc"],
         ["smatrix", "--variant", "nope", "--type", "A1"],
         ["roots"],
         ["roots", "--type", "A1", "--bogus"],
+        ["smatrix", "--variant", "subregular", "--type", "D4", "--p", "7", "--q", "4", "--workers", "2"],
+        ["smatrix", "--variant", "subregular", "--type", "D4", "--p", "7", "--q", "4",
+         "--checkpoint", str(tmp_path / "x.npz")],
+        ["smatrix", "--variant", "subregular", "--type", "D4", "--p", "7", "--q", "4",
+         "--checkpoint-every", "5"],
         # output paths that cannot be opened
         ["roots", "--type", "A1", "--out", str(no_dir / "x.json")],
         ["fusion", "--from", str(smatrix), "--format", "csv", "--out", str(no_dir / "f.csv")],
@@ -346,8 +316,9 @@ def test_bad_input_exits_cleanly(tmp_path, capsys, monkeypatch):
         assert "must be finite" in errors[f"fusion --from {path}"]
     assert all(rc == 2 for argv, rc in codes.items() if argv.startswith("smatrix"))
     assert "empty principal label set" in errors["smatrix --variant principal --type B2 --p 5 --q 2"]
-    assert errors[f"smatrix --variant integrable --type A1 --level 1 --checkpoint {tmp_path / 'x.npz'}"] \
-        == "--checkpoint applies to --variant subregular only"
+    for flag in ("--workers", "--checkpoint", "--checkpoint-every"):
+        removed = [e for argv, e in errors.items() if argv.startswith("smatrix") and f" {flag} " in argv]
+        assert len(removed) == 1 and f"unrecognized arguments: {flag} " in removed[0], flag
     assert not (tmp_path / "x.npz").exists()
     assert "invalid int value: 'abc'" in errors["char --type A1 --order abc"]
     assert "required: --type" in errors["roots"]

@@ -434,13 +434,25 @@ def test_streamed_kernel_parallel_matches_serial():
     assert np.array_equal(k1, k5)
 
 
-@pytest.mark.parametrize("option", [{"workers": 0}, {"checkpoint_every": 0}, {"checkpoint_every": -5}])
+@pytest.mark.parametrize("option", [{"workers": 0}, {"checkpoint_every": 0}, {"checkpoint_every": -5},
+                                    {"checkpoint": "missing/x.npz"}])
 def test_walk_options_are_refused_before_the_walk(option, tmp_path):
     lv = make_admissible_level(build_root_system(CartanType.parse("D4")), 7, 4)
-    ckpt = tmp_path / "x.npz"
-    with pytest.raises(SMatrixError, match="must be a positive integer"):
+    option = {"checkpoint": "x.npz", **option}
+    ckpt = tmp_path / option.pop("checkpoint")
+    message = "must be a positive integer" if ckpt.parent == tmp_path else "no such directory"
+    with pytest.raises(SMatrixError, match=message):
         subregular_S(lv, checkpoint=str(ckpt), **option)
-    assert not ckpt.exists()
+    assert not any(tmp_path.iterdir())
+
+
+def test_truncated_checkpoint_is_refused(tmp_path):
+    lv = make_admissible_level(build_root_system(CartanType.parse("D4")), 7, 4)
+    ck = tmp_path / "ck.npz"
+    subregular_S(lv, checkpoint=str(ck))
+    ck.write_bytes(ck.read_bytes()[:200])
+    with pytest.raises(SMatrixError, match="not a readable affw checkpoint"):
+        subregular_S(lv, checkpoint=str(ck))
 
 
 def test_streamed_kernel_checkpoint_resume(tmp_path):
@@ -515,32 +527,37 @@ def test_a_failing_worker_stops_the_others(monkeypatch, e6_level):
     assert len(calls) - failed[0] <= 2
 
 
-def test_checkpoints_do_not_depend_on_workers(tmp_path, e6_level):
-    lv, rs = e6_level, e6_level.root_system
-    pauses, saved = {}, {}
+def test_checkpoints_do_not_depend_on_workers(tmp_path, monkeypatch, e6_level):
+    import affw.modular as modular
+
+    lv = e6_level
+    weyl_sum, saved = modular._weyl_sum, {}
     # switching as often as the interpreter allows, so that workers start
     # taking cosets while the others are still being handed the pause
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
         for workers in (1, 2, 5):
-            pauses[workers] = []
+            calls = []
 
-            def pause(seen, total):
-                pauses[workers].append(seen)
-                if seen >= 20000:
+            def dies_in_the_fourth_pause(*args):
+                calls.append(1)
+                # checkpoint_every=5000 gives pauses of 3 cosets of 1,920 elements,
+                # two sums each: call 21 is in the fourth pause, after 9 cosets
+                if len(calls) > 20:
                     raise KeyboardInterrupt
+                return weyl_sum(*args)
 
+            monkeypatch.setattr(modular, "_weyl_sum", dies_in_the_fourth_pause)
             ck = str(tmp_path / f"ck{workers}.npz")
             with pytest.raises(KeyboardInterrupt):
-                subregular_S(lv, checkpoint=ck, checkpoint_every=5000, workers=workers, progress=pause)
+                subregular_S(lv, checkpoint=ck, checkpoint_every=5000, workers=workers)
             with np.load(ck) as data:
                 saved[workers] = {k: data[k] for k in data.files}
     finally:
         sys.setswitchinterval(interval)
-    assert 0 < int(saved[1]["count"]) < rs.weyl_order and 0 < int(saved[1]["next"]) < 27
-    for workers in (2, 5):
-        assert pauses[workers] == pauses[1]
+    for workers in (1, 2, 5):
+        assert (int(saved[workers]["count"]), int(saved[workers]["next"])) == (17280, 9)
         assert saved[workers].keys() == saved[1].keys()
         for k in saved[1]:
             assert np.array_equal(saved[workers][k], saved[1][k]), (workers, k)
