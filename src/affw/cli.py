@@ -297,6 +297,15 @@ def cmd_fusion(args):
 def cmd_ope(args):
     from . import opecalc  # loads sympy, which no other command needs
 
+    try:
+        results = _ope_results(args, opecalc)
+    except opecalc.OpeError as e:
+        raise CliError(str(e), EXIT_UNSUPPORTED)
+    payload = {"config": vars_config(args), "results": results}
+    _emit(payload, args, f"ope_{args.preset}.json")
+
+
+def _ope_results(args, opecalc) -> dict:
     if args.preset == "heisenberg":
         alg = opecalc.heisenberg()
         h = alg.gen("h")
@@ -344,8 +353,7 @@ def cmd_ope(args):
         results = {"Q": str(q), "nilpotent": rep["nilpotent"], "residual": rep["residual"]}
     else:
         raise CliError(f"unknown preset {args.preset}", EXIT_VALIDATION)
-    payload = {"config": vars_config(args), "results": results}
-    _emit(payload, args, f"ope_{args.preset}.json")
+    return results
 
 
 def cmd_verify(args):

@@ -18,10 +18,16 @@ those two results before constructing the :class:`RootSystem` once.
 Where exact rationals feed integer numpy arithmetic, :func:`_int_numerators`
 scales them to one common denominator.
 
-Weyl groups are never materialised: :func:`weyl_blocks` walks the orbit tree
-of the Weyl vector with a canonical-parent rule, one layer slice at a time as
-integer numpy blocks, which visits every group element exactly once using
-memory proportional to the longest element.
+Weyl groups are never materialised.  One weight at a time,
+:meth:`RootSystem.reflect_coords` applies a simple reflection and
+:meth:`RootSystem.dominant_word` reflects into the dominant chamber (label
+sets, conservative weights).  The whole group is one walk:
+:func:`weyl_blocks` follows the orbit tree of the Weyl vector with a
+canonical-parent rule, one layer slice at a time as integer numpy blocks,
+which visits every element exactly once using memory proportional to the
+longest element (the Kac-Wakimoto numerator); :func:`weyl_stream` yields the
+same elements one :class:`WeylElement` at a time.  The alternating Weyl sums
+of the S-matrices are not walks but coset determinants (``modular``).
 """
 
 from __future__ import annotations
@@ -29,7 +35,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, NamedTuple, Optional, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -45,7 +51,6 @@ __all__ = [
     "inner_product",
     "weyl_blocks",
     "weyl_stream",
-    "dot_action",
     "exponents",
 ]
 
@@ -189,18 +194,6 @@ class WeylElement:
             tuple(sum(m[r][c] * lam.coords[c] for c in range(len(m))) for r in range(len(m)))
         )
 
-    def __mul__(self, other: "WeylElement") -> "WeylElement":
-        a, b = self.matrix, other.matrix
-        n = len(a)
-        prod = tuple(
-            tuple(sum(a[r][k] * b[k][c] for k in range(n)) for c in range(n)) for r in range(n)
-        )
-        return WeylElement(prod, self.length_parity * other.length_parity)
-
-
-def _identity_matrix(n: int) -> tuple[tuple[int, ...], ...]:
-    return tuple(tuple(int(r == c) for c in range(n)) for r in range(n))
-
 
 def _gauss_jordan(m: Sequence[Sequence]) -> tuple[list[list[Fraction]], list[Fraction]]:
     """Exact inverse and pivots of ``m`` by Gauss-Jordan elimination without row swaps.
@@ -315,21 +308,9 @@ class RootSystem:
 
     # -- Weyl group --------------------------------------------------------
 
-    def simple_reflection(self, i: int) -> WeylElement:
-        # (s_i lam)_j = lam_j - lam_i a_{ij}, so column i of the matrix holds
-        # delta_{ji} - a_{ij}.
-        n = self.rank
-        a = self.cartan_matrix
-        mat = tuple(
-            tuple(int(r == c) - (a[i][r] if c == i else 0) for c in range(n)) for r in range(n)
-        )
-        return WeylElement(mat, -1)
-
-    def identity_element(self) -> WeylElement:
-        return WeylElement(_identity_matrix(self.rank), 1)
-
     def reflect_coords(self, i: int, coords: tuple) -> tuple:
-        """Apply ``s_i`` to fundamental-weight coordinates (any scalar type)."""
+        """Apply ``s_i``, ``lam_j -> lam_j - lam_i a_ij``, to fundamental-weight
+        coordinates (any scalar type)."""
         a = self.cartan_matrix[i]
         ci = coords[i]
         return tuple(c - ci * a[j] for j, c in enumerate(coords))
@@ -348,13 +329,6 @@ class RootSystem:
                 return coords, word
             coords = self.reflect_coords(i, coords)
             word.append(i)
-
-    def longest_element(self) -> WeylElement:
-        """w0, computed by sorting ``-rho`` back to the dominant chamber."""
-        w = self.identity_element()
-        for i in self.dominant_word((-1,) * self.rank)[1]:
-            w = self.simple_reflection(i) * w
-        return w
 
 
 def _positive_root_closure(a: tuple[tuple[int, ...], ...]) -> list[tuple[int, ...]]:
@@ -486,11 +460,6 @@ def exponents(rs: RootSystem) -> list[int]:
     return list(rs.exponents)
 
 
-def dot_action(rs: RootSystem, w: WeylElement, lam: Weight) -> Weight:
-    """The rho-shifted action ``w(lam + rho) - rho`` (finite part)."""
-    return w.act(lam + rs.weyl_vector) - rs.weyl_vector
-
-
 class WeylBlock(NamedTuple):
     """A slice of one depth layer of the Weyl orbit tree.
 
@@ -507,37 +476,25 @@ class WeylBlock(NamedTuple):
     def parity(self) -> int:
         return -1 if self.depth % 2 else 1
 
-    @classmethod
-    def identity(cls, rank: int) -> "WeylBlock":
-        """The root of the walk: the identity, at rho."""
-        return cls(np.ones((1, rank), np.int64), np.eye(rank, dtype=np.int64)[None], 0)
-
 
 WEYL_BLOCK_ROWS = 256  # larger slices gain little speed and cost peak memory
 
 
-def weyl_blocks(
-    rs: RootSystem,
-    stack: Optional[list[WeylBlock]] = None,
-    rows: int = WEYL_BLOCK_ROWS,
-) -> Iterator[WeylBlock]:
-    """Yield every element of the subtrees below ``stack`` exactly once, in blocks.
+def weyl_blocks(rs: RootSystem) -> Iterator[WeylBlock]:
+    """Yield every element of W exactly once, in blocks.
 
     The orbit tree of the (regular) Weyl vector: node v = w(rho) has child
     s_k(v) for exactly those k with v_k > 0 whose canonical parent rule
     (reflect at the first negative coordinate) points back through k.  The
-    children of a block under all simple reflections are computed together,
-    cut into slices of at most ``rows`` elements and pushed onto ``stack``
-    (default: the identity, so the whole group) before the block is yielded;
-    slices are popped depth-first.  So between yields the subtrees below the
-    stack are exactly the elements not yet visited (a copy resumes the walk),
-    and it holds at most ``rank`` slices per layer: memory is bounded by ``rows
-    * rank * (length of w0 + 1)`` elements.  The order is deterministic.
+    walk starts at the identity, at rho.  The children of a block under all
+    simple reflections are computed together, cut into slices of at most
+    ``WEYL_BLOCK_ROWS`` elements and walked depth-first, so at most ``rank``
+    slices per layer are pending: memory is bounded by ``WEYL_BLOCK_ROWS *
+    rank * (length of w0 + 1)`` elements.  The order is deterministic.
     """
     a = np.array(rs.cartan_matrix, dtype=np.int64)
     n = rs.rank
-    if stack is None:
-        stack = [WeylBlock.identity(n)]
+    stack = [WeylBlock(np.ones((1, n), np.int64), np.eye(n, dtype=np.int64)[None], 0)]
     while stack:
         blk = stack.pop()
         # u[b, k] = s_k(v_b); keep (b, k) when v_bk > 0 and the first
@@ -547,8 +504,9 @@ def weyl_blocks(
         points, m = u[b, k], blk.matrices[b]
         # s_k acts by lam_j -> lam_j - lam_k a_kj on every column
         mats = m - a[k][:, :, None] * m[np.arange(len(b)), k][:, None, :]
-        for s in reversed(range(0, len(b), rows)):
-            stack.append(WeylBlock(points[s : s + rows], mats[s : s + rows], blk.depth + 1))
+        for s in reversed(range(0, len(b), WEYL_BLOCK_ROWS)):
+            rows = slice(s, s + WEYL_BLOCK_ROWS)
+            stack.append(WeylBlock(points[rows], mats[rows], blk.depth + 1))
         yield blk
 
 

@@ -586,10 +586,11 @@ def subregular_S(
     distinct nu only (a single global constant when p = h_check, as for E8 at
     (30, 29)).  ``workers`` (at least 1) threads take the cosets, and their
     contributions are added in coset order, so the result does not depend on
-    the number of workers.  Once ``checkpoint_every`` Weyl elements have
-    passed, and at the end, the run pauses at a coset boundary and saves the
-    partial sums and the next coset to ``checkpoint`` (npz), where a rerun of
-    the same job resumes.  If a worker raises or the run is interrupted,
+    the number of workers.  With a ``checkpoint``, once ``checkpoint_every``
+    Weyl elements have passed, and at the end, the run pauses at a coset
+    boundary and saves the partial sums and the next coset there (npz), where
+    a rerun of the same job resumes; without one the workers take all cosets
+    in one round.  If a worker raises or the run is interrupted,
     every worker stops after its coset and the last checkpoint stays valid.
     A checkpoint of another job or an unreadable one, one whose directory
     does not exist, or a ``checkpoint_every`` below 1 is refused before the
@@ -654,11 +655,12 @@ def subregular_S(
             halt.set()  # the other workers stop after their coset
             raise
 
+    # a pause only serves a save; it is one for all workers, so saves do not depend on them
+    step = -(-checkpoint_every // fr.size) if checkpoint else cosets
     pool = ThreadPoolExecutor(workers)
     try:
         while done < cosets:
-            # one pause for all workers: saves do not depend on them
-            stop = min(cosets, done + -(-checkpoint_every // fr.size))
+            stop = min(cosets, done + step)
             todo, parts = iter(range(done, stop)), {}
             for f in [pool.submit(work, todo, parts) for _ in range(workers)]:
                 f.result()

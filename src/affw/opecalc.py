@@ -696,12 +696,20 @@ def charged_fermions(dim: int) -> ConformalAlgebra:
     return alg.finalize()
 
 
+# largest sl_n preset: the names E_ij stop being unique at n = 11 (E1,11 and
+# E11,1), and the sl10 Sugawara test already takes about 4 s
+MAX_SL_N = 10
+
+
 def _sl_structure(nn: int):
     """sl_n from integer matrix units: names, int64 matrices and the expansion map.
 
     The basis is E_ij (i != j) in row-major order, then H_k = E_kk - E_{k+1,k+1};
     ``expand`` writes a traceless integer matrix as its coefficients in it.
+    An n outside 2..MAX_SL_N is refused before anything is allocated.
     """
+    if not 2 <= nn <= MAX_SL_N:
+        raise OpeError(f"the sl_n presets need 2 <= n <= {MAX_SL_N}, not n = {nn}")
     units = np.eye(nn, dtype=np.int64)
     off = ~np.eye(nn, dtype=bool)
     names = [f"E{i + 1}{j + 1}" for i, j in zip(*np.nonzero(off))]
@@ -723,10 +731,8 @@ def affine_sl(nn: int, level_name: str = "k") -> ConformalAlgebra:
     The bilinear form is the defining-representation trace form, which is the
     (theta, theta) = 2 normalisation for type A.
     """
-    if nn < 2:
-        raise OpeError("affine preset needs sl_n with n >= 2")
-    alg = ConformalAlgebra(f"affine_sl{nn}", parameters=(level_name,))
     names, mats, expand = _sl_structure(nn)
+    alg = ConformalAlgebra(f"affine_sl{nn}", parameters=(level_name,))
     for nm in names:
         alg.add_generator(nm)
     k = alg.scalar(alg.param(level_name))

@@ -47,6 +47,10 @@ class QSeriesError(ValueError):
 # order 3 needs 5.2e7 and fits, E6 level 1 order 1 needs 3.1e9 (23 GiB)
 MAX_BOX_CELLS = 1 << 27
 
+# int64 wraps silently: every integer of the Kac-Wakimoto walk stays below this
+MAX_WALK_INT = 1 << 62
+_LEVEL_TOO_LARGE = "level or weight too large: the Kac-Wakimoto translations must fit 64-bit integers"
+
 
 @dataclass(frozen=True)
 class QSeries:
@@ -453,16 +457,26 @@ def kac_wakimoto_numerator(
     # over the W-orbit of lam+rho shows |beta|^2/2 (k+h) - |beta||lam+rho|
     # <= order is necessary.
     norm2 = rs.bilinear(shifted, shifted)
-    # bound: |t_beta-shift| <= (|lam+rho| + sqrt(|lam+rho|^2 + 2 (k+h) order)) / (k+h)
-    b = (math.sqrt(float(norm2)) + math.sqrt(float(norm2 + 2 * kh * order))) / float(kh)
+    try:
+        # bound: |t_beta-shift| <= (|lam+rho| + sqrt(|lam+rho|^2 + 2 (k+h) order)) / (k+h)
+        b = (math.sqrt(float(norm2)) + math.sqrt(float(norm2 + 2 * kh * order))) / float(kh)
+        ints, scale = _int_numerators([*shifted.coords, kh * stride])
+    except OverflowError:
+        raise QSeriesError(_LEVEL_TOO_LARGE) from None
     need = Fraction(math.ceil(b * b / 2 + 1), stride * stride)
     # the float ball of coroot coefficients is a superset of
     # (beta, beta)/2 <= need, and the exact drop test below decides
     co = _coroot_matrix(rs)
     ball = _lattice_points(co.astype(float), np.zeros(rs.rank), float(2 * need) + 1e-6)
-    ints, scale = _int_numerators([*shifted.coords, kh * stride])
     base, kstride = ints[:-1], int(ints[-1])
     c = np.array(ball, dtype=np.int64).reshape(-1, rs.rank)
+    # the same integers in floats bound the drops, the translates and their
+    # Weyl images, |w(v)_i| <= |v| |alpha_i_check|, below MAX_WALK_INT
+    fd, ft = _translations(co.astype(float), base.astype(float), float(kstride), stride, c.astype(float))
+    norms2 = np.einsum("bi,ij,bj->b", ft, np.array(rs.gram, dtype=float), ft)
+    reach = math.sqrt(norms2.max() * co.diagonal().max()) + np.abs(base).max()
+    if max(np.abs(fd).max(), reach) >= MAX_WALK_INT:
+        raise QSeriesError(_LEVEL_TOO_LARGE)
     drops, translates = _translations(co, base, kstride, stride, c)
     keep = drops <= order * scale
     drops = drops[keep].tolist()
@@ -518,7 +532,10 @@ def irreducible_character(
         # |mu + rho|^2 <= |lam + rho|^2 + 2 (k+h) order
         shifted = lam + rs.weyl_vector
         norm2 = float(rs.bilinear(shifted, shifted))
-        reach = math.sqrt(norm2 + 2 * float(kh) * order) + math.sqrt(norm2)
+        try:
+            reach = math.sqrt(norm2 + 2 * float(kh) * order) + math.sqrt(norm2)
+        except OverflowError:
+            raise QSeriesError(_LEVEL_TOO_LARGE) from None
         hmax = math.sqrt(float(rs.bilinear(rs.weyl_vector, rs.weyl_vector))) * 2
         depth = math.ceil(reach * hmax) + order + 2
     # the box spans x = 0 and reaches s order theta_i below it on every axis,

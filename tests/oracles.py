@@ -3,7 +3,8 @@
 Minimal-model S-matrices via sine products, the truncated Clebsch-Gordan
 rule for sl2 fusion, the Verlinde formula as a plain einsum, brute-force
 partition counters, two-variable series products as dict convolutions, the
-positive roots by alpha-string induction, and the label sets computed on
+positive roots by alpha-string induction, the Weyl group as the closure of
+the simple-reflection matrices under products, and the label sets computed on
 ``Fraction`` weights by reflecting every class key and filtering all of
 P_+^q for the subregular eta, the Kac-Wakimoto numerator summed one
 Weyl element at a time on ``Fraction`` weights, and the Weyl sums of the
@@ -213,6 +214,37 @@ def positive_roots_by_strings(a) -> list[tuple[int, ...]]:
     return [r for layer in layers for r in sorted(layer)]
 
 
+def simple_reflection_matrices(a) -> list[np.ndarray]:
+    """s_i on fundamental-weight coordinates: ``lam_j -> lam_j - lam_i a_ij``,
+    so column i holds ``delta_ji - a_ij``."""
+    n = len(a)
+    out = []
+    for i in range(n):
+        m = np.eye(n, dtype=np.int64)
+        m[:, i] -= np.array(a[i], dtype=np.int64)
+        out.append(m)
+    return out
+
+
+def weyl_group_by_reflections(a) -> dict[bytes, int]:
+    """Every element of W as ``{int64 matrix bytes: parity}``, by breadth-first
+    closure of the identity under left products with the simple reflections."""
+    gens = simple_reflection_matrices(a)
+    ident = np.eye(len(a), dtype=np.int64)
+    group = {ident.tobytes(): 1}
+    frontier = [(ident, 1)]
+    while frontier:
+        nxt = []
+        for w, parity in frontier:
+            for s in gens:
+                sw = s @ w
+                if sw.tobytes() not in group:
+                    group[sw.tobytes()] = -parity
+                    nxt.append((sw, -parity))
+        frontier = nxt
+    return group
+
+
 # -- label sets on Fraction weights -------------------------------------------
 
 
@@ -395,11 +427,14 @@ class Buckets:
 
 
 def walk(rs: RootSystem, sums) -> None:
-    """Feed every element of W, block by block, to each of ``sums``."""
+    """Feed every element of W, in slices of at most ``SLICE_TERMS`` bucket
+    increments, to each of ``sums``."""
     rows = max(1, min(WEYL_BLOCK_ROWS, SLICE_TERMS // sum(s.slots.size for s in sums)))
-    for blk in weyl_blocks(rs, rows=rows):
-        for s in sums:
-            s.add(blk)
+    for blk in weyl_blocks(rs):
+        for r in range(0, len(blk.points), rows):
+            part = WeylBlock(blk.points[r : r + rows], blk.matrices[r : r + rows], blk.depth)
+            for s in sums:
+                s.add(part)
 
 
 def alternating_sum_matrix(rs: RootSystem, left, right, coef: Fraction) -> np.ndarray:

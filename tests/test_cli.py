@@ -275,6 +275,9 @@ def test_bad_input_exits_cleanly(tmp_path, capsys, monkeypatch):
         ["ope", "--preset", "sugawara", "--rank", "0"],
         ["ope", "--preset", "sugawara", "--rank", "1", "--type", "A3"],
         ["char", "--type", "A1", "--p", "3", "--q", "0"],
+        ["char", "--type", "A1", "--level", "10000000000000000000", "--order", "2"],
+        ["char", "--type", "A1", "--level", "1e400", "--order", "2"],
+        ["ope", "--preset", "sugawara", "--rank", "100000"],
         ["smatrix", "--variant", "principal", "--type", "A1", "--p", "3", "--q", "1"],
         ["smatrix", "--variant", "principal", "--type", "A2", "--p", "5", "--q", "2"],
         ["smatrix", "--variant", "principal", "--type", "B2", "--p", "5", "--q", "2"],
@@ -308,6 +311,11 @@ def test_bad_input_exits_cleanly(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("AFFW_OUT_DIR", str(no_dir))
     run(["roots", "--type", "A1"])
     assert errors["char --type A1 --p 3 --q 0"] == "p and q must be positive integers"
+    for level in ("10000000000000000000", "1e400"):
+        assert codes[f"char --type A1 --level {level} --order 2"] == 2
+        assert errors[f"char --type A1 --level {level} --order 2"].startswith("level or weight too large")
+    assert codes["ope --preset sugawara --rank 100000"] == 4
+    assert "need 2 <= n <= 10, not n = 100001" in errors["ope --preset sugawara --rank 100000"]
     assert codes["ope --preset sugawara --rank 1 --type A3"] == 2
     assert "not both" in errors["ope --preset sugawara --rank 1 --type A3"]
     assert "vacuum must be a label index" in errors[f"fusion --from {bad_vacuum}"]

@@ -9,19 +9,17 @@ from affw.liealg import (
     CartanType,
     LieAlgebraError,
     Weight,
-    WeylBlock,
     _gauss_jordan,
     _int_numerators,
     _positive_root_closure,
     build_root_system,
-    dot_action,
     exponents,
     inner_product,
     weyl_blocks,
     weyl_stream,
 )
 
-from oracles import positive_roots_by_strings
+from oracles import positive_roots_by_strings, simple_reflection_matrices, weyl_group_by_reflections
 
 CLASSICAL = {
     # type: (|Delta_+|, |W|, h_check, exponents)
@@ -158,8 +156,7 @@ def test_simple_reflection_permutes_positive_roots():
         rs = build_root_system(CartanType.parse(name))
         pos = {r.weight.coords for r in rs.positive_roots}
         for i in range(rs.rank):
-            s = rs.simple_reflection(i)
-            images = {s.act(r.weight).coords for r in rs.positive_roots}
+            images = {rs.reflect_coords(i, r.weight.coords) for r in rs.positive_roots}
             alpha = rs.simple_roots[i].weight
             expected = (pos - {alpha.coords}) | {(-alpha).coords}
             assert images == expected
@@ -202,19 +199,9 @@ def test_weyl_stream_matches_the_generated_group():
     """The walk against a closure of the simple reflections under products."""
     for name in ("A3", "B3", "G2", "D4"):
         rs = build_root_system(CartanType.parse(name))
-        gens = [rs.simple_reflection(i) for i in range(rs.rank)]
-        group = {rs.identity_element().matrix: 1}
-        frontier = [rs.identity_element()]
-        while frontier:
-            nxt = []
-            for w in frontier:
-                for s in gens:
-                    sw = s * w
-                    if sw.matrix not in group:
-                        group[sw.matrix] = sw.length_parity
-                        nxt.append(sw)
-            frontier = nxt
-        assert {w.matrix: w.length_parity for w in weyl_stream(rs)} == group
+        group = weyl_group_by_reflections(rs.cartan_matrix)
+        stream = {np.array(w.matrix, dtype=np.int64).tobytes(): w.length_parity for w in weyl_stream(rs)}
+        assert stream == group
 
 
 def test_weyl_blocks_e7_count_and_parity():
@@ -227,50 +214,46 @@ def test_weyl_blocks_e7_count_and_parity():
     assert parity_sum == 0
 
 
-def test_weyl_blocks_subtrees_partition_the_group():
-    """Between yields the stack holds exactly the unvisited subtrees: the
-    prefix walked so far plus a walk resumed from a copy of it cover W once."""
-    rs = build_root_system(CartanType.parse("D5"))
-    group = {np.array(w.matrix, dtype=np.int64).tobytes() for w in weyl_stream(rs)}
-    for k in (1, 2, 5, 40, 150):
-        stack = [WeylBlock.identity(rs.rank)]
-        walk = weyl_blocks(rs, stack, rows=7)
-        prefix = [next(walk).matrices for _ in range(k)]
-        rest = [b.matrices for b in weyl_blocks(rs, list(stack), rows=7)]
-        mats = np.concatenate(prefix + rest)
-        assert len(mats) == rs.weyl_order
-        assert {m.tobytes() for m in mats} == group
-        # the original walk is untouched by the resumed copy
-        assert sum(len(b.points) for b in walk) + sum(len(m) for m in prefix) == rs.weyl_order
-
-
 def test_reflection_involution_and_sign_multiplicativity():
     rng = random.Random(11)
     for name in ("A3", "B3", "D4"):
         rs = build_root_system(CartanType.parse(name))
-        sample = [w for w in weyl_stream(rs)]
+        gens = simple_reflection_matrices(rs.cartan_matrix)
+        parity = {np.array(w.matrix, dtype=np.int64).tobytes(): w.length_parity for w in weyl_stream(rs)}
+        sample = list(parity)
         for _ in range(20):
-            w = rng.choice(sample)
+            w = np.frombuffer(rng.choice(sample), dtype=np.int64).reshape(rs.rank, rs.rank)
             i = rng.randrange(rs.rank)
-            s = rs.simple_reflection(i)
-            lam = Weight.of(*[rng.randint(-4, 4) for _ in range(rs.rank)])
-            assert s.act(s.act(lam)) == lam
-            assert (s * w).length_parity == -w.length_parity
+            lam = tuple(Fraction(rng.randint(-8, 8), rng.randint(1, 3)) for _ in range(rs.rank))
+            assert rs.reflect_coords(i, lam) == tuple(gens[i] @ np.array(lam, dtype=object))
+            assert rs.reflect_coords(i, rs.reflect_coords(i, lam)) == lam
+            assert parity[(gens[i] @ w).tobytes()] == -parity[w.tobytes()]
 
 
-def test_dot_action():
-    rs = build_root_system(CartanType.parse("A1"))
-    e = rs.identity_element()
-    lam = Weight.of(3)
-    assert dot_action(rs, e, lam) == lam
-    s = rs.simple_reflection(0)
-    assert dot_action(rs, s, rs.zero_weight()) == -rs.simple_roots[0].weight
-
-    rs2 = build_root_system(CartanType.parse("A2"))
-    w0 = rs2.longest_element()
-    rho = rs2.weyl_vector
-    assert dot_action(rs2, w0, rho) == w0.act(2 * rho) - rho
-    assert dot_action(rs2, w0, rho) == -3 * rho
+@pytest.mark.parametrize("name", ["A1", "A2", "A3", "B2", "G2", "D4"])
+def test_dominant_word_reaches_the_chamber(name):
+    """The result is dominant, replaying the word reproduces it, and the word
+    is reduced: its length is the number of positive roots on which the
+    weight is negative (each step at a negative coordinate removes one)."""
+    rs = build_root_system(CartanType.parse(name))
+    d = rs.simple_root_norms_half
+    rng = random.Random(7)
+    for _ in range(30):
+        lam = tuple(rng.randint(-5, 5) for _ in range(rs.rank))
+        top, word = rs.dominant_word(lam)
+        assert all(c >= 0 for c in top) and all(type(c) is int for c in top)
+        replay = lam
+        for i in word:
+            assert replay[i] < 0
+            replay = rs.reflect_coords(i, replay)
+        assert replay == top
+        # (lam, alpha) = sum_i c_i d_i lam_i for alpha = sum_i c_i alpha_i
+        negative = sum(sum(c * di * x for c, di, x in zip(r.root_coords, d, lam)) < 0
+                       for r in rs.positive_roots)
+        assert len(word) == negative
+    # -rho goes to rho by the longest element
+    top, word = rs.dominant_word((-1,) * rs.rank)
+    assert top == (1,) * rs.rank and len(word) == len(rs.positive_roots)
 
 
 def test_root_coordinate_roundtrip():

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from affw.affine import alpha_star, make_admissible_level, subregular_labels
-from affw.liealg import CartanType, build_root_system, weyl_stream
+from affw.liealg import CartanType, Weight, build_root_system, weyl_stream
 from affw.modular import (
     SMatrixError,
     alternate_probe,
@@ -392,11 +392,10 @@ def test_subregular_conservative_choice_gives_same_rows_up_to_phase():
     cons, eps = conservative_weights(lv, labs)
     ast = alpha_star(rs)
     # a simple reflection orthogonal to alpha_* (node 1 works for D6)
-    z = rs.simple_reflection(0)
-    assert z.act(ast.weight) == ast.weight
+    assert rs.reflect_coords(0, ast.weight.coords) == ast.weight.coords
     cons2 = list(cons)
     eps2 = list(eps)
-    cons2[1] = z.act(cons[1])
+    cons2[1] = Weight(rs.reflect_coords(0, cons[1].coords))
     eps2[1] = -eps[1]
 
     def assemble(cws, signs):
@@ -525,6 +524,22 @@ def test_a_failing_worker_stops_the_others(monkeypatch, e6_level):
     # the first thread finishes at most the coset it holds (two sums)
     # instead of the rest of the 27 cosets
     assert len(calls) - failed[0] <= 2
+
+
+def test_only_a_checkpoint_pauses_the_workers(e6_level):
+    """Without a checkpoint the run is one round of cosets: each worker is
+    submitted once, however small ``checkpoint_every`` is (1,920 elements is
+    one coset of W(D5), so pausing for it would make 27 rounds)."""
+    from concurrent.futures import ThreadPoolExecutor
+    from unittest.mock import patch
+
+    fresh = subregular_S(e6_level)
+    with patch.object(ThreadPoolExecutor, "submit", autospec=True,
+                      side_effect=ThreadPoolExecutor.submit) as submit:
+        sm = subregular_S(e6_level, checkpoint_every=1920, workers=2)
+    assert submit.call_count == 2
+    assert np.array_equal(sm.entries, fresh.entries)
+    assert sm.provenance["weyl_elements"] == e6_level.root_system.weyl_order
 
 
 def test_checkpoints_do_not_depend_on_workers(tmp_path, monkeypatch, e6_level):

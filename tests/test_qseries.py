@@ -432,6 +432,19 @@ def test_negative_order_is_refused(a1, build, lam):
         build(a1, Weight.of(*lam), 1, 1, -1)
 
 
+@pytest.mark.parametrize("build", [kac_wakimoto_numerator, irreducible_character])
+@pytest.mark.parametrize("lam", [(0,), (Fraction(1, 2),)])
+def test_level_beyond_64_bit_integers_is_refused(a1, build, lam):
+    """A level whose translations leave int64 (or a float) is refused, where
+    the walk would raise OverflowError or wrap silently; 10**17 still works.
+    Off the dominant integral weights the default window is refused first."""
+    for level in (10**19, 5 * 10**18, Fraction(10) ** 400):
+        with pytest.raises(QSeriesError, match="too large|character window needs"):
+            build(a1, Weight.of(*lam), level, 1, 2)
+    ch = irreducible_character(a1, a1.zero_weight(), 10**17, 1, 2)
+    assert ch.specialize_y1().coeffs_dict() == {0: 1, 1: 3, 2: 9}
+
+
 def test_numerator_below_q0_is_refused(a1):
     # lam + rho = -4 omega is not dominant: the translation by alpha drops by -1
     with pytest.raises(QSeriesError):
