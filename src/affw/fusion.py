@@ -123,39 +123,67 @@ def _candidate_vacua(s: np.ndarray) -> tuple[list[int], Optional[np.ndarray]]:
     return cands, first
 
 
-def _find_vacuum(s: SMatrix) -> tuple[int, Optional[np.ndarray]]:
-    """:func:`find_vacuum`, with its Verlinde tensor when the scan kept it (else None)."""
+def _passing_tensor(s: np.ndarray, v: int, pairs: np.ndarray) -> Optional[np.ndarray]:
+    """Row ``v``'s Verlinde tensor if it is non-negative integral, else None.
+
+    The a = 0 slice N_{0b}^c(v), one (n) @ (n x n^2) product, is tested
+    first, so a row it rules out never gets the full n^3 tensor.
+    """
+    n = s.shape[0]
+    if not _integral_nonnegative(((s[0] / s[v]) @ pairs).reshape(n, n)):
+        return None
+    raw = _verlinde_raw(s, v, pairs)
+    return raw if _integral_nonnegative(raw) else None
+
+
+def _find_vacuum(s: SMatrix) -> tuple[int, np.ndarray]:
+    """:func:`find_vacuum` and the vacuum's Verlinde tensor.
+
+    Rows are tested in the order the rule needs them: first the rows with
+    positive quantum dimensions, then the declared vacuum; only when neither
+    decides does :func:`_candidate_vacua` scan every row, for the single
+    candidate or for the error.  At most one passing tensor is kept.
+    """
     if s.normalization != "unitary":
         raise FusionError("find_vacuum needs a unitary S-matrix")
-    cands, first = _candidate_vacua(s.entries)
+    e = s.entries
+    rows = np.flatnonzero(np.abs(e).min(axis=1) >= ZERO_TOL).tolist()
+    pairs = _pairs(e)
+    dims = e[rows] / e[rows, rows][:, None]
+    positive = (dims.real > 1e-9).all(axis=1) & (np.abs(dims.imag) < 1e-9).all(axis=1)
+    found = None
+    for v in [v for v, ok in zip(rows, positive) if ok]:
+        raw = _passing_tensor(e, v, pairs)
+        if raw is not None and found is not None:
+            found = raw = None  # a second positive row passes: positivity does not decide
+            break
+        if raw is not None:
+            found = v, raw
+    declared = s.provenance.get("vacuum")
+    if found is None and declared in rows:
+        v = rows[rows.index(declared)]
+        raw = _passing_tensor(e, v, pairs)
+        if raw is not None:
+            found = v, raw
+    if found is not None:
+        return found
+    cands, first = _candidate_vacua(e)
     if not cands:
         raise FusionError("no vacuum candidate: wrong label set or normalisation")
-    if len(cands) == 1:
-        vacuum = cands[0]
-    else:
-        positive = [
-            v
-            for v in cands
-            if np.all((s.entries[v] / s.entries[v, v]).real > 1e-9)
-            and np.abs((s.entries[v] / s.entries[v, v]).imag).max() < 1e-9
-        ]
-        declared = s.provenance.get("vacuum")
-        if len(positive) == 1:
-            vacuum = positive[0]
-        elif declared in cands:
-            vacuum = declared
-        else:
-            raise FusionError(f"vacuum is not unique: candidates {cands}")
-    return vacuum, first if vacuum == cands[0] else None
+    if len(cands) > 1:
+        raise FusionError(f"vacuum is not unique: candidates {cands}")
+    return cands[0], _verlinde_raw(e, cands[0], pairs) if first is None else first
 
 
 def find_vacuum(s: SMatrix) -> int:
     """Index against which Verlinde yields non-negative integers.
 
-    Simple-current twists can make several rows pass the integrality scan;
-    ties are broken in favour of a row with positive quantum dimensions, and
-    failing that by the constructor's declared vacuum.  Anything still
-    ambiguous is a structural error upstream.
+    Simple-current twists can make several rows pass the integrality test.
+    The rule: a row with positive quantum dimensions wins if it is the only
+    such row that passes; failing that, the constructor's declared vacuum
+    (``provenance["vacuum"]``) wins if it passes; failing that, the only
+    passing row.  Anything else is a :class:`FusionError`, a structural
+    error upstream.
     """
     return _find_vacuum(s)[0]
 
@@ -166,14 +194,13 @@ def verlinde(s: SMatrix, vacuum: Optional[int] = None) -> FusionTable:
     A ``vacuum`` that is not an index in ``range(n)``, or whose row has a zero
     entry, is a :class:`FusionError`.
     """
-    raw = None
     if vacuum is None:
         vacuum, raw = _find_vacuum(s)
     elif not (isinstance(vacuum, (int, np.integer)) and 0 <= vacuum < s.size):
         raise FusionError(f"vacuum must be a label index in range({s.size}), not {vacuum!r}")
     elif np.abs(s.entries[vacuum]).min() < ZERO_TOL:
         raise FusionError(f"vacuum row {vacuum} has a zero entry")
-    if raw is None:
+    else:
         raw = _verlinde_raw(s.entries, vacuum)
     rounded = np.round(raw.real)
     residual = float(np.abs(raw - rounded).max())
@@ -242,21 +269,27 @@ def fusion_ring_isomorphic(f1: FusionTable, f2: FusionTable) -> Optional[list[in
         (a for a in range(n) if a != f1.vacuum), key=lambda a: len(cand[a])
     )
 
-    def backtrack(assigned):
-        # the structure constants among the labels assigned so far must match
-        # those among their images; once every label is assigned this is all of N
-        img = [perm[x] for x in assigned]
-        if not np.array_equal(n1[np.ix_(assigned, assigned, assigned)], n2[np.ix_(img, img, img)]):
+    def backtrack(placed, images):
+        # the structure constants through the label a placed last, each triple
+        # once: (a, x, y) for all placed x, y; (x, a, y) for x placed before
+        # a; (x, y, a) for x, y placed before a.  A triple without a was
+        # compared when its own last label was placed.
+        a, b, old, old_images = placed[-1], images[-1], placed[:-1], images[:-1]
+        if not (
+            np.array_equal(n1[a, placed][:, placed], n2[b, images][:, images])
+            and np.array_equal(n1[old, a][:, placed], n2[old_images, b][:, images])
+            and np.array_equal(n1[:, :, a][old][:, old], n2[:, :, b][old_images][:, old_images])
+        ):
             return False
-        if len(assigned) == n:
+        if len(placed) == n:
             return True
-        a = order[len(assigned) - 1]
+        a = order[len(placed) - 1]
         for b in cand[a]:
             if not used[b]:
                 perm[a], used[b] = b, True
-                if backtrack(assigned + [a]):
+                if backtrack(np.append(placed, a), np.append(images, b)):
                     return True
                 used[b] = False
         return False
 
-    return perm if backtrack([f1.vacuum]) else None
+    return perm if backtrack(np.array([f1.vacuum]), np.array([f2.vacuum])) else None

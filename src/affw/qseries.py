@@ -467,7 +467,18 @@ def kac_wakimoto_numerator(
     # the float ball of coroot coefficients is a superset of
     # (beta, beta)/2 <= need, and the exact drop test below decides
     co = _coroot_matrix(rs)
-    ball = _lattice_points(co.astype(float), np.zeros(rs.rank), float(2 * need) + 1e-6)
+    radius2 = float(2 * need) + 1e-6
+    # the ball lies in the box |c_i| <= sqrt(radius2 (co^-1)_ii), and co^-1 is
+    # the Gram matrix (varpi_i, varpi_j): refuse the ball by that box's point
+    # count before enumerating it
+    widths = np.sqrt(radius2 * np.array([float(rs.gram[i][i]) for i in range(rs.rank)]))
+    box = np.prod(2 * np.floor(widths) + 1)
+    if box > MAX_BOX_CELLS:
+        raise QSeriesError(
+            f"translation ball spans {box:.3g} coroot points, more than the limit of "
+            f"{MAX_BOX_CELLS}: lower the weight or the order"
+        )
+    ball = _lattice_points(co.astype(float), np.zeros(rs.rank), radius2)
     base, kstride = ints[:-1], int(ints[-1])
     c = np.array(ball, dtype=np.int64).reshape(-1, rs.rank)
     # the same integers in floats bound the drops, the translates and their

@@ -1,7 +1,9 @@
 """Independent oracles used by the test suite only.
 
 Minimal-model S-matrices via sine products, the truncated Clebsch-Gordan
-rule for sl2 fusion, the Verlinde formula as a plain einsum, brute-force
+rule for sl2 fusion, the Verlinde formula as a plain einsum, the vacuum rule
+on the full candidate scan, fusion-ring isomorphism by trying every
+permutation, su(n) quantum dimensions as sine products, brute-force
 partition counters, two-variable series products as dict convolutions, the
 positive roots by alpha-string induction, the Weyl group as the closure of
 the simple-reflection matrices under products, and the label sets computed on
@@ -15,6 +17,7 @@ library is checked against.
 
 from __future__ import annotations
 
+import itertools
 import math
 from fractions import Fraction
 
@@ -27,7 +30,7 @@ from affw.affine import (
     SubregularLabel,
     alpha_star,
 )
-from affw.fusion import FusionTable, verlinde
+from affw.fusion import FusionError, FusionTable, verlinde
 from affw.liealg import WEYL_BLOCK_ROWS, RootSystem, Weight, WeylBlock, _int_numerators, weyl_blocks, weyl_stream
 from affw.modular import SMatrix
 from affw.qseries import QSeries, TwoVarCharacter, _lattice_points
@@ -77,6 +80,63 @@ def candidate_vacua_einsum(s: np.ndarray, tol: float = 1e-6) -> list[int]:
         if np.abs(raw - rounded).max() < tol and rounded.min() > -tol:
             out.append(v)
     return out
+
+
+def find_vacuum_by_scan(sm: SMatrix):
+    """The vacuum rule applied to the full candidate list of
+    :func:`candidate_vacua_einsum`: the only candidate; else the only
+    candidate with positive quantum dimensions; else the declared vacuum if
+    it is a candidate.  Anything else raises the library's error."""
+    if sm.normalization != "unitary":
+        raise FusionError("find_vacuum needs a unitary S-matrix")
+    s = sm.entries
+    cands = candidate_vacua_einsum(s)
+    if not cands:
+        raise FusionError("no vacuum candidate: wrong label set or normalisation")
+    if len(cands) == 1:
+        return cands[0]
+    positive = [
+        v for v in cands
+        if np.all((s[v] / s[v, v]).real > 1e-9) and np.abs((s[v] / s[v, v]).imag).max() < 1e-9
+    ]
+    if len(positive) == 1:
+        return positive[0]
+    declared = sm.provenance.get("vacuum")
+    if declared in cands:
+        return declared
+    raise FusionError(f"vacuum is not unique: candidates {cands}")
+
+
+def ring_isomorphisms_brute(f1: FusionTable, f2: FusionTable) -> list[list[int]]:
+    """Every relabelling s with s(v1) = v2 and N1[a,b,c] = N2[s(a),s(b),s(c)],
+    found by trying every permutation that maps vacuum to vacuum."""
+    n = f1.size
+    if f2.size != n:
+        return []
+    rest1 = [a for a in range(n) if a != f1.vacuum]
+    rest2 = [b for b in range(n) if b != f2.vacuum]
+    out = []
+    for images in itertools.permutations(rest2):
+        perm = [0] * n
+        perm[f1.vacuum] = f2.vacuum
+        for a, b in zip(rest1, images):
+            perm[a] = b
+        if np.array_equal(f1.coefficients, f2.coefficients[np.ix_(perm, perm, perm)]):
+            out.append(perm)
+    return out
+
+
+def su_quantum_dimension(k: int, dynkin) -> float:
+    """Quantum dimension of the su(n) level-k weight with Dynkin labels
+    ``dynkin``: prod over i < j of sin(pi m_ij / (k + n)) / sin(pi (j - i) / (k + n)),
+    where m_ij = (lam + rho, e_i - e_j) = sum_{i <= l < j} (lam_l + 1)."""
+    n = len(dynkin) + 1
+    d = 1.0
+    for i in range(n - 1):
+        for j in range(i + 1, n):
+            m = sum(dynkin[i:j]) + j - i
+            d *= math.sin(math.pi * m / (k + n)) / math.sin(math.pi * (j - i) / (k + n))
+    return d
 
 
 def is_associative_einsum(n: np.ndarray) -> bool:

@@ -187,6 +187,24 @@ def test_declared_vacuum_survives_the_file_round_trip(tmp_path):
     assert json.loads(fpath.read_text())["vacuum"] == 0
 
 
+def test_fusion_without_a_declared_vacuum_names_the_candidates(tmp_path, capsys):
+    # the same file without its "vacuum" key: the one row with positive
+    # quantum dimensions (6) is not integral, so the full scan finds three
+    # candidates and refuses
+    spath, fpath = tmp_path / "s.json", tmp_path / "f.json"
+    assert main(["smatrix", "--variant", "principal", "--type", "A2", "--p", "7", "--q", "4",
+                 "--out", str(spath)]) == 0
+    data = json.loads(spath.read_text())
+    del data["vacuum"]
+    spath.write_text(json.dumps(data))
+    capsys.readouterr()
+    assert main(["fusion", "--from", str(spath), "--out", str(fpath)]) == 3
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1
+    assert json.loads(err[0])["error"] == "vacuum is not unique: candidates [0, 4, 14]"
+    assert not fpath.exists()
+
+
 def test_smatrix_principal(tmp_path):
     spath = tmp_path / "s.json"
     rc = main(["smatrix", "--variant", "principal", "--type", "A1", "--p", "3", "--q", "4",

@@ -1,3 +1,5 @@
+import functools
+
 import numpy as np
 import pytest
 
@@ -18,10 +20,14 @@ from affw.modular import SMatrix, fkw_principal, kac_peterson, subregular_S
 
 from oracles import (
     candidate_vacua_einsum,
+    find_vacuum_by_scan,
     is_associative_einsum,
+    ring_isomorphisms_brute,
     sl2_fusion_coefficient,
+    su_quantum_dimension,
     verlinde_einsum,
     virasoro_fusion,
+    virasoro_S,
 )
 
 
@@ -158,17 +164,27 @@ def test_verlinde_rejects_nonunitary():
         find_vacuum(s)
 
 
-@pytest.mark.parametrize("case", ["KP A2 k=6", "KP A2 k=9", "KP A3 k=2", "FKW A1 (11,10)",
-                                  "FKW A2 (7,4)", "subregular D4 (9,4)"])
-def test_blas_kernels_match_einsum_oracle(case):
-    kind, cartan, arg = case.split(" ", 2)
-    rs = build_root_system(CartanType.parse(cartan))
+@functools.lru_cache(maxsize=None)
+def _case(case: str) -> SMatrix:
+    """"KP A2 k=9", "FKW A1 (11,10)", "subregular D4 (9,4)" or "Vir (3,5)"."""
+    kind, rest = case.split(" ", 1)
+    pq = rest.split(" ")[-1]
+    if kind == "Vir":
+        return virasoro_S(*map(int, pq.strip("()").split(",")))
+    rs = build_root_system(CartanType.parse(rest.split(" ")[0]))
     if kind == "KP":
-        sm = kac_peterson(rs, int(arg[2:]))
-    else:
-        p, q = map(int, arg.strip("()").split(","))
-        make = fkw_principal if kind == "FKW" else subregular_S
-        sm = make(make_admissible_level(rs, p, q))
+        return kac_peterson(rs, int(pq[2:]))
+    p, q = map(int, pq.strip("()").split(","))
+    make = fkw_principal if kind == "FKW" else subregular_S
+    return make(make_admissible_level(rs, p, q))
+
+
+BLAS_CASES = ["KP A2 k=6", "KP A2 k=9", "KP A3 k=2", "FKW A1 (11,10)", "FKW A2 (7,4)", "subregular D4 (9,4)"]
+
+
+@pytest.mark.parametrize("case", BLAS_CASES)
+def test_blas_kernels_match_einsum_oracle(case):
+    sm = _case(case)
     s = sm.entries
     cands, first = _candidate_vacua(s)
     assert cands == candidate_vacua_einsum(s)
@@ -181,6 +197,106 @@ def test_blas_kernels_match_einsum_oracle(case):
     assert np.array_equal(table.coefficients, np.round(ref.real).astype(np.int64))
     assert np.array_equal(table.quantum_dimensions, (s[v] / s[v, v]).real)
     assert is_associative_einsum(table.coefficients)
+
+
+@pytest.mark.parametrize("case, declared", [
+    *((case, ...) for case in BLAS_CASES),
+    ("FKW A2 (8,5)", ...),  # the positive row 29 fails, the declared 0 wins
+    ("subregular D5 (9,7)", ...),
+    ("KP A1 k=3", 3),  # the simple current 3 passes and is declared, the positive 0 wins
+    ("FKW A2 (7,4)", "0"),  # declared values that are not indices
+    ("FKW A2 (7,4)", 2.5),
+    ("FKW A2 (7,4)", 99),
+    ("FKW A2 (7,4)", None),
+], ids=lambda v: "declared as built" if v is ... else v if isinstance(v, str) and " " in v else f"declared {v!r}")
+def test_find_vacuum_matches_the_scan_oracle(case, declared):
+    """``find_vacuum``'s row order decides as the full scan does: the same
+    vacuum, or the same error.  ``...`` keeps the constructor's declared
+    vacuum, None removes it."""
+    sm = _case(case)
+    if declared is not ...:
+        provenance = {k: v for k, v in sm.provenance.items() if k != "vacuum"}
+        if declared is not None:
+            provenance["vacuum"] = declared
+        sm = SMatrix(sm.labels, sm.entries, sm.normalization, provenance)
+    try:
+        expected = find_vacuum_by_scan(sm)
+    except FusionError as e:
+        with pytest.raises(FusionError) as got:
+            find_vacuum(sm)
+        assert str(got.value) == str(e)
+        return
+    assert find_vacuum(sm) == expected
+    assert verlinde(sm).vacuum == expected
+
+
+def test_two_passing_rows_without_a_declared_vacuum_are_refused():
+    # neither passing row has positive quantum dimensions, and none is declared
+    sm = _case("Vir (3,5)")
+    assert "vacuum" not in sm.provenance
+    assert candidate_vacua_einsum(sm.entries) == [0, 3]
+    for rule in (find_vacuum, find_vacuum_by_scan):
+        with pytest.raises(FusionError, match=r"^vacuum is not unique: candidates \[0, 3\]$"):
+            rule(sm)
+
+
+@pytest.mark.parametrize("case", ["KP A2 k=9", "KP A8 k=2"])
+def test_find_vacuum_builds_one_tensor(case, monkeypatch):
+    # the simple currents pass too (3 and 9 rows), but the positive row 0
+    # decides as soon as it passes
+    built = []
+
+    def counting(s, v, pairs=None):
+        built.append(v)
+        return _verlinde_raw(s, v, pairs)
+
+    monkeypatch.setattr("affw.fusion._verlinde_raw", counting)
+    assert find_vacuum(_case(case)) == 0
+    assert built == [0]
+
+
+def test_kac_peterson_a8_level2():
+    sm = _case("KP A8 k=2")
+    assert sm.size == 45
+    assert _candidate_vacua(sm.entries)[0] == [0, 2, 5, 9, 14, 20, 27, 35, 44]
+    table = verlinde(sm)
+    assert table.vacuum == 0
+    ref = [su_quantum_dimension(2, [int(c) for c in label.coords]) for label in sm.labels]
+    assert np.abs(table.quantum_dimensions - ref).max() < 1e-9
+
+
+def test_kac_peterson_e8_level2_is_ising():
+    table = verlinde(kac_peterson(build_root_system(CartanType.parse("E8")), 2))
+    assert table.size == 3
+    assert fusion_ring_isomorphic(table, virasoro_fusion(3, 4)) is not None
+
+
+def test_iso_matches_brute_force_on_random_rings():
+    # permuted copies (the vacuum moves too), and copies with one structure
+    # constant N_ab^c = N_ba^c changed, against every vacuum-preserving
+    # permutation; every changed copy drawn here is not isomorphic
+    rng = np.random.default_rng(19)
+    seen = set()
+    for _ in range(150):
+        size = int(rng.integers(2, 7))
+        n1 = _random_table(rng, size)
+        sigma = rng.permutation(size)
+        n2 = np.zeros_like(n1)
+        n2[np.ix_(sigma, sigma, sigma)] = n1
+        changed = rng.random() < 0.4
+        if changed:
+            a, b = sorted(int(x) for x in rng.choice(np.delete(np.arange(size), sigma[0]), 2))
+            c = int(rng.integers(size))
+            n2[a, b, c] = n2[b, a, c] = (n2[a, b, c] + 1) % 4
+        t1 = FusionTable(list(range(size)), n1, 0, np.ones(size), int(n1.max()), 0.0)
+        t2 = FusionTable(list(range(size)), n2, int(sigma[0]), np.ones(size), int(n2.max()), 0.0)
+        iso = fusion_ring_isomorphic(t1, t2)
+        brute = ring_isomorphisms_brute(t1, t2)
+        assert (iso is not None) == bool(brute)
+        if iso is not None:
+            assert iso in brute
+        seen.add((changed, iso is not None))
+    assert seen == {(False, True), (True, False)}
 
 
 def _table(coeffs):

@@ -445,6 +445,15 @@ def test_level_beyond_64_bit_integers_is_refused(a1, build, lam):
     assert ch.specialize_y1().coeffs_dict() == {0: 1, 1: 3, 2: 9}
 
 
+def test_large_weight_translation_ball_is_refused_before_it_is_enumerated(a1):
+    # at lam = 5 * 10**18, level 1, the ball of coroot coefficients has about
+    # 10**18 points: its bounding box is counted and refused first
+    t0 = time.perf_counter()
+    with pytest.raises(QSeriesError, match="translation ball spans .* coroot points"):
+        kac_wakimoto_numerator(a1, Weight.of(5 * 10**18), 1, 1, 0)
+    assert time.perf_counter() - t0 < 1.0
+
+
 def test_numerator_below_q0_is_refused(a1):
     # lam + rho = -4 omega is not dominant: the translation by alpha drops by -1
     with pytest.raises(QSeriesError):
