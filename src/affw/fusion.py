@@ -97,32 +97,6 @@ def _integral_nonnegative(raw: np.ndarray) -> bool:
     )
 
 
-def _candidate_vacua(s: np.ndarray) -> tuple[list[int], Optional[np.ndarray]]:
-    """Rows v against which Verlinde gives non-negative integers, and a tensor.
-
-    Every tensor is :func:`_verlinde_raw` on one shared ``pairs`` matrix.
-    The a = 0 slices N_{0b}^c(v) = sum_j (S_0j / S_vj) S_bj conj(S_cj) of all
-    rows come from one (rows x n) @ (n x n^2) product; only the rows that
-    pass them get the full tensor test.  Those are tested last row first and
-    each tensor is dropped before the next is built, so at most one n^3
-    tensor is alive: the one returned, which is the first candidate's (None
-    when the last row tested failed).
-    """
-    n = s.shape[0]
-    rows = np.flatnonzero(np.abs(s).min(axis=1) >= ZERO_TOL)
-    pairs = _pairs(s)
-    slices = ((s[0] / s[rows]) @ pairs).reshape(len(rows), n, n)
-    cands, first = [], None
-    for v, slice0 in zip(rows[::-1], slices[::-1]):
-        if _integral_nonnegative(slice0):
-            first = raw = None  # free the last tensor before building the next
-            raw = _verlinde_raw(s, v, pairs)
-            if _integral_nonnegative(raw):
-                cands.insert(0, int(v))
-                first = raw
-    return cands, first
-
-
 def _passing_tensor(s: np.ndarray, v: int, pairs: np.ndarray) -> Optional[np.ndarray]:
     """Row ``v``'s Verlinde tensor if it is non-negative integral, else None.
 
@@ -139,10 +113,9 @@ def _passing_tensor(s: np.ndarray, v: int, pairs: np.ndarray) -> Optional[np.nda
 def _find_vacuum(s: SMatrix) -> tuple[int, np.ndarray]:
     """:func:`find_vacuum` and the vacuum's Verlinde tensor.
 
-    Rows are tested in the order the rule needs them: first the rows with
-    positive quantum dimensions, then the declared vacuum; only when neither
-    decides does :func:`_candidate_vacua` scan every row, for the single
-    candidate or for the error.  At most one passing tensor is kept.
+    Each row's tensor is dropped before the next row is tested, so at most
+    one n^3 tensor is alive; the winner's is rebuilt only when a row of its
+    group was tested after it.
     """
     if s.normalization != "unitary":
         raise FusionError("find_vacuum needs a unitary S-matrix")
@@ -151,39 +124,38 @@ def _find_vacuum(s: SMatrix) -> tuple[int, np.ndarray]:
     pairs = _pairs(e)
     dims = e[rows] / e[rows, rows][:, None]
     positive = (dims.real > 1e-9).all(axis=1) & (np.abs(dims.imag) < 1e-9).all(axis=1)
-    found = None
-    for v in [v for v, ok in zip(rows, positive) if ok]:
-        raw = _passing_tensor(e, v, pairs)
-        if raw is not None and found is not None:
-            found = raw = None  # a second positive row passes: positivity does not decide
-            break
-        if raw is not None:
-            found = v, raw
     declared = s.provenance.get("vacuum")
-    if found is None and declared in rows:
-        v = rows[rows.index(declared)]
-        raw = _passing_tensor(e, v, pairs)
-        if raw is not None:
-            found = v, raw
-    if found is not None:
-        return found
-    cands, first = _candidate_vacua(e)
-    if not cands:
+    for group in (
+        [v for v, ok in zip(rows, positive) if ok],
+        [rows[rows.index(declared)]] if declared in rows else [],
+        rows,
+    ):
+        passing = []
+        for v in group:
+            raw = None  # free the last tensor before building the next
+            raw = _passing_tensor(e, v, pairs)
+            if raw is not None:
+                passing.append(v)
+                if len(passing) == 2 and group is not rows:
+                    break  # this group cannot decide; only the error needs every row
+        if len(passing) == 1:
+            return passing[0], _verlinde_raw(e, passing[0], pairs) if raw is None else raw
+    if not passing:
         raise FusionError("no vacuum candidate: wrong label set or normalisation")
-    if len(cands) > 1:
-        raise FusionError(f"vacuum is not unique: candidates {cands}")
-    return cands[0], _verlinde_raw(e, cands[0], pairs) if first is None else first
+    raise FusionError(f"vacuum is not unique: candidates {passing}")
 
 
 def find_vacuum(s: SMatrix) -> int:
     """Index against which Verlinde yields non-negative integers.
 
     Simple-current twists can make several rows pass the integrality test.
-    The rule: a row with positive quantum dimensions wins if it is the only
-    such row that passes; failing that, the constructor's declared vacuum
-    (``provenance["vacuum"]``) wins if it passes; failing that, the only
-    passing row.  Anything else is a :class:`FusionError`, a structural
-    error upstream.
+    The rule is one row test (the a = 0 slice of the row's Verlinde tensor,
+    then the whole tensor, non-negative integral) over three groups of rows
+    in turn: the rows with positive quantum dimensions, then the
+    constructor's declared vacuum (``provenance["vacuum"]``), then every
+    row.  The first group in which exactly one row passes decides.  When
+    none does, no passing row or several are a :class:`FusionError`, a
+    structural error upstream.
     """
     return _find_vacuum(s)[0]
 

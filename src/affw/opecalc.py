@@ -665,14 +665,14 @@ def register_algebra(
     return alg.finalize(check_skew=True, trusted=False)
 
 
-def affine(root_system, level_name: str = "k") -> ConformalAlgebra:
+def affine(root_system) -> ConformalAlgebra:
     """Affine preset for a root system; structure constants exist for type A."""
     t = root_system.cartan_type
     if t.family != "A":
         raise OpeError(
             f"affine preset has structure constants for type A only, not {t}"
         )
-    return affine_sl(t.rank + 1, level_name)
+    return affine_sl(t.rank + 1)
 
 
 def heisenberg() -> ConformalAlgebra:
@@ -725,17 +725,18 @@ def _sl_structure(nn: int):
     return names, mats, expand
 
 
-def affine_sl(nn: int, level_name: str = "k") -> ConformalAlgebra:
+def affine_sl(nn: int) -> ConformalAlgebra:
     """Universal affine vertex algebra of sl_n: [a_la b] = [a,b] + k (a,b) la.
 
     The bilinear form is the defining-representation trace form, which is the
-    (theta, theta) = 2 normalisation for type A.
+    (theta, theta) = 2 normalisation for type A.  The level is the parameter
+    ``"k"``, which :func:`sugawara_sl` reads.
     """
     names, mats, expand = _sl_structure(nn)
-    alg = ConformalAlgebra(f"affine_sl{nn}", parameters=(level_name,))
+    alg = ConformalAlgebra(f"affine_sl{nn}", parameters=("k",))
     for nm in names:
         alg.add_generator(nm)
-    k = alg.scalar(alg.param(level_name))
+    k = alg.scalar(alg.param("k"))
     for a, ma in zip(names, mats):
         for b, mb in zip(names, mats):
             comm = expand(ma @ mb - mb @ ma)

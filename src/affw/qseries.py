@@ -47,6 +47,9 @@ class QSeriesError(ValueError):
 # order 3 needs 5.2e7 and fits, E6 level 1 order 1 needs 3.1e9 (23 GiB)
 MAX_BOX_CELLS = 1 << 27
 
+# largest lattice-ball radius^2 theta_eval grows to while certifying its eps
+MAX_THETA_RADIUS2 = 1e6
+
 # int64 wraps silently: every integer of the Kac-Wakimoto walk stays below this
 MAX_WALK_INT = 1 << 62
 _LEVEL_TOO_LARGE = "level or weight too large: the Kac-Wakimoto translations must fit 64-bit integers"
@@ -768,12 +771,12 @@ def theta_eval(
     tau: complex,
     x: Sequence[complex],
     eps: float,
-    max_radius2: float = 1e6,
 ) -> dict:
     """``sum_{v in shift + Z^l} e^{2 pi i (v, x)} e^{pi i tau (v, v)}`` to within eps.
 
     Lattice-ball summation; the report carries the radius used and the
-    certified Gaussian tail bound.
+    certified Gaussian tail bound.  An eps the tail bound cannot reach
+    within radius^2 ``MAX_THETA_RADIUS2`` is a :class:`QSeriesError`.
     """
     if tau.imag <= 0:
         raise QSeriesError("Im tau must be positive")
@@ -788,9 +791,9 @@ def theta_eval(
         if tail < eps:
             break
         radius2 *= 1.8
-        if radius2 > max_radius2:
+        if radius2 > MAX_THETA_RADIUS2:
             raise QSeriesError(
-                f"cannot certify eps={eps} within radius^2 cap {max_radius2}"
+                f"cannot certify eps={eps} within radius^2 cap {MAX_THETA_RADIUS2}"
             )
     pts = _lattice_points(g, shift, radius2)
     val = 0j

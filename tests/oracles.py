@@ -37,7 +37,12 @@ from affw.qseries import QSeries, TwoVarCharacter, _lattice_points
 
 
 def virasoro_S(p: int, q: int) -> SMatrix:
-    """Closed-form minimal model S-matrix on (r, s) labels mod (p-r, q-s)."""
+    """Closed-form minimal model S-matrix on (r, s) labels mod (p-r, q-s).
+
+    Row 0 is the (1, 1) label, declared as the vacuum: in a non-unitary model
+    its quantum dimensions are not all positive, and other rows can pass the
+    integrality test too.
+    """
     labels = []
     seen = set()
     for r in range(1, p):
@@ -57,7 +62,7 @@ def virasoro_S(p: int, q: int) -> SMatrix:
                 * np.sin(np.pi * q * r * rr / p)
                 * np.sin(np.pi * p * s * ss / q)
             )
-    return SMatrix(labels, S.astype(complex), "unitary", {"constructor": "virasoro_oracle"})
+    return SMatrix(labels, S.astype(complex), "unitary", {"constructor": "virasoro_oracle", "vacuum": 0})
 
 
 def virasoro_fusion(p: int, q: int) -> FusionTable:

@@ -9,6 +9,8 @@ import pytest
 from affw import __version__, cli, fusion
 from affw.cli import main
 
+from oracles import candidate_vacua_einsum
+
 
 def run_cli(args, tmp_path=None):
     return main(args)
@@ -182,7 +184,7 @@ def test_declared_vacuum_survives_the_file_round_trip(tmp_path):
     assert json.loads(spath.read_text())["vacuum"] == 0
     sm = cli._read_smatrix(spath)
     assert sm.provenance == {"vacuum": 0}
-    assert fusion._candidate_vacua(sm.entries)[0] == [0, 4, 14]
+    assert candidate_vacua_einsum(sm.entries) == [0, 4, 14]
     assert main(["fusion", "--from", str(spath), "--out", str(fpath)]) == 0
     assert json.loads(fpath.read_text())["vacuum"] == 0
 

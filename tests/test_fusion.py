@@ -7,8 +7,8 @@ from affw.affine import make_admissible_level
 from affw.fusion import (
     FusionError,
     FusionTable,
-    _candidate_vacua,
     _exact_float,
+    _find_vacuum,
     _verlinde_raw,
     charge_conjugation,
     find_vacuum,
@@ -136,19 +136,23 @@ def test_fkw_34_is_ising(a1):
 
 
 def test_fkw_45_is_tricritical(a1):
-    ours = verlinde(fkw_principal(make_admissible_level(a1, 4, 5)))
-    oracle = virasoro_fusion(4, 5)
-    assert fusion_ring_isomorphic(ours, oracle) is not None
+    # and the non-unitary minimal models, whose rings need the oracle's
+    # declared vacuum
+    for p, q in [(4, 5), (5, 3), (7, 3), (7, 4), (8, 3), (7, 5), (5, 2)]:
+        ours = verlinde(fkw_principal(make_admissible_level(a1, p, q)))
+        oracle = virasoro_fusion(p, q)
+        assert fusion_ring_isomorphic(ours, oracle) is not None, (p, q)
 
 
 def test_subregular_d6_is_ising():
-    rs = build_root_system(CartanType.parse("D6"))
-    sm = subregular_S(make_admissible_level(rs, 11, 8))
-    ours = verlinde(sm)
-    ising = virasoro_fusion(3, 4)
-    bij = fusion_ring_isomorphic(ours, ising)
-    assert bij is not None
-    assert ours.max_coefficient == 1
+    # subregular D_n at (2n-1, 2n-4) is Vir(3, n-2): Ising at n = 6; n = 8
+    # and n = 11 are not admissible (gcd(p, q) > 1)
+    for n in (6, 7, 9, 10, 13):
+        rs = build_root_system(CartanType.parse(f"D{n}"))
+        ours = verlinde(subregular_S(make_admissible_level(rs, 2 * n - 1, 2 * n - 4)))
+        oracle = virasoro_fusion(3, n - 2)
+        assert fusion_ring_isomorphic(ours, oracle) is not None, n
+        assert ours.max_coefficient == 1, n
 
 
 def test_subregular_d4_94_nontrivial_table():
@@ -186,11 +190,11 @@ BLAS_CASES = ["KP A2 k=6", "KP A2 k=9", "KP A3 k=2", "FKW A1 (11,10)", "FKW A2 (
 def test_blas_kernels_match_einsum_oracle(case):
     sm = _case(case)
     s = sm.entries
-    cands, first = _candidate_vacua(s)
-    assert cands == candidate_vacua_einsum(s)
-    assert np.array_equal(first, _verlinde_raw(s, cands[0]))
+    cands = candidate_vacua_einsum(s)
+    v, raw = _find_vacuum(sm)
+    assert np.array_equal(raw, _verlinde_raw(s, v))
     table = verlinde(sm)
-    v = table.vacuum
+    assert table.vacuum == v
     assert v in cands
     ref = verlinde_einsum(s, v)
     assert np.abs(_verlinde_raw(s, v) - ref).max() < 1e-12
@@ -208,6 +212,7 @@ def test_blas_kernels_match_einsum_oracle(case):
     ("FKW A2 (7,4)", 2.5),
     ("FKW A2 (7,4)", 99),
     ("FKW A2 (7,4)", None),
+    ("Vir (2,5)", None),  # Lee-Yang: only row 0 passes, and its quantum dimension is -0.618
 ], ids=lambda v: "declared as built" if v is ... else v if isinstance(v, str) and " " in v else f"declared {v!r}")
 def test_find_vacuum_matches_the_scan_oracle(case, declared):
     """``find_vacuum``'s row order decides as the full scan does: the same
@@ -233,7 +238,7 @@ def test_find_vacuum_matches_the_scan_oracle(case, declared):
 def test_two_passing_rows_without_a_declared_vacuum_are_refused():
     # neither passing row has positive quantum dimensions, and none is declared
     sm = _case("Vir (3,5)")
-    assert "vacuum" not in sm.provenance
+    sm = SMatrix(sm.labels, sm.entries, sm.normalization, {})
     assert candidate_vacua_einsum(sm.entries) == [0, 3]
     for rule in (find_vacuum, find_vacuum_by_scan):
         with pytest.raises(FusionError, match=r"^vacuum is not unique: candidates \[0, 3\]$"):
@@ -258,7 +263,7 @@ def test_find_vacuum_builds_one_tensor(case, monkeypatch):
 def test_kac_peterson_a8_level2():
     sm = _case("KP A8 k=2")
     assert sm.size == 45
-    assert _candidate_vacua(sm.entries)[0] == [0, 2, 5, 9, 14, 20, 27, 35, 44]
+    assert candidate_vacua_einsum(sm.entries) == [0, 2, 5, 9, 14, 20, 27, 35, 44]
     table = verlinde(sm)
     assert table.vacuum == 0
     ref = [su_quantum_dimension(2, [int(c) for c in label.coords]) for label in sm.labels]

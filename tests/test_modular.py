@@ -65,7 +65,8 @@ def test_kac_peterson_charge_conjugation_is_permutation(a1):
 
 
 def test_fkw_matches_virasoro_oracle(a1):
-    for p, q in [(3, 4), (4, 5)]:
+    # unitary (3,4), (4,5), then non-unitary minimal models
+    for p, q in [(3, 4), (4, 5), (5, 3), (7, 3), (7, 4), (8, 3), (7, 5), (5, 2)]:
         sm = fkw_principal(make_admissible_level(a1, p, q))
         oracle = virasoro_S(p, q)
         # same labels (r, s) as integers

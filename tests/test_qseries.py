@@ -557,9 +557,11 @@ def test_theta_tail_bound_doubling():
 
 
 def test_theta_eps_unreachable():
+    # tau = 1e-3 i certifies at radius^2 2.7e5; 1e-4 i would need more than
+    # MAX_THETA_RADIUS2 and is refused before any lattice point is summed
     spec = ThetaSpec(((Fraction(2),),), (Fraction(0),))
-    with pytest.raises(QSeriesError):
-        theta_eval(spec, 0.001j, [0.0], 1e-300, max_radius2=10.0)
+    with pytest.raises(QSeriesError, match=r"within radius\^2 cap"):
+        theta_eval(spec, 0.0001j, [0.0], 1e-300)
 
 
 @pytest.mark.parametrize("tau", [1j, 0.5j, 0.25 + 1j])
