@@ -13,27 +13,4 @@ Subpackages by concern:
 
 __version__ = "0.1.0"
 
-from .affine import (
-    AdmissibleLevel,
-    PrincipalLabel,
-    SubregularLabel,
-    make_admissible_level,
-    principal_labels,
-    subregular_labels,
-)
-from .liealg import CartanType, RootSystem, Weight, WeylElement, build_root_system
-
-__all__ = [
-    "__version__",
-    "CartanType",
-    "RootSystem",
-    "Weight",
-    "WeylElement",
-    "build_root_system",
-    "AdmissibleLevel",
-    "PrincipalLabel",
-    "SubregularLabel",
-    "make_admissible_level",
-    "principal_labels",
-    "subregular_labels",
-]
+__all__ = ["__version__"]

@@ -25,8 +25,6 @@ __all__ = [
     "SubregularLabel",
     "make_admissible_level",
     "enumerate_P_plus_k",
-    "enumerate_regular",
-    "enumerate_subregular_eta",
     "principal_labels",
     "subregular_labels",
     "alpha_star",
@@ -96,12 +94,17 @@ def _dominant_by_level(
 
 
 def _regular(rs: RootSystem, m: int) -> list[tuple[int, ...]]:
-    """Coordinates of the strictly dominant weights of level < m, lex order."""
+    """Coordinates of the strictly dominant weights of level < m (the set
+    P_+^{m,reg}), lex order; empty when m < h_check, as rho has level h_check - 1."""
     return list(_dominant_by_level(rs, m - 1, lower=(1,) * rs.rank))
 
 
 def _subregular_eta(rs: RootSystem, q: int) -> list[tuple[tuple[int, ...], int]]:
-    """Coordinates and wall id of each eta in :func:`enumerate_subregular_eta`.
+    """Dominant weights of level <= q pinned to exactly one alcove wall.
+
+    The wall quantities are <eta, alpha_i_check> for i = 1..l together with
+    q - <eta, theta_check>; wall id 0 names the affine wall, i names the wall
+    of alpha_i (1-based).  Pairs (coordinates, wall id) in lex order.
 
     One bounded enumeration per wall: eta_i = 0 and every other coordinate
     at least 1 below level q for the wall of alpha_i; every coordinate at
@@ -126,24 +129,6 @@ def enumerate_P_plus_k(rs: RootSystem, k: int) -> list[Weight]:
     if k < 0:
         raise AffineDataError("level bound must be non-negative")
     return [Weight.of(*c) for c in _dominant_by_level(rs, k)]
-
-
-def enumerate_regular(rs: RootSystem, m: int) -> list[Weight]:
-    """Strictly dominant weights of level < m (the set P_+^{m,reg}).
-
-    Empty when m < h_check since rho itself has level h_check - 1.
-    """
-    return [Weight.of(*c) for c in _regular(rs, m)]
-
-
-def enumerate_subregular_eta(rs: RootSystem, q: int) -> list[tuple[Weight, int]]:
-    """Dominant weights of level <= q pinned to exactly one alcove wall.
-
-    The wall quantities are <eta, alpha_i_check> for i = 1..l together with
-    q - <eta, theta_check>; wall_id 0 names the affine wall, i names the wall
-    of alpha_i (1-based).  Lex order of the coordinates.
-    """
-    return [(Weight.of(*c), wall) for c, wall in _subregular_eta(rs, q)]
 
 
 # -- label sets ---------------------------------------------------------------

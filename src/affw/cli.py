@@ -103,6 +103,15 @@ def cmd_roots(args):
     _emit(payload, args, f"roots_{args.type}.json")
 
 
+def _refuse_ignored(args, where: str, *dests):
+    """Exit 2 on the first flag in ``dests`` off its default (None, False,
+    ``--probe default``): ``where`` ignores it, so it must not reach ``config``."""
+    for dest in dests:
+        value = getattr(args, dest)
+        if value is not None and value is not False and (dest, value) != ("probe", "default"):
+            raise CliError(f"--{dest.replace('_', '-')} has no effect with {where}", EXIT_VALIDATION)
+
+
 def _admissible(rs, args):
     if args.p is None or args.q is None:
         raise CliError(f"{args.command} needs both --p and --q", EXIT_VALIDATION)
@@ -142,72 +151,70 @@ def cmd_weights(args):
 
 
 def cmd_char(args):
+    if args.kind != "irreducible":
+        _refuse_ignored(args, f"--kind {args.kind}", "level", "p", "q", "two_var", "y_spec")
+    if args.level is not None and (args.p is not None or args.q is not None):
+        raise CliError("give --level or --p/--q, not both", EXIT_VALIDATION)
+    if args.two_var:
+        _refuse_ignored(args, "--two-var", "y_spec")
     rs = _root_system(args)
-    order = args.order
-    if order < 0:
+    if args.order < 0:
         raise CliError("--order must be a non-negative integer", EXIT_VALIDATION)
     if args.kind == "w-vacuum":
-        series = qseries.w_vacuum_character(qseries.principal_w_weights(rs), order)
-        payload = {"config": vars_config(args), **series.to_json()}
-        _emit(payload, args, "char.json")
-        return
-    if args.kind == "brst":
-        rep = qseries.brst_character(order)
-        payload = {
-            "config": vars_config(args),
+        result = qseries.w_vacuum_character(qseries.principal_w_weights(rs), args.order).to_json()
+    elif args.kind == "brst":
+        rep = qseries.brst_character(args.order)
+        result = {
             "telescoped": rep["telescoped"],
             "y1_limit": rep["y1_limit"].to_json(),
             "two_var": [
                 {"y": y, "q": q, "coeff": str(c)} for (y, q), c in sorted(rep["two_var"].items())
             ],
         }
-        _emit(payload, args, "char_brst.json")
-        return
-    try:
-        level = Fraction(args.level) if args.level else None
-    except (ValueError, ZeroDivisionError):
-        raise CliError(f"--level must be a number, not {args.level!r}", EXIT_VALIDATION)
-    if args.p is not None and args.q is not None:
-        lv = _admissible(rs, args)
-        level, stride = lv.k, args.q
-    elif level is not None:
-        stride = 1
+    else:
+        result = _irreducible_json(rs, args)
+    _emit({"config": vars_config(args), **result}, args,
+          "char_brst.json" if args.kind == "brst" else "char.json")
+
+
+def _irreducible_json(rs, args) -> dict:
+    """The vacuum character at ``--level`` or at the admissible level of ``--p``/``--q``."""
+    if args.level is not None:
+        try:
+            level = Fraction(args.level)
+        except (ValueError, ZeroDivisionError):
+            raise CliError(f"--level must be a number, not {args.level!r}", EXIT_VALIDATION)
         if level.denominator != 1 or level < 0:
             raise CliError("--level must be a non-negative integer (or give --p/--q)", EXIT_VALIDATION)
+        stride = 1
+    elif args.p is not None or args.q is not None:
+        level, stride = _admissible(rs, args).k, args.q
     else:
         raise CliError("char needs --level or both --p and --q", EXIT_VALIDATION)
-    lam = rs.zero_weight()
     try:
-        ch = qseries.irreducible_character(rs, lam, level, stride, order)
+        ch = qseries.irreducible_character(rs, rs.zero_weight(), level, stride, args.order)
     except qseries.QSeriesError as e:
         raise CliError(str(e), EXIT_VALIDATION)
     if args.two_var:
-        terms = [
-            {"weight": [str(x) for x in coords], "series": s.to_json()}
-            for coords, s in sorted(ch.terms.items())
-        ]
-        payload = {"config": vars_config(args), "terms": terms}
-    else:
-        if args.y_spec:
-            try:
-                spec = ch.specialize([Fraction(x) for x in args.y_spec.split(",")])
-            except (ValueError, ZeroDivisionError) as e:
-                raise CliError(f"bad --y-spec {args.y_spec!r}: {e}", EXIT_VALIDATION)
-            payload = {
-                "config": vars_config(args),
-                "y_series": {str(k): v.to_json() for k, v in sorted(spec.items())},
-            }
-        else:
-            payload = {"config": vars_config(args), **ch.specialize_y1().to_json()}
-    _emit(payload, args, "char.json")
+        return {"terms": [{"weight": [str(x) for x in coords], "series": s.to_json()}
+                          for coords, s in sorted(ch.terms.items())]}
+    if not args.y_spec:
+        return ch.specialize_y1().to_json()
+    try:
+        spec = ch.specialize([Fraction(x) for x in args.y_spec.split(",")])
+    except (ValueError, ZeroDivisionError) as e:
+        raise CliError(f"bad --y-spec {args.y_spec!r}: {e}", EXIT_VALIDATION)
+    return {"y_series": {str(k): v.to_json() for k, v in sorted(spec.items())}}
 
 
 def vars_config(args):
-    skip = {"func"}
-    return {k: v for k, v in vars(args).items() if k not in skip and v is not None}
+    return {k: v for k, v in vars(args).items() if k != "func" and v is not None}
 
 
 def cmd_smatrix(args):
+    ignored = {"integrable": ("p", "q", "probe"), "principal": ("level", "probe"),
+               "subregular": ("level",)}
+    _refuse_ignored(args, f"--variant {args.variant}", *ignored[args.variant])
     rs = _root_system(args)
     t0 = time.time()
     try:
@@ -219,9 +226,7 @@ def cmd_smatrix(args):
             sm = modular.fkw_principal(_admissible(rs, args))
         else:
             lv = _admissible(rs, args)
-            probe = None
-            if args.probe == "alt":
-                probe = modular.alternate_probe(rs)
+            probe = modular.alternate_probe(rs) if args.probe == "alt" else None
             sm = modular.subregular_S(lv, x_probe=probe)
     except modular.SMatrixError as e:
         code = EXIT_TOLERANCE if e.residual is not None else EXIT_VALIDATION
@@ -246,6 +251,8 @@ def _read_smatrix(path) -> modular.SMatrix:
     try:
         with open(path, "r") as fh:
             data = json.load(fh)
+        if not isinstance(data["labels"], list):
+            raise ValueError(f"labels must be a list, not {type(data['labels']).__name__}")
         m = np.array([[complex(re, im) for re, im in row] for row in data["matrix"]])
         if m.ndim != 2 or m.shape[0] != m.shape[1] or len(data["labels"]) != m.shape[0]:
             raise ValueError("matrix must be square with one row per label")
@@ -306,6 +313,8 @@ def cmd_ope(args):
 
 
 def _ope_results(args, opecalc) -> dict:
+    if args.preset != "sugawara":
+        _refuse_ignored(args, f"--preset {args.preset}", "rank", "type")
     if args.preset == "heisenberg":
         alg = opecalc.heisenberg()
         h = alg.gen("h")
@@ -320,18 +329,15 @@ def _ope_results(args, opecalc) -> dict:
     elif args.preset == "sugawara":
         if args.rank is not None and args.type is not None:
             raise CliError("give --rank or --type, not both", EXIT_VALIDATION)
-        if args.rank is not None:
-            if args.rank < 1:
-                raise CliError("--rank must be a positive integer", EXIT_VALIDATION)
-            n = args.rank + 1
-        elif args.type is not None:
-            ct = _root_system(args).cartan_type
-            if ct.family != "A":
-                raise CliError("sugawara preset supports type A only", EXIT_UNSUPPORTED)
-            n = ct.rank + 1
+        if args.rank is not None and args.rank < 1:
+            raise CliError("--rank must be a positive integer", EXIT_VALIDATION)
+        alg = None
+        if args.type is not None:
+            rs = _root_system(args)
+            alg, n = opecalc.affine(rs), rs.rank + 1
         else:
-            n = 2
-        alg, L = opecalc.sugawara_sl(n)
+            n = 2 if args.rank is None else args.rank + 1
+        alg, L = opecalc.sugawara_sl(n, alg)
         rep = opecalc.virasoro_test(alg, L)
         results = {
             "algebra": f"sl{n}",
@@ -357,8 +363,6 @@ def _ope_results(args, opecalc) -> dict:
 
 
 def cmd_verify(args):
-    from fractions import Fraction as F
-
     checks = []
 
     def check(name, fn):
@@ -416,7 +420,7 @@ def cmd_verify(args):
         assert rep["telescoped"]
 
     def c_theta():
-        spec = qseries.ThetaSpec(((F(2),),), (F(0),))
+        spec = qseries.ThetaSpec(((Fraction(2),),), (Fraction(0),))
         for tau in (1j, 0.5j, 0.25 + 1j):
             assert qseries.modular_transform_check(spec, tau, [0.0], 1e-12)["residual"] < 1e-9
 
@@ -427,7 +431,7 @@ def cmd_verify(args):
 
         alg = opecalc.heisenberg()
         h = alg.gen("h")
-        L = alg.normal_product(h, h).scaled(F(1, 2))
+        L = alg.normal_product(h, h).scaled(Fraction(1, 2))
         rep = opecalc.virasoro_test(alg, L)
         assert rep.ok and sympy.cancel(rep.central_charge - 1) == 0
         alg3, L3 = opecalc.sugawara_sl(3)

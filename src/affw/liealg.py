@@ -48,10 +48,8 @@ __all__ = [
     "WeylBlock",
     "WeylElement",
     "build_root_system",
-    "inner_product",
     "weyl_blocks",
     "weyl_stream",
-    "exponents",
 ]
 
 
@@ -250,7 +248,7 @@ class RootSystem:
     weyl_vector: Weight
     dual_coxeter: int
     comarks: tuple[int, ...]                          # <varpi_i, theta_check>
-    exponents: tuple[int, ...]
+    exponents: tuple[int, ...]                        # ascending; m_i + 1: principal W weights
     weyl_order: int
     index_P_mod_Q: int
     index_P_mod_Qcheck: int
@@ -447,17 +445,7 @@ def _exponents_from_heights(heights: Sequence[int], rank: int) -> tuple[int, ...
     return tuple(exps)
 
 
-# -- spec-level operations --------------------------------------------------
-
-
-def inner_product(rs: RootSystem, lam: Weight, mu: Weight) -> Fraction:
-    """Normalised invariant bilinear form, exact."""
-    return rs.bilinear(lam, mu)
-
-
-def exponents(rs: RootSystem) -> list[int]:
-    """Exponents m_1 <= ... <= m_l; m_i + 1 are principal W-generator weights."""
-    return list(rs.exponents)
+# -- the Weyl group walk -----------------------------------------------------
 
 
 class WeylBlock(NamedTuple):

@@ -104,9 +104,6 @@ class Generator:
     index: int
     parity: int  # 0 even, 1 odd
 
-    def __str__(self):
-        return self.name
-
 
 # monomial encodings:
 #   ("1",)                      the vacuum
@@ -802,9 +799,6 @@ class VirasoroReport:
     ok: bool
     central_charge: Optional[sympy.Expr]
     residuals: dict
-
-    def __bool__(self):
-        return self.ok
 
 
 def virasoro_test(alg: ConformalAlgebra, L: Field) -> VirasoroReport:

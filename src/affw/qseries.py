@@ -115,11 +115,6 @@ class QSeries:
     def order_frac(self) -> Fraction:
         return Fraction(self.order, self.den)
 
-    def valuation(self) -> Optional[Fraction]:
-        """Exponent of the lowest nonzero term, or None for (truncated) zero."""
-        e = next(iter(self.terms), None)
-        return None if e is None else Fraction(e, self.den)
-
     def is_zero(self) -> bool:
         return not self.terms
 
@@ -135,9 +130,6 @@ class QSeries:
         for e, c in b.terms.items():
             acc[e] = acc.get(e, 0) + c
         return QSeries._of(a.den, acc.items(), min(a.order, b.order))
-
-    def __radd__(self, other):
-        return self + other
 
     def __neg__(self) -> "QSeries":
         return QSeries(self.den, {e: -c for e, c in self.terms.items()}, self.order)
@@ -171,10 +163,6 @@ class QSeries:
     def __rmul__(self, other):
         return self * other
 
-    def truncated(self, order) -> "QSeries":
-        o = math.ceil(Fraction(order) * self.den)
-        return QSeries._of(self.den, self.terms.items(), min(self.order, o))
-
     def same_series(self, other: "QSeries") -> bool:
         """Equal coefficients below the common truncation order."""
         a, b = self._align(other)
@@ -193,10 +181,6 @@ class QSeries:
             ],
             "order": f"{self.order}/{self.den}",
         }
-
-    def __str__(self):
-        parts = [f"{c}*q^{Fraction(e, self.den)}" for e, c in self.terms.items()]
-        return " + ".join(parts) if parts else "0"
 
 
 def eta_like_product(

@@ -269,6 +269,8 @@ def test_bad_input_exits_cleanly(tmp_path, capsys, monkeypatch):
     bad_vacuum = tmp_path / "bad_vacuum.json"
     bad_vacuum.write_text(json.dumps({"labels": [0, 1], "matrix": [[[1, 0], [0, 0]], [[0, 0], [1, 0]]],
                                       "vacuum": 2}))
+    labels_dict = tmp_path / "labels_dict.json"
+    labels_dict.write_text(json.dumps({"labels": {"a": 1}, "matrix": [[[1, 0]]]}))
     s_data = json.loads(smatrix.read_text())
     non_finite = {}
     for name, x in [("inf", float("inf")), ("nan", float("nan"))]:
@@ -284,6 +286,8 @@ def test_bad_input_exits_cleanly(tmp_path, capsys, monkeypatch):
         ["fusion", "--from", str(garbage)],
         ["fusion", "--from", str(tmp_path / "missing.json")],
         ["fusion", "--from", str(bad_vacuum)],
+        ["fusion", "--from", str(labels_dict)],
+        ["ope", "--preset", "sugawara", "--type", "B2"],
         ["fusion", "--from", str(non_finite["inf"])],
         ["fusion", "--from", str(non_finite["nan"])],
         ["char", "--type", "A1", "--level", "abc"],
@@ -315,6 +319,25 @@ def test_bad_input_exits_cleanly(tmp_path, capsys, monkeypatch):
         ["roots", "--type", "A1", "--out", str(no_dir / "x.json")],
         ["fusion", "--from", str(smatrix), "--format", "csv", "--out", str(no_dir / "f.csv")],
     ]
+    # a flag that the chosen variant ignores: the flag and the variant the error names
+    ignored = {
+        "smatrix --variant principal --type A1 --p 3 --q 4 --level 7": ("--level", "--variant principal"),
+        "smatrix --variant subregular --type D4 --p 7 --q 4 --level 7": ("--level", "--variant subregular"),
+        "smatrix --variant integrable --type A1 --level 2 --p 3": ("--p", "--variant integrable"),
+        "smatrix --variant integrable --type A1 --level 2 --q 4": ("--q", "--variant integrable"),
+        "smatrix --variant integrable --type A1 --level 2 --probe alt": ("--probe", "--variant integrable"),
+        "smatrix --variant principal --type A1 --p 3 --q 4 --probe alt": ("--probe", "--variant principal"),
+        "char --type A1 --level 1 --p 3 --q 2": ("--level", "--p/--q"),
+        "char --type A1 --level 1 --q 2": ("--level", "--p/--q"),
+        "char --type A1 --level 1 --two-var --y-spec 1": ("--y-spec", "--two-var"),
+        "char --type A1 --kind brst --y-spec default": ("--y-spec", "--kind brst"),
+        "ope --preset heisenberg --rank 2": ("--rank", "--preset heisenberg"),
+        "ope --preset brst-sl2 --type A1": ("--type", "--preset brst-sl2"),
+    }
+    for kind in ("w-vacuum", "brst"):
+        for flag in ("--level 1", "--p 3", "--q 2", "--two-var", "--y-spec 1"):
+            ignored[f"char --type A1 --kind {kind} {flag}"] = (flag.split()[0], f"--kind {kind}")
+    table += [argv.split() for argv in ignored]
     errors, codes = {}, {}
 
     def run(argv):
@@ -339,6 +362,12 @@ def test_bad_input_exits_cleanly(tmp_path, capsys, monkeypatch):
     assert codes["ope --preset sugawara --rank 1 --type A3"] == 2
     assert "not both" in errors["ope --preset sugawara --rank 1 --type A3"]
     assert "vacuum must be a label index" in errors[f"fusion --from {bad_vacuum}"]
+    assert "labels must be a list, not dict" in errors[f"fusion --from {labels_dict}"]
+    assert codes["ope --preset sugawara --type B2"] == 4
+    assert errors["ope --preset sugawara --type B2"] == (
+        "affine preset has structure constants for type A only, not B2")
+    for argv, (flag, where) in ignored.items():
+        assert codes[argv] == 2 and flag in errors[argv] and where in errors[argv], argv
     for path in non_finite.values():
         assert codes[f"fusion --from {path}"] == 2
         assert "must be finite" in errors[f"fusion --from {path}"]
@@ -459,6 +488,11 @@ def test_ope_preset_output_is_pinned(spec, capsys):
         config["rank"] = int(rest[1])
     payload = {"affw_version": __version__, "config": config, "results": OPE_RESULTS[spec]}
     assert capsys.readouterr().out == json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
+def test_ope_sugawara_by_type_matches_by_rank(capsys):
+    assert main(["ope", "--preset", "sugawara", "--type", "A2"]) == 0
+    assert json.loads(capsys.readouterr().out)["results"] == OPE_RESULTS["sugawara --rank 2"]
 
 
 def _series(coeffs, top, den=1):

@@ -11,6 +11,53 @@ import affw
 MODULES = sorted(m.name for m in pkgutil.iter_modules(affw.__path__))
 BENCH_FILES = ("jobs.py", "oracles.py")
 
+# The public surface, one literal set per module, so that adding or dropping a
+# public name is an edit here.  `affw` itself exports only its version: names
+# are imported from the submodules.  `affw.cli` has no `__all__`; its surface
+# is the command line and `main`.
+PUBLIC = {
+    "affw": {"__version__"},
+    "affw.affine": {
+        "AdmissibleLevel", "PrincipalLabel", "SubregularLabel", "alpha_star", "enumerate_P_plus_k",
+        "make_admissible_level", "principal_labels", "subregular_labels",
+    },
+    "affw.cli": None,
+    "affw.fusion": {"FusionError", "FusionTable", "find_vacuum", "fusion_ring_isomorphic", "verlinde"},
+    "affw.liealg": {
+        "CartanType", "LieAlgebraError", "Root", "RootSystem", "Weight", "WeylBlock", "WeylElement",
+        "build_root_system", "weyl_blocks", "weyl_stream",
+    },
+    "affw.modular": {
+        "SMatrix", "SMatrixError", "alternate_probe", "default_probe", "degenerate_kernel",
+        "fkw_principal", "kac_peterson", "subregular_S",
+    },
+    "affw.opecalc": {
+        "ConformalAlgebra", "Field", "Generator", "LambdaPolynomial", "OpeError",
+        "UnsupportedDepthError", "VirasoroReport", "affine", "affine_sl", "brst_charge_sl2",
+        "brst_nilpotency_abelian", "charged_fermions", "fermion_current", "heisenberg",
+        "register_algebra", "sugawara_sl", "tensor_algebra", "virasoro_test",
+    },
+    "affw.qseries": {
+        "QSeries", "QSeriesError", "ThetaSpec", "TwoVarCharacter", "brst_character",
+        "eta_like_product", "irreducible_character", "kac_wakimoto_numerator",
+        "modular_transform_check", "principal_w_weights", "theta_eval", "triple_product_check",
+        "verma_character", "w_vacuum_character",
+    },
+}
+
+
+def test_every_module_is_pinned():
+    assert set(PUBLIC) == {"affw"} | {f"affw.{m}" for m in MODULES}
+
+
+@pytest.mark.parametrize("name", sorted(PUBLIC))
+def test_public_surface_is_pinned(name):
+    exported = getattr(importlib.import_module(name), "__all__", None)
+    if PUBLIC[name] is None:
+        assert exported is None
+    else:
+        assert len(exported) == len(set(exported)) and set(exported) == PUBLIC[name]
+
 
 @pytest.mark.parametrize("name", ["affw"] + [f"affw.{m}" for m in MODULES])
 def test_every_exported_name_resolves(name):

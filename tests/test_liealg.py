@@ -13,8 +13,6 @@ from affw.liealg import (
     _int_numerators,
     _positive_root_closure,
     build_root_system,
-    exponents,
-    inner_product,
     weyl_blocks,
     weyl_stream,
 )
@@ -49,7 +47,7 @@ def test_classical_data(name):
     assert len(rs.positive_roots) == npos
     assert rs.weyl_order == worder
     assert rs.dual_coxeter == hck
-    assert sorted(exponents(rs)) == sorted(exps)
+    assert list(rs.exponents) == sorted(exps)
     assert sum(2 * m + 1 for m in rs.exponents) == rs.dimension
 
 
@@ -114,7 +112,7 @@ def test_highest_root_normalisation():
     for name in ("A2", "B2", "C3", "G2", "F4", "D5"):
         rs = build_root_system(CartanType.parse(name))
         theta = rs.highest_root.weight
-        assert inner_product(rs, theta, theta) == 2
+        assert rs.bilinear(theta, theta) == 2
 
 
 def test_a1_examples():
@@ -127,11 +125,11 @@ def test_a1_examples():
 def test_a2_examples():
     rs = build_root_system(CartanType.parse("A2"))
     assert rs.weyl_vector == rs.fundamental_weight(0) + rs.fundamental_weight(1)
-    assert inner_product(rs, rs.weyl_vector, rs.weyl_vector) == 2
+    assert rs.bilinear(rs.weyl_vector, rs.weyl_vector) == 2
     # (varpi_i, alpha_j) = delta_ij (alpha_j, alpha_j)/2
     for i in range(2):
         for j in range(2):
-            lhs = inner_product(rs, rs.fundamental_weight(i), rs.simple_roots[j].weight)
+            lhs = rs.bilinear(rs.fundamental_weight(i), rs.simple_roots[j].weight)
             want = rs.simple_root_norms_half[j] if i == j else 0
             assert lhs == want
 
