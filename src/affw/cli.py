@@ -104,11 +104,11 @@ def cmd_roots(args):
 
 
 def _refuse_ignored(args, where: str, *dests):
-    """Exit 2 on the first flag in ``dests`` off its default (None, False,
-    ``--probe default``): ``where`` ignores it, so it must not reach ``config``."""
+    """Exit 2 on the first flag in ``dests`` off its default (None or False):
+    ``where`` ignores it, so it must not reach ``config``."""
     for dest in dests:
         value = getattr(args, dest)
-        if value is not None and value is not False and (dest, value) != ("probe", "default"):
+        if value is not None and value is not False:
             raise CliError(f"--{dest.replace('_', '-')} has no effect with {where}", EXIT_VALIDATION)
 
 
@@ -212,8 +212,7 @@ def vars_config(args):
 
 
 def cmd_smatrix(args):
-    ignored = {"integrable": ("p", "q", "probe"), "principal": ("level", "probe"),
-               "subregular": ("level",)}
+    ignored = {"integrable": ("p", "q"), "principal": ("level",), "subregular": ("level",)}
     _refuse_ignored(args, f"--variant {args.variant}", *ignored[args.variant])
     rs = _root_system(args)
     t0 = time.time()
@@ -225,9 +224,7 @@ def cmd_smatrix(args):
         elif args.variant == "principal":
             sm = modular.fkw_principal(_admissible(rs, args))
         else:
-            lv = _admissible(rs, args)
-            probe = modular.alternate_probe(rs) if args.probe == "alt" else None
-            sm = modular.subregular_S(lv, x_probe=probe)
+            sm = modular.subregular_S(_admissible(rs, args))
     except modular.SMatrixError as e:
         code = EXIT_TOLERANCE if e.residual is not None else EXIT_VALIDATION
         raise CliError(str(e), code)
@@ -519,7 +516,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--level", type=int)
     p.add_argument("--p", type=int)
     p.add_argument("--q", type=int)
-    p.add_argument("--probe", choices=["default", "alt"], default="default")
     p.add_argument("--out")
     p.set_defaults(func=cmd_smatrix)
 

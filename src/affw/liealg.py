@@ -58,6 +58,9 @@ class LieAlgebraError(ValueError):
 
 
 _FAMILIES = "ABCDEFG"
+# the root data grow as a power of the rank (n(n+1)/2 positive roots for A_n,
+# each reflected n ways); a larger rank is refused before any of it is built
+_MAX_RANK = 32
 
 
 @dataclass(frozen=True)
@@ -71,6 +74,8 @@ class CartanType:
         f, n = self.family, self.rank
         if f not in _FAMILIES:
             raise LieAlgebraError(f"unknown family {f!r}")
+        if n > _MAX_RANK:
+            raise LieAlgebraError(f"rank {n} is above the largest supported rank {_MAX_RANK}")
         ok = {
             "A": n >= 1,
             "B": n >= 2,

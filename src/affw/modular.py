@@ -62,7 +62,7 @@ __all__ = [
 ]
 
 NORMALIZATION_TOL = 1e-8
-CHECKPOINT_FORMAT = 4  # bump when the saved partial sums change layout
+CHECKPOINT_FORMAT = 5  # bump when the saved partial sums change layout
 
 
 class SMatrixError(ValueError):
@@ -484,39 +484,23 @@ def alternate_probe(rs: RootSystem) -> tuple[int, ...]:
     return tuple(2 * i + 1 for i in range(1, rs.rank + 1))
 
 
-def _element_mapping(rs: RootSystem, src: tuple[int, ...], dst: tuple[int, ...]) -> tuple[int, ...]:
-    """A word (simple reflections, first to last) taking src to dst, by BFS
-    over the (small) W-orbit of the integral weight src."""
-    words: dict[tuple, tuple] = {src: ()}
-    queue = deque([src])
-    while queue:
-        v = queue.popleft()
-        if v == dst:
-            return words[v]
-        for i in range(rs.rank):
-            u = rs.reflect_coords(i, v)
-            if u not in words:
-                words[u] = words[v] + (i,)
-                queue.append(u)
-    raise SMatrixError("weights are not in one Weyl orbit")
-
-
 def conservative_weights(
     lv: AdmissibleLevel, labels: Sequence[SubregularLabel]
 ) -> tuple[list[Weight], list[int]]:
     """Conservative kernel arguments ``e_i = y_i(eta_i)`` and signs eps(y_i).
 
     ``y_i`` maps the wall root of eta_i to alpha_* (finite wall) or theta to
-    -alpha_* (affine wall); found per wall by a root-orbit walk on integer
-    coordinates.
+    -alpha_* (affine wall).  It is the :meth:`~affw.liealg.RootSystem.dominant_word`
+    of the wall root, which ends at theta (the one dominant root of a simply
+    laced type), then the reversed word of alpha_* or -alpha_*, which leads
+    back from theta.
     """
     rs = lv.root_system
-    star_w = _int_coords(alpha_star(rs).weight)
-    words: dict[int, tuple[int, ...]] = {}
-    for wall in sorted(set(l.wall_id for l in labels)):
-        src = rs.highest_root if wall == 0 else rs.simple_roots[wall - 1]
-        tgt = tuple(-c for c in star_w) if wall == 0 else star_w
-        words[wall] = _element_mapping(rs, _int_coords(src.weight), tgt)
+    star = _int_coords(alpha_star(rs).weight)
+    words = {0: rs.dominant_word(tuple(-c for c in star))[1][::-1]}  # theta's own word is empty
+    back = rs.dominant_word(star)[1][::-1]
+    for wall in {l.wall_id for l in labels} - {0}:
+        words[wall] = rs.dominant_word(_int_coords(rs.simple_roots[wall - 1].weight))[1] + back
     cons = []
     for l in labels:
         e = _int_coords(l.eta)
@@ -571,7 +555,7 @@ def _checkpoint_save(path: str, fingerprint: dict, **state) -> None:
 
 def subregular_S(
     lv: AdmissibleLevel,
-    x_probe: Optional[Sequence[int]] = None,
+    *,
     checkpoint: Optional[str] = None,
     checkpoint_every: int = 10_000_000,
     workers: int = 1,
@@ -580,7 +564,8 @@ def subregular_S(
 
     Entries ``eps(y_i) eps(y_j) e^{2 pi i [(e_i, nu_j) + (nu_i, e_j)]}
     K(e_i, e_j) F(nu_i, nu_j)`` over the conservative weights e_i, then
-    normalised to unitary.
+    normalised to unitary.  K is the :func:`degenerate_kernel` at the
+    :func:`default_probe`; on conservative weights no probe changes it.
 
     K and F are :func:`_weyl_sum` over the cosets of W/W'; F is summed on the
     distinct nu only (a single global constant when p = h_check, as for E8 at
@@ -604,8 +589,6 @@ def subregular_S(
     if checkpoint and not os.path.isdir(os.path.dirname(os.path.abspath(checkpoint))):
         raise SMatrixError(f"checkpoint {checkpoint}: no such directory")
     rs = lv.root_system
-    if x_probe is None:
-        x_probe = default_probe(rs)
     labels = subregular_labels(lv)
     if not labels:
         raise SMatrixError(
@@ -622,7 +605,7 @@ def subregular_S(
     cosets = len(fr.parity)
 
     def coset(c: int) -> tuple:
-        return (_weyl_sum(rs, es, es, Fraction(p, q), x_probe, range(c, c + 1)),
+        return (_weyl_sum(rs, es, es, Fraction(p, q), default_probe(rs), range(c, c + 1)),
                 _weyl_sum(rs, nu_rows, nu_rows, Fraction(q, p), None, range(c, c + 1)))
 
     kern = np.zeros((len(es), len(es)), complex)
@@ -633,7 +616,6 @@ def subregular_S(
         "type": str(rs.cartan_type),
         "p": p,
         "q": q,
-        "probe": [int(c) for c in x_probe],
         "alpha_star_node": node,
         "cosets": cosets,
         "labels": zlib.crc32(repr([(l.nu.coords, l.eta.coords, l.wall_id) for l in labels]).encode()),
@@ -686,7 +668,6 @@ def subregular_S(
         "q": q,
         "vacuum": 0,
         "alpha_star_node": node,
-        "probe": tuple(x_probe),
         "nu_factor_degenerate": len(nu_rows) == 1,
         "weyl_elements": done * fr.size,
         "kernel": kern,

@@ -10,7 +10,8 @@ the simple-reflection matrices under products, and the label sets computed on
 ``Fraction`` weights by reflecting every class key and filtering all of
 P_+^q for the subregular eta, the Kac-Wakimoto numerator summed one
 Weyl element at a time on ``Fraction`` weights, and the Weyl sums of the
-S-matrices as a walk over every element of W into integer buckets.
+S-matrices as a walk over every element of W into integer buckets, and the
+conservative weights by a breadth-first search of a root's W-orbit.
 These stay out of the library on purpose: they are the references the
 library is checked against.
 """
@@ -515,3 +516,35 @@ def half_group_kernel_matrix(rs: RootSystem, x_probe, p: int, q: int, left, righ
     acc = Buckets(rs, left, right, Fraction(p, q), probe=x_probe)
     walk(rs, [acc])
     return acc.value()
+
+
+def conservative_weights_by_orbit(lv: AdmissibleLevel, labels) -> tuple[list[Weight], list[int]]:
+    """``e_i = y_i(eta_i)`` and eps(y_i), with y_i the word that a breadth-first
+    search of the wall root's W-orbit finds first from the wall root to
+    alpha_* (from theta to -alpha_* for the affine wall)."""
+    rs = lv.root_system
+    star = tuple(int(c) for c in alpha_star(rs).weight.coords)
+
+    def word(src: tuple, dst: tuple) -> tuple[int, ...]:
+        words, queue = {src: ()}, [src]
+        for v in queue:
+            if v == dst:
+                return words[v]
+            for i in range(rs.rank):
+                u = rs.reflect_coords(i, v)
+                if u not in words:
+                    words[u] = words[v] + (i,)
+                    queue.append(u)
+        raise ValueError("weights are not in one Weyl orbit")
+
+    cons, signs = [], []
+    for l in labels:
+        src = rs.highest_root if l.wall_id == 0 else rs.simple_roots[l.wall_id - 1]
+        y = word(tuple(int(c) for c in src.weight.coords),
+                 tuple(-c for c in star) if l.wall_id == 0 else star)
+        e = tuple(int(c) for c in l.eta.coords)
+        for i in y:
+            e = rs.reflect_coords(i, e)
+        cons.append(Weight.of(*e))
+        signs.append((-1) ** len(y))
+    return cons, signs

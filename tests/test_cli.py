@@ -232,17 +232,17 @@ def test_smatrix_subregular_d6(tmp_path):
 # mismatch, diff the printed payload against one from a commit that passes
 SMATRIX_DIGESTS = {
     "--variant subregular --type D4 --p 7 --q 5":
-        "8fee90473b8fbff025a75e1b8521baa30a85f871a11dc09c33b0963f57e0d0b1",
-    "--variant subregular --type D4 --p 9 --q 4 --probe alt":
-        "f30de60b825542da6083cd1829885b1a53082b16aa3406f068d57ebda59256a1",
+        "46caf191f530c00a272ffa6d15e8454db835b2dc55e63fee2f889eac79a9fc5d",
+    "--variant subregular --type D4 --p 9 --q 4":
+        "e65672ba949e04a75456d908578fedeeddb92697decd2c9dd3b138cc53d64ae0",
     "--variant subregular --type D5 --p 9 --q 7":
-        "2597798ab5e4ece034fe2da164f98509987487abf2a8f58b2cfb879e17a32a07",
+        "681189beb8e0f6622f0320c125d49728e691f6eb440336906b98cccf2beb8f60",
     "--variant subregular --type D6 --p 11 --q 8":
-        "e16493bfd4219bd9348ed28f8a864315c8357fc1b192b158db5df07e8a840efc",
+        "0ef1f084aafc2411c7aa91a89718edd3c28ae2bf83045ad97b361f2f9f16bae9",
     "--variant principal --type A2 --p 8 --q 5":
-        "aae3a96703faa5a42759459c90b5d85dbb8dad07ab88ef4e1708e71db3412cd8",
+        "1b5aa78308a748e215a0a115b222e0d9ad0fd7bef6298751dfda59f83e7f36e4",
     "--variant integrable --type A2 --level 3":
-        "856d0ff757ff450758f4d5c5cc730eb893549c90881aaa2cbf5327c94637c62b",
+        "503016907272d55f96a3102ee62a6b32c9b8836ae1ad346356b20cb6ab1d30d6",
 }
 
 
@@ -315,6 +315,9 @@ def test_bad_input_exits_cleanly(tmp_path, capsys, monkeypatch):
          "--checkpoint", str(tmp_path / "x.npz")],
         ["smatrix", "--variant", "subregular", "--type", "D4", "--p", "7", "--q", "4",
          "--checkpoint-every", "5"],
+        ["smatrix", "--variant", "subregular", "--type", "D4", "--p", "7", "--q", "4", "--probe", "alt"],
+        # a rank past the cap, refused before any root data are built
+        ["roots", "--type", "A33"],
         # output paths that cannot be opened
         ["roots", "--type", "A1", "--out", str(no_dir / "x.json")],
         ["fusion", "--from", str(smatrix), "--format", "csv", "--out", str(no_dir / "f.csv")],
@@ -325,8 +328,6 @@ def test_bad_input_exits_cleanly(tmp_path, capsys, monkeypatch):
         "smatrix --variant subregular --type D4 --p 7 --q 4 --level 7": ("--level", "--variant subregular"),
         "smatrix --variant integrable --type A1 --level 2 --p 3": ("--p", "--variant integrable"),
         "smatrix --variant integrable --type A1 --level 2 --q 4": ("--q", "--variant integrable"),
-        "smatrix --variant integrable --type A1 --level 2 --probe alt": ("--probe", "--variant integrable"),
-        "smatrix --variant principal --type A1 --p 3 --q 4 --probe alt": ("--probe", "--variant principal"),
         "char --type A1 --level 1 --p 3 --q 2": ("--level", "--p/--q"),
         "char --type A1 --level 1 --q 2": ("--level", "--p/--q"),
         "char --type A1 --level 1 --two-var --y-spec 1": ("--y-spec", "--two-var"),
@@ -373,12 +374,13 @@ def test_bad_input_exits_cleanly(tmp_path, capsys, monkeypatch):
         assert "must be finite" in errors[f"fusion --from {path}"]
     assert all(rc == 2 for argv, rc in codes.items() if argv.startswith("smatrix"))
     assert "empty principal label set" in errors["smatrix --variant principal --type B2 --p 5 --q 2"]
-    for flag in ("--workers", "--checkpoint", "--checkpoint-every"):
+    for flag in ("--workers", "--checkpoint", "--checkpoint-every", "--probe"):
         removed = [e for argv, e in errors.items() if argv.startswith("smatrix") and f" {flag} " in argv]
         assert len(removed) == 1 and f"unrecognized arguments: {flag} " in removed[0], flag
     assert not (tmp_path / "x.npz").exists()
     assert "invalid int value: 'abc'" in errors["char --type A1 --order abc"]
     assert "required: --type" in errors["roots"]
+    assert codes["roots --type A33"] == 2 and "rank 33 is above" in errors["roots --type A33"]
     assert "unrecognized arguments: --bogus" in errors["roots --type A1 --bogus"]
     assert errors["roots --type A1"].startswith(f"cannot write {no_dir / 'roots_A1.json'}:")
     assert codes[f"roots --type A1 --out {no_dir / 'x.json'}"] == 2

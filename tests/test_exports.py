@@ -1,3 +1,4 @@
+import argparse
 import ast
 import importlib
 import inspect
@@ -7,6 +8,7 @@ from pathlib import Path
 import pytest
 
 import affw
+from affw.cli import build_parser
 
 MODULES = sorted(m.name for m in pkgutil.iter_modules(affw.__path__))
 BENCH_FILES = ("jobs.py", "oracles.py")
@@ -45,6 +47,18 @@ PUBLIC = {
     },
 }
 
+# The command line, one literal flag set per `affw` subcommand (`-h/--help`
+# aside), so that adding or dropping a flag is an edit here too.
+CLI_FLAGS = {
+    "roots": {"--type", "--out"},
+    "weights": {"--type", "--variant", "--p", "--q", "--out"},
+    "char": {"--type", "--kind", "--level", "--p", "--q", "--order", "--two-var", "--y-spec", "--out"},
+    "smatrix": {"--variant", "--type", "--level", "--p", "--q", "--out"},
+    "fusion": {"--from", "--format", "--out"},
+    "ope": {"--preset", "--rank", "--type", "--out"},
+    "verify": {"--quick"},
+}
+
 
 def test_every_module_is_pinned():
     assert set(PUBLIC) == {"affw"} | {f"affw.{m}" for m in MODULES}
@@ -57,6 +71,13 @@ def test_public_surface_is_pinned(name):
         assert exported is None
     else:
         assert len(exported) == len(set(exported)) and set(exported) == PUBLIC[name]
+
+
+def test_cli_flags_are_pinned():
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    flags = {name: {o for a in p._actions for o in a.option_strings} - {"-h", "--help"}
+             for name, p in sub.choices.items()}
+    assert flags == CLI_FLAGS
 
 
 @pytest.mark.parametrize("name", ["affw"] + [f"affw.{m}" for m in MODULES])

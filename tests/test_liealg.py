@@ -101,7 +101,7 @@ def test_zero_pivot_is_refused():
 
 
 @pytest.mark.parametrize(
-    "bad", [("A", 0), ("E", 5), ("E", 9), ("F", 3), ("G", 3), ("D", 2), ("B", 1)]
+    "bad", [("A", 0), ("E", 5), ("E", 9), ("F", 3), ("G", 3), ("D", 2), ("B", 1), ("A", 33)]
 )
 def test_invalid_types(bad):
     with pytest.raises(LieAlgebraError):
