@@ -26,8 +26,11 @@ sets, conservative weights).  The whole group is one walk:
 canonical-parent rule, one layer slice at a time as integer numpy blocks,
 which visits every element exactly once using memory proportional to the
 longest element (the Kac-Wakimoto numerator); :func:`weyl_stream` yields the
-same elements one :class:`WeylElement` at a time.  The alternating Weyl sums
-of the S-matrices are not walks but coset determinants (``modular``).
+same elements one :class:`WeylElement` (a named tuple) at a time.  A row of
+a Weyl matrix is a coroot, so the stream builds the 2|Delta_+| coroot tuples
+once per call (:func:`_coroot_rows`) and assembles every element from them
+by one integer-key lookup per block.  The alternating Weyl sums of the
+S-matrices are not walks but coset determinants (``modular``).
 """
 
 from __future__ import annotations
@@ -35,7 +38,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, NamedTuple, Sequence
+from itertools import repeat
+from typing import Callable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -184,9 +188,13 @@ class Root:
     height: int
 
 
-@dataclass(frozen=True)
-class WeylElement:
-    """Weyl group element as an integer matrix on fundamental-weight coordinates."""
+class WeylElement(NamedTuple):
+    """Weyl group element as an integer matrix on fundamental-weight coordinates.
+
+    Row r of ``matrix`` is the coroot ``w^{-1} alpha_r_check`` in simple-coroot
+    coordinates, since ``(w lam)_r = <lam, w^{-1} alpha_r_check>``.  A named
+    tuple, so it equals the plain tuple ``(matrix, length_parity)``.
+    """
 
     matrix: tuple[tuple[int, ...], ...]
     length_parity: int  # epsilon(w) = (-1)^{length}
@@ -503,6 +511,36 @@ def weyl_blocks(rs: RootSystem) -> Iterator[WeylBlock]:
         yield blk
 
 
+def _coroot_rows(rs: RootSystem) -> tuple[list[tuple[int, ...]], Callable[[np.ndarray], list[int]]]:
+    """The 2|Delta_+| coroots +-beta (beta a positive root of A^T, in
+    simple-coroot coordinates), which are all the rows of Weyl matrices, and
+    ``index(rows)``: their positions for the rows of an ``(m, n)`` int64
+    array, by one ``searchsorted`` on balanced base-(2t + 1) keys (t the
+    largest coefficient), every hit then checked exactly, so a row that is
+    not there raises.  The key is exact while that base to the rank fits
+    int64 (B, C, D up to rank 27; every A, E, F, G); beyond, it raises.
+    """
+    n = rs.rank
+    positive = _positive_root_closure(tuple(zip(*rs.cartan_matrix)))
+    radix = 2 * max(map(max, positive)) + 1
+    if radix ** n > np.iinfo(np.int64).max:
+        raise LieAlgebraError(f"the coroot rows of {rs.cartan_type} do not fit an int64 key")
+    table = np.array(positive + [tuple(-x for x in r) for r in positive], np.int64)
+    powers = radix ** np.arange(n, dtype=np.int64)
+    keys = table @ powers
+    order = np.argsort(keys)
+    table, keys = table[order], keys[order]
+    last = len(keys) - 1
+
+    def index(rows: np.ndarray) -> list[int]:
+        idx = np.minimum(np.searchsorted(keys, rows @ powers), last)
+        if not (table[idx] == rows).all():
+            raise LieAlgebraError(f"a row is not a coroot of {rs.cartan_type}")
+        return idx.tolist()
+
+    return list(map(tuple, table.tolist())), index
+
+
 def weyl_stream(rs: RootSystem) -> Iterator[WeylElement]:
     """Yield every Weyl group element exactly once, in a deterministic order.
 
@@ -511,8 +549,12 @@ def weyl_stream(rs: RootSystem) -> Iterator[WeylElement]:
     ascending along each branch of the walk.  Memory is bounded by the
     pending slices, at most ``WEYL_BLOCK_ROWS * rank * (length of w0 + 1)``
     elements and never |W|, which is what permits scanning W(E8) without
-    materialising it.
+    materialising it.  Matrix rows are coroots shared between elements,
+    looked up once per block in :func:`_coroot_rows`; a type whose rows it
+    cannot key raises :class:`LieAlgebraError` before any block.
     """
+    n = rs.rank
+    rows, index = _coroot_rows(rs)
     for blk in weyl_blocks(rs):
-        for m in blk.matrices.tolist():
-            yield WeylElement(tuple(map(tuple, m)), blk.parity)
+        mats = zip(*[map(rows.__getitem__, index(blk.matrices.reshape(-1, n)))] * n)
+        yield from map(tuple.__new__, repeat(WeylElement), zip(mats, repeat(blk.parity)))

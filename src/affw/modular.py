@@ -569,9 +569,10 @@ def subregular_S(
 
     K and F are :func:`_weyl_sum` over the cosets of W/W'; F is summed on the
     distinct nu only (a single global constant when p = h_check, as for E8 at
-    (30, 29)).  ``workers`` (at least 1) threads take the cosets, and their
-    contributions are added in coset order, so the result does not depend on
-    the number of workers.  With a ``checkpoint``, once ``checkpoint_every``
+    (30, 29)).  ``workers`` (at least 1) threads take the cosets, never more
+    threads than a round has cosets (D4-D6 have one), and their contributions
+    are added in coset order, so the result does not depend on the number of
+    workers.  With a ``checkpoint``, once ``checkpoint_every``
     Weyl elements have passed, and at the end, the run pauses at a coset
     boundary and saves the partial sums and the next coset there (npz), where
     a rerun of the same job resumes; without one the workers take all cosets
@@ -644,7 +645,7 @@ def subregular_S(
         while done < cosets:
             stop = min(cosets, done + step)
             todo, parts = iter(range(done, stop)), {}
-            for f in [pool.submit(work, todo, parts) for _ in range(workers)]:
+            for f in [pool.submit(work, todo, parts) for _ in range(min(workers, stop - done))]:
                 f.result()
             for c in range(done, stop):
                 kern += parts[c][0]

@@ -6,7 +6,8 @@ on the full candidate scan, fusion-ring isomorphism by trying every
 permutation, su(n) quantum dimensions as sine products, brute-force
 partition counters, two-variable series products as dict convolutions, the
 positive roots by alpha-string induction, the Weyl group as the closure of
-the simple-reflection matrices under products, and the label sets computed on
+the simple-reflection matrices under products and as the walk's blocks
+converted one matrix row at a time, the label sets computed on
 ``Fraction`` weights by reflecting every class key and filtering all of
 P_+^q for the subregular eta, the Kac-Wakimoto numerator summed one
 Weyl element at a time on ``Fraction`` weights, and the Weyl sums of the
@@ -309,6 +310,14 @@ def weyl_group_by_reflections(a) -> dict[bytes, int]:
                     nxt.append((sw, -parity))
         frontier = nxt
     return group
+
+
+def weyl_stream_by_rows(rs: RootSystem):
+    """``(matrix, parity)`` per row of :func:`weyl_blocks`, each matrix
+    converted row by row from its numpy block, in the walk's order."""
+    for blk in weyl_blocks(rs):
+        for m in blk.matrices.tolist():
+            yield tuple(map(tuple, m)), blk.parity
 
 
 # -- label sets on Fraction weights -------------------------------------------

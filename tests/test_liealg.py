@@ -1,6 +1,7 @@
 import math
 import random
 from fractions import Fraction
+from itertools import islice
 
 import numpy as np
 import pytest
@@ -9,6 +10,8 @@ from affw.liealg import (
     CartanType,
     LieAlgebraError,
     Weight,
+    WeylElement,
+    _coroot_rows,
     _gauss_jordan,
     _int_numerators,
     _positive_root_closure,
@@ -17,7 +20,12 @@ from affw.liealg import (
     weyl_stream,
 )
 
-from oracles import positive_roots_by_strings, simple_reflection_matrices, weyl_group_by_reflections
+from oracles import (
+    positive_roots_by_strings,
+    simple_reflection_matrices,
+    weyl_group_by_reflections,
+    weyl_stream_by_rows,
+)
 
 CLASSICAL = {
     # type: (|Delta_+|, |W|, h_check, exponents)
@@ -200,6 +208,60 @@ def test_weyl_stream_matches_the_generated_group():
         group = weyl_group_by_reflections(rs.cartan_matrix)
         stream = {np.array(w.matrix, dtype=np.int64).tobytes(): w.length_parity for w in weyl_stream(rs)}
         assert stream == group
+
+
+@pytest.mark.parametrize(
+    "name", ["A1", "A2", "A3", "A4", "B2", "B3", "B4", "C3", "D4", "D5", "F4", "G2", "E6"]
+)
+def test_weyl_stream_is_the_per_row_conversion(name):
+    """Elements built from the shared coroot rows are the walk's matrices,
+    parities and order exactly, with Python int entries."""
+    rs = build_root_system(CartanType.parse(name))
+    stream = list(weyl_stream(rs))
+    assert stream == list(weyl_stream_by_rows(rs))
+    assert all(type(w) is WeylElement for w in stream)
+    assert all(type(x) is int for w in stream for row in w.matrix for x in row)
+
+
+@pytest.mark.parametrize("name", ["B3", "C3", "F4", "G2"])
+def test_weyl_rows_are_coroots(name):
+    """Where roots and coroots differ, every row of every element is
+    +-a positive root of the transposed Cartan matrix, and a row outside
+    that table is refused by the lookup, never matched."""
+    rs = build_root_system(CartanType.parse(name))
+    n = rs.rank
+    coroots = positive_roots_by_strings(tuple(zip(*rs.cartan_matrix)))
+    table = set(coroots) | {tuple(-x for x in r) for r in coroots}
+    assert {row for w in weyl_stream(rs) for row in w.matrix} == table
+    rows, index = _coroot_rows(rs)
+    assert sorted(rows) == sorted(table)
+    assert [rows[i] for i in index(np.eye(n, dtype=np.int64))] == [
+        tuple(int(i == j) for j in range(n)) for i in range(n)
+    ]
+    radix = 2 * max(map(max, coroots)) + 1
+    # (radix, 0, ...) has the key of the simple coroot (0, 1, 0, ...); the
+    # others lie past either end of the sorted keys
+    for outside in ((radix,) + (0,) * (n - 1), (99,) * n, (-99,) * n):
+        with pytest.raises(LieAlgebraError, match="not a coroot"):
+            index(np.array([rows[0], outside], dtype=np.int64))
+
+
+def test_weyl_stream_refuses_rows_it_cannot_key(monkeypatch):
+    """B, C and D coroots have coefficients up to 2, so a row key is a
+    balanced base-5 number: exact through rank 27, and refused from rank 28
+    on before any block of the walk is built."""
+    import affw.liealg as liealg
+
+    b27 = build_root_system(CartanType.parse("B27"))
+    assert list(islice(weyl_stream(b27), 600)) == list(islice(weyl_stream_by_rows(b27), 600))
+
+    def no_walk(rs):
+        raise AssertionError("the walk started")
+
+    monkeypatch.setattr(liealg, "weyl_blocks", no_walk)
+    for name in ("B28", "D28", "B32"):
+        with pytest.raises(LieAlgebraError, match="int64 key"):
+            next(weyl_stream(build_root_system(CartanType.parse(name))))
 
 
 def test_weyl_blocks_e7_count_and_parity():

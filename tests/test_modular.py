@@ -554,6 +554,20 @@ def test_only_a_checkpoint_pauses_the_workers(e6_level):
     assert sm.provenance["weyl_elements"] == e6_level.root_system.weyl_order
 
 
+def test_no_more_threads_than_cosets():
+    """D4 is one coset, so ``workers=2`` submits one task and starts one thread."""
+    from concurrent.futures import ThreadPoolExecutor
+    from unittest.mock import patch
+
+    lv = make_admissible_level(build_root_system(CartanType.parse("D4")), 9, 4)
+    fresh = subregular_S(lv)
+    with patch.object(ThreadPoolExecutor, "submit", autospec=True,
+                      side_effect=ThreadPoolExecutor.submit) as submit:
+        sm = subregular_S(lv, workers=2)
+    assert submit.call_count == 1
+    assert np.array_equal(sm.entries, fresh.entries)
+
+
 def test_checkpoints_do_not_depend_on_workers(tmp_path, monkeypatch, e6_level):
     import affw.modular as modular
 
