@@ -9,12 +9,14 @@ coordinates.  The bilinear form is normalised so the highest root has squared
 length 2.
 
 All exact linear algebra goes through one routine, :func:`_gauss_jordan`: a
-single Fraction elimination gives the inverse Cartan matrix (hence the Gram
-matrix of the fundamental weights), the finite-type test (every pivot
-positive) and det A (the product of the pivots).  The positive roots are the
-closure of the simple roots under the simple reflections that keep a root
-positive, and :func:`build_root_system` derives every other invariant from
-those two results before constructing the :class:`RootSystem` once.
+single fraction-free integer elimination gives the inverse Cartan matrix
+(hence the Gram matrix of the fundamental weights), the finite-type test
+(every pivot positive) and det A (the product of the pivots), as Fractions
+built once at the end.  The positive roots are the closure of the simple
+roots under the simple reflections that keep a root positive, paired with
+the Cartan columns on Python ints, and :func:`build_root_system` derives
+every other invariant from those two results before constructing the
+:class:`RootSystem` once.
 Where exact rationals feed integer numpy arithmetic, :func:`_int_numerators`
 scales them to one common denominator.
 
@@ -39,6 +41,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import repeat
+from operator import mul
 from typing import Callable, Iterator, NamedTuple, Sequence
 
 import numpy as np
@@ -212,22 +215,31 @@ def _gauss_jordan(m: Sequence[Sequence]) -> tuple[list[list[Fraction]], list[Fra
     Pivot k is the ratio of the leading principal minors of sizes k + 1 and
     k, so all pivots are positive iff every leading minor is, and their
     product is det m.  A zero pivot (a vanishing leading minor) raises.
+
+    The elimination is fraction-free (Bareiss, Math. Comp. 22 (1968) 565-578)
+    on the integer matrix ``den * m``, den the least common denominator: after
+    step k every entry of ``[den m | 1]`` is a minor of it, so each update
+    divides exactly by the previous pivot, the diagonal ends at
+    ``d = det(den m)`` and the right half at ``d (den m)^-1``.  Fractions are
+    built only for the returned inverse and pivots.
     """
     n = len(m)
-    aug = [[Fraction(x) for x in row] + [Fraction(int(r == c)) for c in range(n)]
-           for r, row in enumerate(m)]
-    pivots = []
+    den = math.lcm(*(Fraction(x).denominator for row in m for x in row))
+    aug = [[int(x * den) for x in row] + [int(r == c) for c in range(n)] for r, row in enumerate(m)]
+    minors = [1]
     for col in range(n):
-        piv = aug[col][col]
+        piv, prev = aug[col][col], minors[-1]
         if piv == 0:
             raise LieAlgebraError(f"leading minor of size {col + 1} vanishes")
-        pivots.append(piv)
-        aug[col] = [x / piv for x in aug[col]]
+        minors.append(piv)
+        top = aug[col]
         for r in range(n):
-            f = aug[r][col]
-            if r != col and f != 0:
-                aug[r] = [x - f * y for x, y in zip(aug[r], aug[col])]
-    return [row[n:] for row in aug], pivots
+            if r != col:
+                f = aug[r][col]
+                aug[r] = [(piv * x - f * y) // prev for x, y in zip(aug[r], top)]
+    det = minors[-1]
+    inverse = [[Fraction(den * x, det) for x in row[n:]] for row in aug]
+    return inverse, [Fraction(b, a * den) for a, b in zip(minors, minors[1:])]
 
 
 def _int_numerators(values) -> tuple[np.ndarray, int]:
@@ -322,9 +334,8 @@ class RootSystem:
     def reflect_coords(self, i: int, coords: tuple) -> tuple:
         """Apply ``s_i``, ``lam_j -> lam_j - lam_i a_ij``, to fundamental-weight
         coordinates (any scalar type)."""
-        a = self.cartan_matrix[i]
         ci = coords[i]
-        return tuple(c - ci * a[j] for j, c in enumerate(coords))
+        return tuple([c - ci * x for c, x in zip(coords, self.cartan_matrix[i])])
 
     def dominant_word(self, coords: tuple) -> tuple[tuple, list[int]]:
         """Reflect fundamental-weight ``coords`` into the dominant chamber.
@@ -335,8 +346,10 @@ class RootSystem:
         """
         word = []
         while True:
-            i = next((j for j, c in enumerate(coords) if c < 0), None)
-            if i is None:
+            for i, c in enumerate(coords):
+                if c < 0:
+                    break
+            else:
                 return coords, word
             coords = self.reflect_coords(i, coords)
             word.append(i)
@@ -352,13 +365,13 @@ def _positive_root_closure(a: tuple[tuple[int, ...], ...]) -> list[tuple[int, ..
     whenever that stays >= 0.
     """
     n = len(a)
+    cols = list(zip(*a))  # <beta, alpha_i_check> = sum_j beta_j a_{ji}
     todo = [tuple(int(i == j) for j in range(n)) for i in range(n)]
     known = set(todo)
     while todo:
         beta = todo.pop()
-        for i in range(n):
-            # <beta, alpha_i_check> = sum_j beta_j a_{ji}
-            pairing = sum(beta[j] * a[j][i] for j in range(n))
+        for i, col in enumerate(cols):
+            pairing = sum(map(mul, beta, col))
             if pairing and beta[i] >= pairing:
                 image = beta[:i] + (beta[i] - pairing,) + beta[i + 1 :]
                 if image not in known:
@@ -399,9 +412,10 @@ def build_root_system(t: CartanType) -> RootSystem:
     # (varpi_i, varpi_j) = (A^{-1})_{ij} d_j
     gram = tuple(tuple(ainv[i][j] * d[j] for j in range(n)) for i in range(n))
 
+    cols = list(zip(*a))
+
     def mk_root(rc: tuple[int, ...]) -> Root:
-        w = Weight.of(*(sum(rc[i] * a[i][j] for i in range(n)) for j in range(n)))
-        return Root(w, rc, sum(rc))
+        return Root(Weight(tuple([Fraction(sum(map(mul, rc, col))) for col in cols])), rc, sum(rc))
 
     positive = tuple(mk_root(rc) for rc in _positive_root_closure(a))
     highest = positive[-1]

@@ -570,14 +570,16 @@ def subregular_S(
     K and F are :func:`_weyl_sum` over the cosets of W/W'; F is summed on the
     distinct nu only (a single global constant when p = h_check, as for E8 at
     (30, 29)).  ``workers`` (at least 1) threads take the cosets, never more
-    threads than a round has cosets (D4-D6 have one), and their contributions
-    are added in coset order, so the result does not depend on the number of
-    workers.  With a ``checkpoint``, once ``checkpoint_every``
-    Weyl elements have passed, and at the end, the run pauses at a coset
-    boundary and saves the partial sums and the next coset there (npz), where
-    a rerun of the same job resumes; without one the workers take all cosets
-    in one round.  If a worker raises or the run is interrupted,
-    every worker stops after its coset and the last checkpoint stays valid.
+    threads than a round has cosets, and their contributions are added in
+    coset order, so the result does not depend on the number of workers.  A
+    round with one task (one worker, or one coset as in D4-D6) runs in the
+    calling thread and starts none.  With a ``checkpoint``, once
+    ``checkpoint_every`` Weyl elements have passed, and at the end, the run
+    pauses at a coset boundary and saves the partial sums and the next coset
+    there (npz), where a rerun of the same job resumes; without one the
+    workers take all cosets in one round.  If a worker raises or the run is
+    interrupted, every worker stops after its coset and the last checkpoint
+    stays valid.
     A checkpoint of another job or an unreadable one, one whose directory
     does not exist, or a ``checkpoint_every`` below 1 is refused before the
     run starts.  Only the streamed job of ``affwbench`` sets ``workers`` and
@@ -612,18 +614,19 @@ def subregular_S(
     kern = np.zeros((len(es), len(es)), complex)
     f_nu = np.zeros((len(nu_rows), len(nu_rows)), complex)
     done = 0
-    fingerprint = {
-        "format": CHECKPOINT_FORMAT,
-        "type": str(rs.cartan_type),
-        "p": p,
-        "q": q,
-        "alpha_star_node": node,
-        "cosets": cosets,
-        "labels": zlib.crc32(repr([(l.nu.coords, l.eta.coords, l.wall_id) for l in labels]).encode()),
-    }
-    if checkpoint and os.path.exists(checkpoint):
-        kern, f_nu, _, done = _checkpoint_load(checkpoint, fingerprint)
-        done = int(done)
+    if checkpoint:
+        fingerprint = {
+            "format": CHECKPOINT_FORMAT,
+            "type": str(rs.cartan_type),
+            "p": p,
+            "q": q,
+            "alpha_star_node": node,
+            "cosets": cosets,
+            "labels": zlib.crc32(repr([(l.nu.coords, l.eta.coords, l.wall_id) for l in labels]).encode()),
+        }
+        if os.path.exists(checkpoint):
+            kern, f_nu, _, done = _checkpoint_load(checkpoint, fingerprint)
+            done = int(done)
     lock, halt = threading.Lock(), threading.Event()
 
     def work(todo, parts):
@@ -640,13 +643,18 @@ def subregular_S(
 
     # a pause only serves a save; it is one for all workers, so saves do not depend on them
     step = -(-checkpoint_every // fr.size) if checkpoint else cosets
-    pool = ThreadPoolExecutor(workers)
+    pool = None
     try:
         while done < cosets:
             stop = min(cosets, done + step)
             todo, parts = iter(range(done, stop)), {}
-            for f in [pool.submit(work, todo, parts) for _ in range(min(workers, stop - done))]:
-                f.result()
+            tasks = min(workers, stop - done)
+            if tasks == 1:
+                work(todo, parts)
+            else:
+                pool = pool or ThreadPoolExecutor(workers)
+                for f in [pool.submit(work, todo, parts) for _ in range(tasks)]:
+                    f.result()
             for c in range(done, stop):
                 kern += parts[c][0]
                 f_nu += parts[c][1]
@@ -656,7 +664,8 @@ def subregular_S(
                                  count=done * fr.size, next=done)
     finally:
         halt.set()
-        pool.shutdown()
+        if pool:
+            pool.shutdown()
 
     f = f_nu[np.ix_(nu_of, nu_of)]
     cross = _cross_phase(rs, es, nus) * _cross_phase(rs, nus, es)

@@ -5,6 +5,8 @@ rule for sl2 fusion, the Verlinde formula as a plain einsum, the vacuum rule
 on the full candidate scan, fusion-ring isomorphism by trying every
 permutation, su(n) quantum dimensions as sine products, brute-force
 partition counters, two-variable series products as dict convolutions, the
+exact inverse and pivots by Gauss-Jordan elimination on ``Fraction``, the
+dominant chamber reached one generator-built reflection at a time, the
 positive roots by alpha-string induction, the Weyl group as the closure of
 the simple-reflection matrices under products and as the walk's blocks
 converted one matrix row at a time, the label sets computed on
@@ -33,7 +35,16 @@ from affw.affine import (
     alpha_star,
 )
 from affw.fusion import FusionError, FusionTable, verlinde
-from affw.liealg import WEYL_BLOCK_ROWS, RootSystem, Weight, WeylBlock, _int_numerators, weyl_blocks, weyl_stream
+from affw.liealg import (
+    WEYL_BLOCK_ROWS,
+    LieAlgebraError,
+    RootSystem,
+    Weight,
+    WeylBlock,
+    _int_numerators,
+    weyl_blocks,
+    weyl_stream,
+)
 from affw.modular import SMatrix
 from affw.qseries import QSeries, TwoVarCharacter, _lattice_points
 
@@ -246,6 +257,46 @@ def affine_sl3_verma(order: int, depth: int) -> dict:
                 key = ((t2 - 2 * t1, t1 - 2 * t2), n)
                 out[key] = out.get(key, 0) + c * (min(t1 - b1, t2 - b2) + 1)
     return out
+
+
+def gauss_jordan_fraction(m) -> tuple[list[list[Fraction]], list[Fraction]]:
+    """Inverse and pivots of ``m`` by Gauss-Jordan elimination on Fractions,
+    without row swaps: each pivot row is divided by its pivot and cleared
+    from every other row."""
+    n = len(m)
+    aug = [[Fraction(x) for x in row] + [Fraction(int(r == c)) for c in range(n)]
+           for r, row in enumerate(m)]
+    pivots = []
+    for col in range(n):
+        piv = aug[col][col]
+        if piv == 0:
+            raise LieAlgebraError(f"leading minor of size {col + 1} vanishes")
+        pivots.append(piv)
+        aug[col] = [x / piv for x in aug[col]]
+        for r in range(n):
+            f = aug[r][col]
+            if r != col and f != 0:
+                aug[r] = [x - f * y for x, y in zip(aug[r], aug[col])]
+    return [row[n:] for row in aug], pivots
+
+
+def reflect_coords_by_generator(rs: RootSystem, i: int, coords: tuple) -> tuple:
+    """``s_i`` on fundamental-weight coordinates, one generator term per coordinate."""
+    a = rs.cartan_matrix[i]
+    ci = coords[i]
+    return tuple(c - ci * a[j] for j, c in enumerate(coords))
+
+
+def dominant_word_by_generator(rs: RootSystem, coords: tuple) -> tuple[tuple, list[int]]:
+    """Reflect at the first negative coordinate until none is left; returns
+    the dominant coordinates and the reflections used, first to last."""
+    word = []
+    while True:
+        i = next((j for j, c in enumerate(coords) if c < 0), None)
+        if i is None:
+            return coords, word
+        coords = reflect_coords_by_generator(rs, i, coords)
+        word.append(i)
 
 
 def positive_roots_by_strings(a) -> list[tuple[int, ...]]:

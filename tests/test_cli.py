@@ -27,6 +27,25 @@ def test_roots_json(tmp_path, capsys):
     assert data["config"]["type"] == "A2"
 
 
+# SHA-256 of the stdout of `affw roots`, pinned so that the root data stay
+# byte-identical; on a mismatch, diff against a commit that passes
+ROOTS_DIGESTS = {
+    "A2": "5cc3cea325966ad2461b3c6833d6d62e14d5d7c978f7b1b32cf064c8c8a39ba9",
+    "B3": "97c109391b7b7fcb2cc01d5085135c0b9fc7981ed7811f74689f3a264b53dfc5",
+    "C3": "6e3c2437fe45ff1c52ccd17b88785ac351336324addeb2d6e222b8b571ec6e71",
+    "D6": "6041a0ee197abc657ca8091fca84dfe46e4286b5d1e392ebce4360730fde7d41",
+    "E8": "2852fb5e37897bfe8673e08d1d7e8830b47b5a3198aa6225e30d4a0f3383150f",
+    "F4": "590c65aa07b2f795aff1c5cd7e02499be45aba9db83cfffdedfd3dd961a78e91",
+    "G2": "452c280a59ba4519b41e02a6fea3d035a4d2164f7e4426915abff9dfed5ab601",
+}
+
+
+@pytest.mark.parametrize("name", list(ROOTS_DIGESTS))
+def test_roots_output_is_pinned(name, capsys):
+    assert main(["roots", "--type", name]) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == ROOTS_DIGESTS[name]
+
+
 def test_roots_invalid_type_exit_code():
     assert main(["roots", "--type", "E9"]) == 2
 

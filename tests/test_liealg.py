@@ -5,6 +5,7 @@ from itertools import islice
 
 import numpy as np
 import pytest
+import sympy
 
 from affw.liealg import (
     CartanType,
@@ -21,7 +22,10 @@ from affw.liealg import (
 )
 
 from oracles import (
+    dominant_word_by_generator,
+    gauss_jordan_fraction,
     positive_roots_by_strings,
+    reflect_coords_by_generator,
     simple_reflection_matrices,
     weyl_group_by_reflections,
     weyl_stream_by_rows,
@@ -100,6 +104,39 @@ def test_int_numerators_of_mixed_and_empty_input():
     assert den == 6 and ints.tolist() == [[3, 18], [-6, 5]]
     ints, den = _int_numerators([])
     assert den == 1 and ints.size == 0
+
+
+def _elimination_inputs():
+    """Every matrix the library inverts: the Cartan matrices, the A2 root and
+    weight lattice Grams as theta functions take them (Fraction entries, the
+    second not integral), and the sl3 and sl4 trace-form Grams of the
+    Sugawara vector."""
+    from affw.opecalc import _sl_structure
+    from affw.qseries import ThetaSpec
+
+    a2 = build_root_system(CartanType.parse("A2"))
+    out = {name: CartanType.parse(name).cartan_matrix() for name in ALL_TYPES}
+    out["theta A2 roots"] = ThetaSpec.root_lattice(a2).gram
+    out["theta A2 weights"] = ThetaSpec(a2.gram, (Fraction(0),) * 2).gram
+    for nn in (3, 4):
+        cartan = _sl_structure(nn)[1][1 - nn:]
+        out[f"sl{nn} trace form"] = [[int(np.trace(a @ b)) for b in cartan] for a in cartan]
+    return out
+
+
+def test_elimination_matches_the_fraction_oracle():
+    """Inverse and pivots equal plain Fraction Gauss-Jordan, every one a
+    Fraction, and pivot k is the ratio of the leading minors of sizes k + 1
+    and k."""
+    for name, m in _elimination_inputs().items():
+        inverse, pivots = _gauss_jordan(m)
+        want_inverse, want_pivots = gauss_jordan_fraction(m)
+        assert (inverse, pivots) == (want_inverse, want_pivots), name
+        assert all(type(x) is Fraction for row in inverse for x in row), name
+        assert all(type(x) is Fraction for x in pivots), name
+        minors = [Fraction(1)] + [Fraction(str(sympy.Matrix([row[:k] for row in m[:k]]).det()))
+                                  for k in range(1, len(m) + 1)]
+        assert pivots == [b / a for a, b in zip(minors, minors[1:])], name
 
 
 def test_zero_pivot_is_refused():
@@ -314,6 +351,37 @@ def test_dominant_word_reaches_the_chamber(name):
     # -rho goes to rho by the longest element
     top, word = rs.dominant_word((-1,) * rs.rank)
     assert top == (1,) * rs.rank and len(word) == len(rs.positive_roots)
+
+
+@pytest.mark.parametrize("name", ALL_TYPES)
+def test_chamber_walk_matches_the_generator_walk(name):
+    """``dominant_word`` and ``reflect_coords`` give the generator oracle's
+    coordinates, with the same scalar type, and the same word, on integral
+    and Fraction weights."""
+    rs = build_root_system(CartanType.parse(name))
+    rng = random.Random(sum(map(ord, name)))
+    for _ in range(12):
+        ints = tuple(rng.randint(-6, 6) for _ in range(rs.rank))
+        fracs = tuple(Fraction(rng.randint(-12, 12), rng.randint(1, 4)) for _ in range(rs.rank))
+        for lam in (ints, fracs):
+            got, want = rs.dominant_word(lam), dominant_word_by_generator(rs, lam)
+            assert got == want
+            assert list(map(type, got[0])) == list(map(type, want[0]))
+            i = rng.randrange(rs.rank)
+            got = rs.reflect_coords(i, lam)
+            want = reflect_coords_by_generator(rs, i, lam)
+            assert got == want and list(map(type, got)) == list(map(type, want))
+
+
+@pytest.mark.parametrize("name", ALL_TYPES)
+def test_rational_fields_hold_fractions(name):
+    """The fields typed as Fraction hold Fraction instances, never ints."""
+    rs = build_root_system(CartanType.parse(name))
+    roots = rs.positive_roots + rs.simple_roots + (rs.highest_root,)
+    values = [c for r in roots for c in r.weight.coords] + list(rs.weyl_vector.coords)
+    values += [x for m in (rs.gram, rs.cartan_inverse) for row in m for x in row]
+    values += list(rs.simple_root_norms_half)
+    assert {type(x) for x in values} == {Fraction}
 
 
 def test_root_coordinate_roundtrip():

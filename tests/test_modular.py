@@ -554,18 +554,33 @@ def test_only_a_checkpoint_pauses_the_workers(e6_level):
     assert sm.provenance["weyl_elements"] == e6_level.root_system.weyl_order
 
 
-def test_no_more_threads_than_cosets():
-    """D4 is one coset, so ``workers=2`` submits one task and starts one thread."""
+def test_no_more_threads_than_cosets(e6_level):
+    """A round with one task runs in the calling thread: D4 is one coset, so
+    ``workers=2`` submits nothing to a pool, while E6 (27 cosets) submits two
+    tasks in its one round.  Both equal ``workers=1``."""
     from concurrent.futures import ThreadPoolExecutor
     from unittest.mock import patch
 
-    lv = make_admissible_level(build_root_system(CartanType.parse("D4")), 9, 4)
-    fresh = subregular_S(lv)
-    with patch.object(ThreadPoolExecutor, "submit", autospec=True,
-                      side_effect=ThreadPoolExecutor.submit) as submit:
-        sm = subregular_S(lv, workers=2)
-    assert submit.call_count == 1
-    assert np.array_equal(sm.entries, fresh.entries)
+    d4 = make_admissible_level(build_root_system(CartanType.parse("D4")), 9, 4)
+    for lv, tasks in ((d4, 0), (e6_level, 2)):
+        fresh = subregular_S(lv)
+        with patch.object(ThreadPoolExecutor, "submit", autospec=True,
+                          side_effect=ThreadPoolExecutor.submit) as submit:
+            sm = subregular_S(lv, workers=2)
+        assert submit.call_count == tasks
+        assert np.array_equal(sm.entries, fresh.entries)
+
+
+def test_one_worker_starts_no_thread_and_no_fingerprint(e6_level):
+    """Without a checkpoint nothing is fingerprinted, and one worker runs every
+    round in the calling thread."""
+    import threading
+    import zlib
+    from unittest.mock import patch
+
+    with patch.object(threading.Thread, "start", side_effect=AssertionError("a thread started")), \
+            patch.object(zlib, "crc32", side_effect=AssertionError("a fingerprint was built")):
+        subregular_S(e6_level, workers=1)
 
 
 def test_checkpoints_do_not_depend_on_workers(tmp_path, monkeypatch, e6_level):
