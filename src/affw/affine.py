@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
-from typing import Iterator, Optional, Sequence
+from typing import Optional, Sequence
 
 from .liealg import Root, RootSystem, Weight
 
@@ -68,35 +68,31 @@ def _dominant_by_level(
     bound: int,
     lower: Optional[Sequence[int]] = None,
     upper: Optional[Sequence[int]] = None,
-) -> Iterator[tuple[int, ...]]:
+) -> list[tuple[int, ...]]:
     """Integral weights with ``lower[i] <= lam_i <= upper[i]`` and
     <lam, theta_check> <= bound, in lex order.
 
     ``lower`` defaults to 0 (the dominant chamber), ``upper`` to no bound but
-    the level.
+    the level.  Built one coordinate at a time: each prefix, with the level
+    it uses, is extended by every value still within the bound, ascending.
     """
     n = rs.rank
-    comarks = rs.comarks
     lower = lower or (0,) * n
     upper = upper or (bound,) * n
-
-    def rec(prefix: list[int], used: int, i: int) -> Iterator[tuple[int, ...]]:
-        if i == n:
-            yield tuple(prefix)
-            return
-        top = min(upper[i], (bound - used) // comarks[i])
-        for c in range(lower[i], top + 1):
-            prefix.append(c)
-            yield from rec(prefix, used + c * comarks[i], i + 1)
-            prefix.pop()
-
-    yield from rec([], 0, 0)
+    rows: list[tuple[tuple[int, ...], int]] = [((), 0)]
+    for lo, hi, m in zip(lower, upper, rs.comarks):
+        rows = [
+            (prefix + (c,), used + c * m)
+            for prefix, used in rows
+            for c in range(lo, min(hi, (bound - used) // m) + 1)
+        ]
+    return [prefix for prefix, _ in rows]
 
 
 def _regular(rs: RootSystem, m: int) -> list[tuple[int, ...]]:
     """Coordinates of the strictly dominant weights of level < m (the set
     P_+^{m,reg}), lex order; empty when m < h_check, as rho has level h_check - 1."""
-    return list(_dominant_by_level(rs, m - 1, lower=(1,) * rs.rank))
+    return _dominant_by_level(rs, m - 1, lower=(1,) * rs.rank)
 
 
 def _subregular_eta(rs: RootSystem, q: int) -> list[tuple[tuple[int, ...], int]]:

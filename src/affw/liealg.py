@@ -24,15 +24,20 @@ Weyl groups are never materialised.  One weight at a time,
 :meth:`RootSystem.reflect_coords` applies a simple reflection and
 :meth:`RootSystem.dominant_word` reflects into the dominant chamber (label
 sets, conservative weights).  The whole group is one walk:
-:func:`weyl_blocks` follows the orbit tree of the Weyl vector with a
-canonical-parent rule, one layer slice at a time as integer numpy blocks,
-which visits every element exactly once using memory proportional to the
-longest element (the Kac-Wakimoto numerator); :func:`weyl_stream` yields the
-same elements one :class:`WeylElement` (a named tuple) at a time.  A row of
-a Weyl matrix is a coroot, so the stream builds the 2|Delta_+| coroot tuples
-once per call (:func:`_coroot_rows`) and assembles every element from them
-by one integer-key lookup per block.  The alternating Weyl sums of the
-S-matrices are not walks but coset determinants (``modular``).
+:func:`_walk` follows the orbit tree of the Weyl vector with a
+canonical-parent rule, one layer slice at a time, which visits every element
+exactly once using memory proportional to the longest element.  A row of a
+Weyl matrix is a coroot, and right multiplication by a simple reflection
+permutes the coroots (Humphreys, Introduction to Lie Algebras and
+Representation Theory, 10.2 Lemma B), so the walk carries each element as n
+indices into the table of the 2|Delta_+| coroots (:func:`_coroot_table`),
+and a child is one gather through that table's reflection permutations: a
+pending slice holds 2n ints per element, the point w^{-1}(rho) and the row
+indices.  :func:`weyl_blocks` gathers the matrices of each slice as integer
+numpy blocks (the Kac-Wakimoto numerator); :func:`weyl_stream` yields the
+same elements one :class:`WeylElement` (a named tuple) at a time, built
+from the coroot tuples shared between elements.  The alternating Weyl sums
+of the S-matrices are not walks but coset determinants (``modular``).
 """
 
 from __future__ import annotations
@@ -42,7 +47,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import repeat
 from operator import mul
-from typing import Callable, Iterator, NamedTuple, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -478,9 +483,9 @@ def _exponents_from_heights(heights: Sequence[int], rank: int) -> tuple[int, ...
 class WeylBlock(NamedTuple):
     """A slice of one depth layer of the Weyl orbit tree.
 
-    Row b holds one element w_b of length ``depth``: ``points[b] = w_b(rho)``
-    and ``matrices[b]`` is w_b on fundamental-weight coordinates, so every
-    element of the block has parity ``(-1)**depth``.
+    Row b holds one element w_b of length ``depth``: ``points[b] =
+    w_b^{-1}(rho)`` and ``matrices[b]`` is w_b on fundamental-weight
+    coordinates, so every element of the block has parity ``(-1)**depth``.
     """
 
     points: np.ndarray    # (B, n) int64
@@ -495,64 +500,72 @@ class WeylBlock(NamedTuple):
 WEYL_BLOCK_ROWS = 256  # larger slices gain little speed and cost peak memory
 
 
-def weyl_blocks(rs: RootSystem) -> Iterator[WeylBlock]:
-    """Yield every element of W exactly once, in blocks.
-
-    The orbit tree of the (regular) Weyl vector: node v = w(rho) has child
-    s_k(v) for exactly those k with v_k > 0 whose canonical parent rule
-    (reflect at the first negative coordinate) points back through k.  The
-    walk starts at the identity, at rho.  The children of a block under all
-    simple reflections are computed together, cut into slices of at most
-    ``WEYL_BLOCK_ROWS`` elements and walked depth-first, so at most ``rank``
-    slices per layer are pending: memory is bounded by ``WEYL_BLOCK_ROWS *
-    rank * (length of w0 + 1)`` elements.  The order is deterministic.
-    """
-    a = np.array(rs.cartan_matrix, dtype=np.int64)
-    n = rs.rank
-    stack = [WeylBlock(np.ones((1, n), np.int64), np.eye(n, dtype=np.int64)[None], 0)]
-    while stack:
-        blk = stack.pop()
-        # u[b, k] = s_k(v_b); keep (b, k) when v_bk > 0 and the first
-        # negative coordinate of u[b, k] is k (the canonical parent rule)
-        u = blk.points[:, None, :] - blk.points[:, :, None] * a
-        k, b = np.nonzero(((blk.points > 0) & (np.argmax(u < 0, axis=2) == np.arange(n))).T)
-        points, m = u[b, k], blk.matrices[b]
-        # s_k acts by lam_j -> lam_j - lam_k a_kj on every column
-        mats = m - a[k][:, :, None] * m[np.arange(len(b)), k][:, None, :]
-        for s in reversed(range(0, len(b), WEYL_BLOCK_ROWS)):
-            rows = slice(s, s + WEYL_BLOCK_ROWS)
-            stack.append(WeylBlock(points[rows], mats[rows], blk.depth + 1))
-        yield blk
-
-
-def _coroot_rows(rs: RootSystem) -> tuple[list[tuple[int, ...]], Callable[[np.ndarray], list[int]]]:
-    """The 2|Delta_+| coroots +-beta (beta a positive root of A^T, in
-    simple-coroot coordinates), which are all the rows of Weyl matrices, and
-    ``index(rows)``: their positions for the rows of an ``(m, n)`` int64
-    array, by one ``searchsorted`` on balanced base-(2t + 1) keys (t the
-    largest coefficient), every hit then checked exactly, so a row that is
-    not there raises.  The key is exact while that base to the rank fits
-    int64 (B, C, D up to rank 27; every A, E, F, G); beyond, it raises.
+def _coroot_table(rs: RootSystem) -> tuple[np.ndarray, np.ndarray]:
+    """``(coroots, perm)``: the 2|Delta_+| coroots +-beta (beta a positive root
+    of A^T, in simple-coroot coordinates; the positive ones first, sorted by
+    (height, coords), so the simple coroot alpha_r_check is row n - 1 - r),
+    which are all the rows of Weyl matrices, and ``perm[k, i]``, the row of
+    ``s_k(coroots[i]) = coroots[i] - <alpha_k, coroots[i]> alpha_k_check``.
     """
     n = rs.rank
     positive = _positive_root_closure(tuple(zip(*rs.cartan_matrix)))
-    radix = 2 * max(map(max, positive)) + 1
-    if radix ** n > np.iinfo(np.int64).max:
-        raise LieAlgebraError(f"the coroot rows of {rs.cartan_type} do not fit an int64 key")
-    table = np.array(positive + [tuple(-x for x in r) for r in positive], np.int64)
-    powers = radix ** np.arange(n, dtype=np.int64)
-    keys = table @ powers
-    order = np.argsort(keys)
-    table, keys = table[order], keys[order]
-    last = len(keys) - 1
+    coroots = np.array(positive + [tuple(-x for x in r) for r in positive], np.int64)
+    index = {r: i for i, r in enumerate(map(tuple, coroots.tolist()))}
+    # <alpha_k, beta> = sum_j a_kj beta_j for beta = sum_j beta_j alpha_j_check
+    pairs = coroots @ np.array(rs.cartan_matrix, np.int64).T
+    eye = np.eye(n, dtype=np.int64)
+    perm = np.array([
+        [index[r] for r in map(tuple, (coroots - np.outer(pairs[:, k], eye[k])).tolist())]
+        for k in range(n)
+    ])
+    return coroots, perm
 
-    def index(rows: np.ndarray) -> list[int]:
-        idx = np.minimum(np.searchsorted(keys, rows @ powers), last)
-        if not (table[idx] == rows).all():
-            raise LieAlgebraError(f"a row is not a coroot of {rs.cartan_type}")
-        return idx.tolist()
 
-    return list(map(tuple, table.tolist())), index
+def _walk(rs: RootSystem, perm: np.ndarray) -> Iterator[tuple[np.ndarray, np.ndarray, int]]:
+    """Yield every element of W exactly once as ``(points, rows, depth)``.
+
+    The orbit tree of the (regular) Weyl vector: node v = u(rho) has child
+    s_k(v) for exactly those k with v_k > 0 whose canonical parent rule
+    (reflect at the first negative coordinate) points back through k.  The
+    walk starts at the identity, at rho.  The element at node u is w =
+    u^{-1}, carried as its n matrix rows, indices into the coroot table of
+    ``perm`` (:func:`_coroot_table`): the child s_k u holds w s_k, whose row
+    r is s_k applied to row r of w, so a child costs one gather
+    ``perm[k, rows]``.  The children of a block under all simple
+    reflections are computed together, cut into slices of at most
+    ``WEYL_BLOCK_ROWS`` elements and walked depth-first, so at most
+    ``rank`` slices per layer are pending, each holding 2n ints per element:
+    memory is bounded by ``WEYL_BLOCK_ROWS * rank * (length of w0 + 1)``
+    elements.  The order is deterministic.
+    """
+    a = np.array(rs.cartan_matrix, dtype=np.int64)
+    n = rs.rank
+    stack = [(np.ones((1, n), np.int64), np.arange(n - 1, -1, -1)[None], 0)]
+    while stack:
+        points, rows, depth = stack.pop()
+        # u[b, k] = s_k(v_b); keep (b, k) when v_bk > 0 and the first
+        # negative coordinate of u[b, k] is k (the canonical parent rule)
+        u = points[:, None, :] - points[:, :, None] * a
+        k, b = np.nonzero(((points > 0) & (np.argmax(u < 0, axis=2) == np.arange(n))).T)
+        child_points, child_rows = u[b, k], perm[k[:, None], rows[b]]
+        for s in reversed(range(0, len(b), WEYL_BLOCK_ROWS)):
+            cut = slice(s, s + WEYL_BLOCK_ROWS)
+            stack.append((child_points[cut], child_rows[cut], depth + 1))
+        yield points, rows, depth
+
+
+def weyl_blocks(rs: RootSystem) -> Iterator[WeylBlock]:
+    """Yield every element of W exactly once, in blocks.
+
+    One :class:`WeylBlock` per slice of :func:`_walk`, its matrices gathered
+    from the coroot rows the walk carries: ``points[b] = w_b^{-1}(rho)``.
+    The order is deterministic, and memory is bounded by the pending slices,
+    ``WEYL_BLOCK_ROWS * rank * (length of w0 + 1)`` elements of 2n ints.
+    """
+    coroots, perm = _coroot_table(rs)
+    for points, rows, depth in _walk(rs, perm):
+        # take gathers a few times faster here than coroots[rows]
+        yield WeylBlock(points, coroots.take(rows, axis=0), depth)
 
 
 def weyl_stream(rs: RootSystem) -> Iterator[WeylElement]:
@@ -562,13 +575,15 @@ def weyl_stream(rs: RootSystem) -> Iterator[WeylElement]:
     block by block, each block a slice of one length layer, with lengths
     ascending along each branch of the walk.  Memory is bounded by the
     pending slices, at most ``WEYL_BLOCK_ROWS * rank * (length of w0 + 1)``
-    elements and never |W|, which is what permits scanning W(E8) without
-    materialising it.  Matrix rows are coroots shared between elements,
-    looked up once per block in :func:`_coroot_rows`; a type whose rows it
-    cannot key raises :class:`LieAlgebraError` before any block.
+    elements of 2n ints and never |W|, which is what permits scanning W(E8)
+    without materialising it.  Matrix rows are coroot tuples shared between
+    elements, built once per call and picked by the row indices the walk
+    carries, so no (B, n, n) block is built.
     """
     n = rs.rank
-    rows, index = _coroot_rows(rs)
-    for blk in weyl_blocks(rs):
-        mats = zip(*[map(rows.__getitem__, index(blk.matrices.reshape(-1, n)))] * n)
-        yield from map(tuple.__new__, repeat(WeylElement), zip(mats, repeat(blk.parity)))
+    coroots, perm = _coroot_table(rs)
+    table = list(map(tuple, coroots.tolist()))
+    for _, rows, depth in _walk(rs, perm):
+        mats = zip(*[map(table.__getitem__, rows.ravel().tolist())] * n)
+        parity = -1 if depth % 2 else 1
+        yield from map(tuple.__new__, repeat(WeylElement), zip(mats, repeat(parity)))

@@ -8,11 +8,13 @@ partition counters, two-variable series products as dict convolutions, the
 exact inverse and pivots by Gauss-Jordan elimination on ``Fraction``, the
 dominant chamber reached one generator-built reflection at a time, the
 positive roots by alpha-string induction, the Weyl group as the closure of
-the simple-reflection matrices under products and as the walk's blocks
-converted one matrix row at a time, the label sets computed on
-``Fraction`` weights by reflecting every class key and filtering all of
-P_+^q for the subregular eta, the Kac-Wakimoto numerator summed one
-Weyl element at a time on ``Fraction`` weights, and the Weyl sums of the
+the simple-reflection matrices under products, as the orbit-tree walk
+carrying (n, n) matrices and as the walk's blocks converted one matrix row
+at a time, the bounded dominant weights by one generator frame per
+coordinate, the label sets computed on ``Fraction`` weights by reflecting
+every class key and filtering all of P_+^q for the subregular eta, the
+Kac-Wakimoto numerator summed one Weyl element at a time on ``Fraction``
+weights, and the Weyl sums of the
 S-matrices as a walk over every element of W into integer buckets, and the
 conservative weights by a breadth-first search of a root's W-orbit.
 These stay out of the library on purpose: they are the references the
@@ -363,6 +365,28 @@ def weyl_group_by_reflections(a) -> dict[bytes, int]:
     return group
 
 
+def weyl_blocks_by_matrices(rs: RootSystem):
+    """The walk of :func:`weyl_blocks` carrying (n, n) matrices: the same
+    orbit tree, canonical-parent rule and slicing, with the child s_k(v) of
+    node v = u(rho) holding the matrix of s_k u, built from u's matrix by the
+    column action lam_j -> lam_j - lam_k a_kj.  Block for block it has
+    :func:`weyl_blocks`' points and depths, and each matrix is the inverse
+    of the one there."""
+    a = np.array(rs.cartan_matrix, dtype=np.int64)
+    n = rs.rank
+    stack = [WeylBlock(np.ones((1, n), np.int64), np.eye(n, dtype=np.int64)[None], 0)]
+    while stack:
+        blk = stack.pop()
+        u = blk.points[:, None, :] - blk.points[:, :, None] * a
+        k, b = np.nonzero(((blk.points > 0) & (np.argmax(u < 0, axis=2) == np.arange(n))).T)
+        points, m = u[b, k], blk.matrices[b]
+        mats = m - a[k][:, :, None] * m[np.arange(len(b)), k][:, None, :]
+        for s in reversed(range(0, len(b), WEYL_BLOCK_ROWS)):
+            rows = slice(s, s + WEYL_BLOCK_ROWS)
+            stack.append(WeylBlock(points[rows], mats[rows], blk.depth + 1))
+        yield blk
+
+
 def weyl_stream_by_rows(rs: RootSystem):
     """``(matrix, parity)`` per row of :func:`weyl_blocks`, each matrix
     converted row by row from its numpy block, in the walk's order."""
@@ -372,6 +396,27 @@ def weyl_stream_by_rows(rs: RootSystem):
 
 
 # -- label sets on Fraction weights -------------------------------------------
+
+
+def dominant_by_level_recursive(rs: RootSystem, bound: int, lower=None, upper=None):
+    """Integral weights with ``lower[i] <= lam_i <= upper[i]`` and
+    <lam, theta_check> <= bound, in lex order, one nested generator frame
+    per coordinate."""
+    n = rs.rank
+    lower = lower or (0,) * n
+    upper = upper or (bound,) * n
+
+    def rec(prefix: list[int], used: int, i: int):
+        if i == n:
+            yield tuple(prefix)
+            return
+        top = min(upper[i], (bound - used) // rs.comarks[i])
+        for c in range(lower[i], top + 1):
+            prefix.append(c)
+            yield from rec(prefix, used + c * rs.comarks[i], i + 1)
+            prefix.pop()
+
+    yield from rec([], 0, 0)
 
 
 def p_plus_fraction(rs: RootSystem, k: int) -> list[Weight]:

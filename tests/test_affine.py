@@ -8,6 +8,7 @@ import pytest
 
 from affw.affine import (
     AffineDataError,
+    _dominant_by_level,
     _regular,
     _subregular_eta,
     alpha_star,
@@ -18,7 +19,9 @@ from affw.affine import (
 )
 from affw.liealg import CartanType, Weight, _int_numerators, build_root_system
 from affw.qseries import _coroot_matrix, _translations
+from test_liealg import ALL_TYPES
 from oracles import (
+    dominant_by_level_recursive,
     principal_labels_fraction,
     subregular_eta_by_filter,
     subregular_labels_fraction,
@@ -112,6 +115,27 @@ def test_enumerate_regular(a2):
         mu = Weight.of(*nu) - a2.weyl_vector
         assert mu.is_dominant()
         assert a2.level(mu) <= 5 - a2.dual_coxeter
+
+
+@pytest.mark.parametrize("name", ALL_TYPES)
+def test_flat_enumeration_matches_the_recursive_one(name):
+    """The bounds ``enumerate_P_plus_k``, ``_regular`` and both halves of
+    ``_subregular_eta`` pass give the recursive generator's list, in its
+    lex order, at levels around the dual Coxeter number."""
+    rs = build_root_system(CartanType.parse(name))
+    n, h = rs.rank, rs.dual_coxeter
+
+    def same(bound, lower=None, upper=None):
+        got = _dominant_by_level(rs, bound, lower, upper)
+        assert got == list(dominant_by_level_recursive(rs, bound, lower, upper))
+        return len(got)
+
+    assert [same(k) for k in range(4)][:2] == [1, 1 + rs.comarks.count(1)]
+    assert [same(q, (1,) * n) for q in range(h - 2, h + 2)][:2] == [0, 1]
+    for q in range(h - 2, h + 2):
+        for i in range(n):
+            lower = tuple(int(j != i) for j in range(n))
+            same(q - 1, lower, tuple(q * x for x in lower))
 
 
 def test_subregular_eta_a2():

@@ -12,7 +12,7 @@ from affw.liealg import (
     LieAlgebraError,
     Weight,
     WeylElement,
-    _coroot_rows,
+    _coroot_table,
     _gauss_jordan,
     _int_numerators,
     _positive_root_closure,
@@ -27,6 +27,7 @@ from oracles import (
     positive_roots_by_strings,
     reflect_coords_by_generator,
     simple_reflection_matrices,
+    weyl_blocks_by_matrices,
     weyl_group_by_reflections,
     weyl_stream_by_rows,
 )
@@ -260,45 +261,76 @@ def test_weyl_stream_is_the_per_row_conversion(name):
     assert all(type(x) is int for w in stream for row in w.matrix for x in row)
 
 
+@pytest.mark.parametrize(
+    "name", ["A1", "A2", "A3", "A4", "B2", "B3", "B4", "C3", "D4", "D5", "E6", "F4", "G2"]
+)
+def test_weyl_blocks_invert_the_matrix_walk(name):
+    """Block for block, the walk on coroot indices has the matrix walk's
+    points and depths, and each of its matrices is the inverse of the one
+    the matrix walk carries, exactly in int64."""
+    rs = build_root_system(CartanType.parse(name))
+    eye = np.eye(rs.rank, dtype=np.int64)
+    count = 0
+    for new, old in zip(weyl_blocks(rs), weyl_blocks_by_matrices(rs), strict=True):
+        assert new.depth == old.depth
+        assert new.points.dtype == new.matrices.dtype == np.int64
+        assert np.array_equal(new.points, old.points)
+        assert (new.matrices @ old.matrices == eye).all()
+        count += len(new.points)
+    assert count == rs.weyl_order
+
+
 @pytest.mark.parametrize("name", ["B3", "C3", "F4", "G2"])
 def test_weyl_rows_are_coroots(name):
     """Where roots and coroots differ, every row of every element is
-    +-a positive root of the transposed Cartan matrix, and a row outside
-    that table is refused by the lookup, never matched."""
+    +-a positive root of the transposed Cartan matrix, and the table the
+    walk indexes holds exactly those rows, with alpha_r_check at row
+    n - 1 - r, where the walk starts the identity."""
     rs = build_root_system(CartanType.parse(name))
     n = rs.rank
     coroots = positive_roots_by_strings(tuple(zip(*rs.cartan_matrix)))
     table = set(coroots) | {tuple(-x for x in r) for r in coroots}
     assert {row for w in weyl_stream(rs) for row in w.matrix} == table
-    rows, index = _coroot_rows(rs)
-    assert sorted(rows) == sorted(table)
-    assert [rows[i] for i in index(np.eye(n, dtype=np.int64))] == [
-        tuple(int(i == j) for j in range(n)) for i in range(n)
-    ]
-    radix = 2 * max(map(max, coroots)) + 1
-    # (radix, 0, ...) has the key of the simple coroot (0, 1, 0, ...); the
-    # others lie past either end of the sorted keys
-    for outside in ((radix,) + (0,) * (n - 1), (99,) * n, (-99,) * n):
-        with pytest.raises(LieAlgebraError, match="not a coroot"):
-            index(np.array([rows[0], outside], dtype=np.int64))
+    rows, _ = _coroot_table(rs)
+    assert sorted(map(tuple, rows.tolist())) == sorted(table)
+    assert rows[n - 1 :: -1].tolist() == np.eye(n, dtype=np.int64).tolist()
 
 
-def test_weyl_stream_refuses_rows_it_cannot_key(monkeypatch):
-    """B, C and D coroots have coefficients up to 2, so a row key is a
-    balanced base-5 number: exact through rank 27, and refused from rank 28
-    on before any block of the walk is built."""
-    import affw.liealg as liealg
+@pytest.mark.parametrize("name", ["B3", "C3", "F4", "G2", "D4"])
+def test_simple_reflections_permute_the_coroot_table(name):
+    """``perm[k]`` is s_k on the coroot table: an involution that swaps
+    alpha_k_check and -alpha_k_check, keeps every other positive coroot
+    positive, and sends each coroot to the image the alpha-string roots of
+    A^T give, s_k(beta) = beta - <alpha_k, beta> alpha_k_check.  The
+    non-simply-laced types tell pairing with Cartan rows from columns."""
+    rs = build_root_system(CartanType.parse(name))
+    n, a = rs.rank, rs.cartan_matrix
+    positive = positive_roots_by_strings(tuple(zip(*a)))
+    coroots, perm = _coroot_table(rs)
+    rows = list(map(tuple, coroots.tolist()))
+    assert rows == positive + [tuple(-x for x in r) for r in positive]
+    npos = len(positive)
+    assert perm.shape == (n, 2 * npos)
+    for k in range(n):
+        p = perm[k]
+        assert (p[p] == np.arange(2 * npos)).all()
+        simple = rows.index(tuple(int(j == k) for j in range(n)))
+        assert p[simple] == simple + npos and p[simple + npos] == simple
+        others = [i for i in range(npos) if i != simple]
+        assert all(p[i] < npos for i in others)
+        for i, beta in enumerate(rows):
+            pairing = sum(a[k][j] * beta[j] for j in range(n))
+            image = tuple(b - pairing * int(j == k) for j, b in enumerate(beta))
+            assert rows[p[i]] == image
 
-    b27 = build_root_system(CartanType.parse("B27"))
-    assert list(islice(weyl_stream(b27), 600)) == list(islice(weyl_stream_by_rows(b27), 600))
 
-    def no_walk(rs):
-        raise AssertionError("the walk started")
-
-    monkeypatch.setattr(liealg, "weyl_blocks", no_walk)
+def test_weyl_stream_walks_past_rank_27():
+    """The walk carries coroot indices, so no row key bounds the rank: B, C
+    and D from rank 28 on stream like every other type, element for element
+    the per-row conversion of the walk's blocks."""
     for name in ("B28", "D28", "B32"):
-        with pytest.raises(LieAlgebraError, match="int64 key"):
-            next(weyl_stream(build_root_system(CartanType.parse(name))))
+        rs = build_root_system(CartanType.parse(name))
+        assert list(islice(weyl_stream(rs), 600)) == list(islice(weyl_stream_by_rows(rs), 600))
 
 
 def test_weyl_blocks_e7_count_and_parity():
