@@ -162,6 +162,8 @@ def principal_labels(lv: AdmissibleLevel) -> list[PrincipalLabel]:
     """
     rs, p, q = lv.root_system, lv.p, lv.q
     etas = _regular(rs, q)
+    if not etas:  # no pair at all, however many nu there are
+        return []
     classes: dict[tuple, tuple] = {}
     for nu in _regular(rs, p):
         for eta in etas:

@@ -106,9 +106,12 @@ class CartanType:
     @staticmethod
     def parse(name: str) -> "CartanType":
         name = name.strip()
-        if len(name) < 2 or name[0].upper() not in _FAMILIES or not name[1:].isdigit():
+        # ASCII digits only: str.isdigit also accepts the Arabic-Indic two, say,
+        # and int() reads it as 2
+        digits = name[1:]
+        if len(name) < 2 or name[0].upper() not in _FAMILIES or not (digits.isascii() and digits.isdigit()):
             raise LieAlgebraError(f"cannot parse Cartan type {name!r}")
-        return CartanType(name[0].upper(), int(name[1:]))
+        return CartanType(name[0].upper(), int(digits))
 
     def cartan_matrix(self) -> tuple[tuple[int, ...], ...]:
         """Cartan matrix with ``a[i][j] = <alpha_i, alpha_j_check>``."""

@@ -6,6 +6,14 @@ denominator, so raw admissible characters (whose delta-degrees live in
 (1/q)Z) stay exact.  Two-variable characters map finite weights to QSeries
 and specialise to y-Laurent polynomials on demand.  The numeric theta path
 is double precision with an explicit Gaussian tail certificate.
+
+Characters, the triple product and the BRST series are dense integer boxes
+multiplied or divided by factors (1 - x^s) in place.  A box runs on float64,
+beside a majorant that takes every subtraction as an addition: 16 bytes a
+cell.  While the majorant stays below 2**53 every float64 sum was exact, and
+the box is read out in int64, with one Fraction per distinct value.  A box
+that fails this certificate reruns on Python ints (8-byte object pointers a
+cell, plus the ints).
 """
 
 from __future__ import annotations
@@ -15,7 +23,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -43,8 +51,11 @@ class QSeriesError(ValueError):
     pass
 
 
-# largest dense character box, in cells of 8-byte object pointers: D4 level 1
-# order 3 needs 5.2e7 and fits, E6 level 1 order 1 needs 3.1e9 (23 GiB)
+# largest dense character box, in cells of 16 bytes (a float64 entry and its
+# float64 majorant; the int64 result reuses the majorant's half), 2 GiB in
+# all: D4 level 1 order 3 needs 5.2e7 and fits, E6 level 1 order 1 needs 3.1e9
+# (46 GiB).  A box past the float64 certificate reruns as 8-byte object
+# pointers to Python ints.
 MAX_BOX_CELLS = 1 << 27
 
 # largest lattice-ball radius^2 theta_eval grows to while certifying its eps
@@ -272,25 +283,67 @@ def _shifted(d: int, size: int) -> tuple[slice, slice]:
     return slice(max(d, 0), size + min(d, 0)), slice(max(-d, 0), size - max(d, 0))
 
 
-def _binomial(a: np.ndarray, shift: Sequence[int], inverse: bool = False) -> None:
+def _binomial(a: np.ndarray, shift: Sequence[int], inverse: bool = False, sign=-1) -> None:
     """``a *= (1 - x^shift)``, or ``a /= (1 - x^shift)`` with ``inverse``, in place.
 
     ``x^shift`` moves every entry by ``shift[i]`` along axis i; terms moved out
     of the array drop out, as in any truncated product.  Division is the
     running sum ``a[x] += a[x - shift]``, taken one block of ``shift[axis]``
     slices at a time along the first axis where the shift is positive, so
-    every block reads only finished entries.
+    every block reads only finished entries.  A product is
+    ``a[x] += sign a[x - shift]``: ``sign`` +1 multiplies by (1 + x^shift)
+    instead, and an array of signs broadcast along the leading axes takes
+    each slice of them by its own sign.
     """
     cuts = [_shifted(d, size) for d, size in zip(shift, a.shape)]
     dst, src = [d for d, _ in cuts], [c for _, c in cuts]
     if not inverse:
-        a[tuple(dst)] -= a[tuple(src)].copy()
+        a[tuple(dst)] += sign * a[tuple(src)]
         return
     axis = next(i for i, d in enumerate(shift) if d > 0)
     d, size = shift[axis], a.shape[axis]
     for j in range(d, size, d):
         dst[axis], src[axis] = slice(j, j + d), slice(j - d, min(j, size - d))
         a[tuple(dst)] += a[tuple(src)]
+
+
+# float64 adds two integers exactly while their sum stays within 2**53
+_FLOAT_EXACT = 1 << 53
+
+# the signs of a product step on a (box, majorant) pair: the majorant adds
+_PAIR_SIGNS = np.array([-1.0, 1.0])
+
+
+def _box(shape: Sequence[int], at, values, steps: Iterable[tuple[Sequence[int], bool]]) -> np.ndarray:
+    """The integer box of ``shape`` holding ``values`` at the index ``at``
+    after ``_binomial(box, shift, inverse)`` for each ``(shift, inverse)`` of
+    ``steps``, exact: int64, or Python ints in an object array.
+
+    The steps run once on a float64 pair: the box beside its majorant, which
+    starts at |values| and takes every step with its subtraction turned into
+    an addition.  So each majorant entry bounds that box entry in absolute
+    value at every step, and never falls.  While the largest majorant entry
+    stays below 2**53 every float64 sum added integers of at most 2**53 and
+    was exact, and the box comes back as int64, written over the majorant's
+    half of the buffer.  Otherwise the steps rerun on Python ints.
+    """
+    steps = list(steps)
+    pair = np.zeros((2, *shape))
+    pair[(0, *at)] = values
+    pair[(1, *at)] = np.abs(values)
+    signs = _PAIR_SIGNS.reshape(2, *[1] * len(shape))
+    for shift, inverse in steps:
+        _binomial(pair, (0, *shift), inverse, signs)
+    if pair[1].max(initial=0) < _FLOAT_EXACT:
+        box = pair[1].view(np.int64)
+        box[...] = pair[0]
+        return box
+    del pair
+    box = np.zeros(shape, dtype=object)
+    box[at] = values
+    for shift, inverse in steps:
+        _binomial(box, shift, inverse)
+    return box
 
 
 def _refuse_box(cells: int) -> None:
@@ -301,63 +354,81 @@ def _refuse_box(cells: int) -> None:
         )
 
 
+class _Numerator(NamedTuple):
+    """``sum_b c[b] q^{t[b]/den} e^{lam - x[b]/s}``: a character numerator in
+    the integers of the box, ``x`` in simple-root coordinates."""
+
+    t: np.ndarray  # (terms,) int64
+    x: np.ndarray  # (terms, rank) int64; Python ints where they may not fit
+    c: np.ndarray  # (terms,) int64
+    den: int
+    s: int
+
+
 def _divide_by_denominator(
     rs: RootSystem,
     lam: Weight,
-    numerator: TwoVarCharacter,
+    numerator: _Numerator,
     order: int,
     depth,
     finite_factor: bool,
 ) -> TwoVarCharacter:
     """``e^lam * numerator`` divided by the affine Weyl denominator.
 
-    ``numerator`` maps offsets ``mu - lam`` to integer q-series without
-    negative exponents.  The result holds every weight mu with
-    height(lam - mu) <= ``depth`` and every q-exponent up to ``order``, all
-    exact, and nothing beyond: each series is exact below q^{order + 1/den},
-    which is q^{order + 1} when all exponents are integral.
+    ``numerator`` holds no term below q^0.  The result holds every weight mu
+    with height(lam - mu) <= ``depth`` and every q-exponent up to ``order``,
+    all exact, and nothing beyond: each series is exact below
+    q^{order + 1/den}, which is q^{order + 1} when all exponents are integral.
 
-    The work array ``a[t, x]`` is the coefficient of q^{t/den} e^{lam - x/s},
-    with x the simple-root coordinates of lam - mu scaled by s so that the
-    numerator offsets are integral.  Each factor (1 - q^n e^{-gamma})^{-1} is
-    a running sum along the shift (n den, s gamma).  Raising the weight by a
-    root costs at least q^1, so every partial product that ends in the window
+    The box ``a[t, x]`` is the coefficient of q^{t/den} e^{lam - x/s}.  Each
+    factor (1 - q^n e^{-gamma})^{-1} is a running sum along the shift
+    (n den, s gamma), one :func:`_box` step.  Raising the weight by a root
+    costs at least q^1, so every partial product that ends in the window
     stays within height <= depth + order ht(theta) and coordinate
-    x_i >= min(0, numerator)_i - s order theta_i; the array spans that box,
-    and the cut to the window comes last.  A box of more than
-    ``MAX_BOX_CELLS`` cells is refused before it is allocated.
+    x_i >= min(0, numerator)_i - s order theta_i; the box spans that, and
+    the cut to the window comes last.  A box of more than ``MAX_BOX_CELLS``
+    cells is refused before it is allocated.
     """
-    den = math.lcm(*(series.den for series in numerator.terms.values()))
+    den, s = numerator.den, numerator.s
     top = order * den
-    points = []
-    for coords, series in numerator.terms.items():
-        beta = tuple(-c for c in rs.weight_to_root(Weight(coords)))
-        f = den // series.den
-        for e, c in series.terms.items():
-            if e < 0:
-                raise QSeriesError("numerator has a term below q^0: lam is not a highest weight here")
-            if e * f <= top:
-                points.append((e * f, beta, int(c)))
-    xs, s = _int_numerators([beta for _, beta, _ in points])
     keep_height = math.floor(s * depth)
     reach = keep_height + s * order * rs.highest_root.height
-    points = [(t, x, c) for (t, _, c), x in zip(points, xs.tolist()) if sum(x) <= reach]
-    out = TwoVarCharacter(rs.rank)
-    if not points:
-        return out
-    theta = rs.highest_root.root_coords
-    lo = [min(0, *(x[i] for _, x, _ in points)) - s * order * theta[i] for i in range(rs.rank)]
+    keep = (numerator.t <= top) & (numerator.x.sum(axis=1) <= reach)
+    t, x, c = numerator.t[keep], numerator.x[keep], numerator.c[keep]
+    if not len(t):
+        return TwoVarCharacter(rs.rank)
+    theta = np.array(rs.highest_root.root_coords)
+    lo = (np.minimum(x.min(axis=0), 0) - s * order * theta).tolist()
     shape = [top + 1] + [reach - sum(lo) + 1] * rs.rank  # x_i <= reach - sum_{j != i} lo_j
     _refuse_box(math.prod(shape))
-    a = np.zeros(shape, dtype=object)
-    for t, x, c in points:
-        a[(t, *(xi - l for xi, l in zip(x, lo)))] += c
-    for n, gamma in _denominator_steps(rs, order, finite_factor):
-        _binomial(a, (n * den, *(s * g for g in gamma)), inverse=True)
-    height = sum(g + l for g, l in zip(np.indices(shape[1:]), lo))
-    for idx in zip(*np.nonzero((height <= keep_height) & (a != 0).any(axis=0))):
-        mu = lam - rs.root_to_weight([Fraction(int(i) + l, s) for i, l in zip(idx, lo)])
-        out.terms[mu.coords] = QSeries.make(a[(slice(None), *idx)].tolist(), 0, den, top + 1)
+    steps = [((n * den, *(s * g for g in gamma)), True) for n, gamma in _denominator_steps(rs, order, finite_factor)]
+    # every kept offset lies in the box, so int64 holds it
+    a = _box(shape, (t, *(x - lo).astype(np.int64).T), c, steps)
+    return _read_window(rs, lam, a, lo, s, den, keep_height)
+
+
+def _read_window(
+    rs: RootSystem, lam: Weight, a: np.ndarray, lo: list[int], s: int, den: int, keep_height: int
+) -> TwoVarCharacter:
+    """The character in box ``a`` on its window, s height(lam - mu) <= ``keep_height``.
+
+    Read in integers: the cells' coordinates go to fundamental coordinates in
+    one int64 product with the Cartan matrix, and each distinct coordinate and
+    coefficient becomes one Fraction.
+    """
+    top = a.shape[0] - 1
+    height = sum(np.ogrid[tuple(slice(l, l + n) for l, n in zip(lo, a.shape[1:]))])
+    cells = np.nonzero((height <= keep_height) & (a != 0).any(axis=0))
+    # s (lam - mu) in simple-root, then in fundamental coordinates
+    x = np.stack(cells, axis=1) + lo
+    w = x @ np.array(rs.cartan_matrix, dtype=np.int64)
+    coords = [{v: l - Fraction(v, s) for v in set(col)} for l, col in zip(lam.coords, w.T.tolist())]
+    series = a[(slice(None), *cells)].T.tolist()
+    value = {v: Fraction(v) for v in set().union(*series)}
+    out = TwoVarCharacter(rs.rank)
+    for xs, row in zip(w.tolist(), series):
+        key = tuple(table[v] for table, v in zip(coords, xs))
+        out.terms[key] = QSeries(den, {e: value[v] for e, v in enumerate(row) if v}, top + 1)
     return out
 
 
@@ -377,7 +448,7 @@ def verma_character(
     """
     if depth is None:
         depth = order * (max(r.height for r in rs.positive_roots) + 1)
-    one = TwoVarCharacter(rs.rank, {rs.zero_weight().coords: QSeries.one(order + 1)})
+    one = _Numerator(np.zeros(1, np.int64), np.zeros((1, rs.rank), np.int64), np.ones(1, np.int64), 1, 1)
     return _divide_by_denominator(rs, lam, one, order, depth, finite_factor)
 
 
@@ -421,23 +492,19 @@ def _translations(
     return stride * (c @ base + kstride * half_norms), base + kstride * (c @ co)
 
 
-def kac_wakimoto_numerator(
-    rs: RootSystem,
-    lam: Weight,
-    level,
-    stride: int,
-    order: int,
-) -> TwoVarCharacter:
-    """``sum_{w in W x t_{stride Q_check}} eps(w) e^{w o lam_hat - lam_hat}``.
+def _kw_counts(rs: RootSystem, lam: Weight, level, stride: int, order: int) -> tuple[Counter, int, int]:
+    """The Kac-Wakimoto numerator as integers: ``(counts, scale, den)``.
 
-    Keys are finite-weight differences; exponents of q are the delta-drops
-    (rational for admissible levels).  Translations outside the norm bound
-    implied by ``order`` cannot contribute and are dropped.  The drops and
-    translates of the whole ball come from :func:`_translations` on integer
-    coroot coefficients, and W is walked once with :func:`weyl_blocks` on
-    lam + rho and every kept translate, all over one common denominator.
+    ``counts[drop, x]`` is the sum of eps(w) over the elements of
+    W x t_{stride Q_check} whose delta-drop is drop / scale and whose
+    w o lam_hat - lam_hat has finite part x / scale, in fundamental
+    coordinates; ``den`` is the denominator every drop of the level shares.
+    Translations outside the norm bound implied by ``order`` cannot
+    contribute and are dropped.  The drops and translates of the whole ball
+    come from :func:`_translations` on integer coroot coefficients, and W is
+    walked once with :func:`weyl_blocks` on lam + rho and every kept
+    translate, all over one common denominator.
     """
-    _refuse_negative_order(order)
     kh = _level_shift(rs, level)
     shifted = lam + rs.weyl_vector
     # delta-drop of t_{beta}: (beta, lam+rho) + |beta|^2/2 (k+h); minimising
@@ -486,6 +553,25 @@ def kac_wakimoto_numerator(
         for drop, rows in zip(drops, (blk.matrices @ v - v0).transpose(2, 0, 1).tolist()):
             for row in rows:
                 acc[drop, tuple(row)] += blk.parity
+    return acc, scale, den
+
+
+def kac_wakimoto_numerator(
+    rs: RootSystem,
+    lam: Weight,
+    level,
+    stride: int,
+    order: int,
+) -> TwoVarCharacter:
+    """``sum_{w in W x t_{stride Q_check}} eps(w) e^{w o lam_hat - lam_hat}``.
+
+    Keys are finite-weight differences; exponents of q are the delta-drops
+    (rational for admissible levels).  Translations outside the norm bound
+    implied by ``order`` cannot contribute and are dropped.  The counts come
+    from one walk of W (:func:`_kw_counts`).
+    """
+    _refuse_negative_order(order)
+    acc, scale, den = _kw_counts(rs, lam, level, stride, order)
     series: dict[tuple, dict] = {}
     for (drop, x), c in acc.items():
         if c:
@@ -540,22 +626,53 @@ def irreducible_character(
     # with s, den >= 1: for the vacuum this is its exact size
     theta_height = rs.highest_root.height
     _refuse_box((order + 1) * (math.floor(depth) + 2 * order * theta_height + 1) ** rs.rank)
-    num = kac_wakimoto_numerator(rs, lam, level, stride, order)
-    return _divide_by_denominator(rs, lam, num, order, depth, True)
+    acc, scale, den = _kw_counts(rs, lam, level, stride, order)
+    return _divide_by_denominator(rs, lam, _kw_box_numerator(rs, acc, scale, den), order, depth, True)
+
+
+def _kw_box_numerator(rs: RootSystem, acc: Counter, scale: int, den: int) -> _Numerator:
+    """The counts of :func:`_kw_counts` as a :class:`_Numerator`, in integers.
+
+    The q-exponents go over one denominator, the least common multiple of
+    the series denominators of :func:`kac_wakimoto_numerator`.  The offset
+    x / scale in fundamental coordinates is lam - mu = -A^{-T} x / scale in
+    simple-root coordinates; with A^{-1} = ainv / d that is
+    -(x ainv) / (scale d), reduced to the least common denominator s.
+    """
+    terms = [(drop, x, c) for (drop, x), c in acc.items() if c]
+    drops = {drop for drop, _, _ in terms}
+    if drops and min(drops) < 0:
+        raise QSeriesError("numerator has a term below q^0: lam is not a highest weight here")
+    den = math.lcm(den, *(scale // math.gcd(e, scale) for e in drops))
+    ainv, d = _int_numerators(rs.cartan_inverse)
+    rows = np.array([x for _, x, _ in terms], dtype=np.int64).reshape(-1, rs.rank)
+    # |x ainv| <= max |x| times the largest column sum of |ainv|; past int64
+    # the product runs on Python ints, and the box keeps only small offsets
+    if int(np.abs(rows).max(initial=0)) * int(np.abs(ainv).sum(axis=0).max()) >= 1 << 63:
+        rows, ainv = rows.astype(object), ainv.astype(object)
+    beta = -(rows @ ainv)
+    g = math.gcd(scale * d, *beta.ravel().tolist())
+    t = np.array([drop * den // scale for drop, _, _ in terms], dtype=np.int64)
+    c = np.array([c for _, _, c in terms], dtype=np.int64)
+    return _Numerator(t, beta // g, c, den, scale * d // g)
 
 
 # -- classical identities -------------------------------------------------------
 
 
-# A two-variable series sum c[y, q] y^y q^q is held as a dense object array of
-# Python ints, one row per y-power from the lowest one kept, one column per
-# q-power 0..order.  Factors are applied in place and terms past q^order
-# drop out, as in any truncated product.
+# A two-variable series sum c[y, q] y^y q^q is held as a dense integer box,
+# one row per y-power from the lowest one kept, one column per q-power
+# 0..order, built by :func:`_box`.  Terms past q^order drop out, as in any
+# truncated product.
 
 
 def _dense_terms(a: np.ndarray, ymin: int) -> dict[tuple[int, int], Fraction]:
-    """Nonzero entries of a dense (y, q) array as {(y, q): Fraction}."""
-    return {(int(y) + ymin, int(q)): Fraction(a[y, q]) for y, q in zip(*np.nonzero(a))}
+    """Nonzero entries of a dense (y, q) array as {(y, q): Fraction}, one
+    Fraction per distinct value."""
+    ys, qs = np.nonzero(a)
+    vals = a[ys, qs].tolist()
+    value = {v: Fraction(v) for v in set(vals)}
+    return {(y + ymin, q): value[v] for y, q, v in zip(ys.tolist(), qs.tolist(), vals)}
 
 
 def _triple_product_lhs(order: int) -> dict[tuple[int, int], Fraction]:
@@ -566,12 +683,11 @@ def _triple_product_lhs(order: int) -> dict[tuple[int, int], Fraction]:
     root = math.isqrt(order)
     reach = order + 1 + root
     shape = (2 * reach + 1, order + 1)
-    prod = np.zeros(shape, dtype=object)
-    prod[reach, 0] = 1
-    for n in range(1, order + 2):
-        _binomial(prod, (-1, n - 1))
-        _binomial(prod, (1, n))
-    lhs = np.zeros(shape, dtype=object)
+    steps = [(shift, False) for n in range(1, order + 2) for shift in ((-1, n - 1), (1, n))]
+    prod = _box(shape, (reach, 0), 1, steps)
+    # an lhs entry adds 2 root + 1 prod entries below 2**53, so int64 holds it
+    # while root < 2**9, that is up to order 2.6e5, far past any box in memory
+    lhs = np.zeros(shape, dtype=prod.dtype)
     for m in range(-root, root + 1):
         (yd, ys), (qd, qs) = _shifted(m, shape[0]), _shifted(m * m, shape[1])
         lhs[yd, qd] += prod[ys, qs]
@@ -637,14 +753,9 @@ def brst_character(order: int) -> dict:
         raise QSeriesError("unexpected y-dependent factor after cancellation")
     ymin = sum(min(y, 0) * k for (y, _), k in num.items())
     ymax = sum(max(y, 0) * k for (y, _), k in num.items())
-    two_var = np.zeros((ymax - ymin + 1, order + 1), dtype=object)
-    two_var[-ymin, 0] = 1
-    for (y, q), k in sorted(num.items()):
-        for _ in range(k):
-            _binomial(two_var, (y, q))
-    for (_, q), k in sorted(den.items()):
-        for _ in range(k):
-            _binomial(two_var, (0, q), inverse=True)
+    steps = [((y, q), False) for (y, q), k in sorted(num.items()) for _ in range(k)]
+    steps += [((0, q), True) for (_, q), k in sorted(den.items()) for _ in range(k)]
+    two_var = _box((ymax - ymin + 1, order + 1), (-ymin, 0), 1, steps)
 
     y1 = eta_like_product([(2, -1, 1)], order)
     return {

@@ -14,7 +14,8 @@ at a time, the bounded dominant weights by one generator frame per
 coordinate, the label sets computed on ``Fraction`` weights by reflecting
 every class key and filtering all of P_+^q for the subregular eta, the
 Kac-Wakimoto numerator summed one Weyl element at a time on ``Fraction``
-weights, and the Weyl sums of the
+weights, the character window divided out on a box of Python ints and read
+one cell at a time through ``Fraction`` weights, and the Weyl sums of the
 S-matrices as a walk over every element of W into integer buckets, and the
 conservative weights by a breadth-first search of a root's W-orbit.
 These stay out of the library on purpose: they are the references the
@@ -48,7 +49,7 @@ from affw.liealg import (
     weyl_stream,
 )
 from affw.modular import SMatrix
-from affw.qseries import QSeries, TwoVarCharacter, _lattice_points
+from affw.qseries import QSeries, TwoVarCharacter, _binomial, _denominator_steps, _lattice_points
 
 
 def virasoro_S(p: int, q: int) -> SMatrix:
@@ -530,6 +531,60 @@ def kac_wakimoto_numerator_by_element(rs: RootSystem, lam: Weight, level, stride
                 QSeries.make([w.length_parity], int(drop * dd), dd, (order + 1) * dd),
             )
     return num
+
+
+# -- the character window on a box of Python ints --------------------------------
+
+
+def divide_by_denominator_object_box(
+    rs: RootSystem,
+    lam: Weight,
+    numerator: TwoVarCharacter,
+    order: int,
+    depth,
+    finite_factor: bool,
+) -> TwoVarCharacter:
+    """``e^lam * numerator`` divided by the affine Weyl denominator, on a
+    ``dtype=object`` box of Python ints read out one cell at a time.
+
+    ``numerator`` maps offsets ``mu - lam`` to integer q-series without
+    negative exponents.  The work array ``a[t, x]`` is the coefficient of
+    q^{t/den} e^{lam - x/s}, x the simple-root coordinates of lam - mu scaled
+    by s; each factor (1 - q^n e^{-gamma})^{-1} is a running sum along
+    (n den, s gamma).  Every weight with height(lam - mu) <= ``depth`` and
+    every q-exponent up to ``order`` is kept, each cell converted through
+    ``root_to_weight`` and ``QSeries.make``.
+    """
+    den = math.lcm(*(series.den for series in numerator.terms.values()))
+    top = order * den
+    points = []
+    for coords, series in numerator.terms.items():
+        beta = tuple(-c for c in rs.weight_to_root(Weight(coords)))
+        f = den // series.den
+        for e, c in series.terms.items():
+            assert e >= 0, "numerator has a term below q^0"
+            if e * f <= top:
+                points.append((e * f, beta, int(c)))
+    xs, s = _int_numerators([beta for _, beta, _ in points])
+    keep_height = math.floor(s * depth)
+    reach = keep_height + s * order * rs.highest_root.height
+    points = [(t, x, c) for (t, _, c), x in zip(points, xs.tolist()) if sum(x) <= reach]
+    out = TwoVarCharacter(rs.rank)
+    if not points:
+        return out
+    theta = rs.highest_root.root_coords
+    lo = [min(0, *(x[i] for _, x, _ in points)) - s * order * theta[i] for i in range(rs.rank)]
+    shape = [top + 1] + [reach - sum(lo) + 1] * rs.rank
+    a = np.zeros(shape, dtype=object)
+    for t, x, c in points:
+        a[(t, *(xi - l for xi, l in zip(x, lo)))] += c
+    for n, gamma in _denominator_steps(rs, order, finite_factor):
+        _binomial(a, (n * den, *(s * g for g in gamma)), inverse=True)
+    height = sum(g + l for g, l in zip(np.indices(shape[1:]), lo))
+    for idx in zip(*np.nonzero((height <= keep_height) & (a != 0).any(axis=0))):
+        mu = lam - rs.root_to_weight([Fraction(int(i) + l, s) for i, l in zip(idx, lo)])
+        out.terms[mu.coords] = QSeries.make(a[(slice(None), *idx)].tolist(), 0, den, top + 1)
+    return out
 
 
 # -- Weyl sums of the S-matrices, walked over all of W ----------------------------

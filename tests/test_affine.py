@@ -1,5 +1,6 @@
 import itertools
 import random
+import time
 from fractions import Fraction
 from unittest.mock import patch
 
@@ -186,6 +187,14 @@ def test_principal_label_counts(a1):
         for l in labs:
             assert all(c >= 1 for c in l.nu.coords) and a1.level(l.nu) < p
             assert all(c >= 1 for c in l.eta.coords) and a1.level(l.eta) < q
+
+
+def test_principal_labels_without_eta_return_before_the_nu_walk():
+    # q = 3 < h_check = 6 leaves no regular eta; the million-level nu set is never built
+    d4 = build_root_system(CartanType.parse("D4"))
+    start = time.perf_counter()
+    assert principal_labels(make_admissible_level(d4, 1000001, 3)) == []
+    assert time.perf_counter() - start < 1
 
 
 def test_principal_identification_matches_minimal_model(a1):

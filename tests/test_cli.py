@@ -337,6 +337,8 @@ def test_bad_input_exits_cleanly(tmp_path, capsys, monkeypatch):
         ["smatrix", "--variant", "subregular", "--type", "D4", "--p", "7", "--q", "4", "--probe", "alt"],
         # a rank past the cap, refused before any root data are built
         ["roots", "--type", "A33"],
+        # a rank in non-ASCII digits (the Extended Arabic-Indic two)
+        ["roots", "--type", "A\u06f2"],
         # output paths that cannot be opened
         ["roots", "--type", "A1", "--out", str(no_dir / "x.json")],
         ["fusion", "--from", str(smatrix), "--format", "csv", "--out", str(no_dir / "f.csv")],

@@ -154,6 +154,14 @@ def test_invalid_types(bad):
         CartanType(*bad)
 
 
+@pytest.mark.parametrize("name", ["A\u06f2", "A\u0662", "D\uff14", "A", "X2", "A-1", "A2.0", ""])
+def test_unparsable_type_names(name):
+    # non-ASCII digits (Extended Arabic-Indic, Arabic-Indic, fullwidth) included
+    with pytest.raises(LieAlgebraError, match="cannot parse"):
+        CartanType.parse(name)
+    assert CartanType.parse(" a2 ") == CartanType("A", 2)
+
+
 def test_highest_root_normalisation():
     for name in ("A2", "B2", "C3", "G2", "F4", "D5"):
         rs = build_root_system(CartanType.parse(name))

@@ -1,5 +1,6 @@
 import math
 import pickle
+from collections import Counter
 import random
 import time
 from fractions import Fraction
@@ -10,11 +11,15 @@ import sympy
 
 from affw.affine import make_admissible_level
 from affw.liealg import CartanType, Weight, WeylElement, build_root_system
+from affw import qseries
 from affw.qseries import (
     QSeries,
     QSeriesError,
     ThetaSpec,
+    TwoVarCharacter,
     _binomial,
+    _box,
+    _triple_product_lhs,
     brst_character,
     dual_coset_representatives,
     eta_like_product,
@@ -31,6 +36,7 @@ from affw.qseries import (
 from oracles import (
     affine_sl3_verma,
     colored_tower_count,
+    divide_by_denominator_object_box,
     kac_wakimoto_numerator_by_element,
     partitions_with_min_part,
     poly2_mul,
@@ -289,6 +295,163 @@ def test_binomial_divide_undoes_multiply():
         assert not np.array_equal(b, a)
         _binomial(b, shift, inverse=True)
         assert np.array_equal(b, a), shift
+
+
+def _box_by_python_ints(shape, at, values, steps):
+    a = np.zeros(shape, dtype=object)
+    a[at] = values
+    for shift, inverse in steps:
+        _binomial(a, shift, inverse)
+    return a
+
+
+def test_box_on_float64_equals_the_python_int_box():
+    rng = random.Random(3)
+    for _ in range(60):
+        shape = tuple(rng.randint(2, 7) for _ in range(rng.randint(1, 3)))
+        at = tuple(np.array([rng.randrange(n) for _ in range(4)]) for n in shape)
+        values = np.array([rng.randint(-50, 50) for _ in range(4)], dtype=np.int64)
+        steps = []
+        for _ in range(rng.randint(0, 8)):
+            shift = [rng.randint(-2, 3) for _ in shape]
+            inverse = rng.random() < 0.5
+            if inverse and max(shift) < 1:
+                shift[rng.randrange(len(shape))] = rng.randint(1, 3)
+            steps.append((tuple(shift), inverse))
+        got = _box(shape, at, values, steps)
+        assert got.dtype == np.int64
+        assert np.array_equal(got, _box_by_python_ints(shape, at, values, steps)), steps
+
+
+def test_box_whose_majorant_passes_2_53_reruns_on_python_ints():
+    # 1 / (1 - x)^60 to x^69: the entries C(k + 59, 59) reach 1.3e37, which
+    # float64 cannot hold
+    steps = [((1,), True)] * 60
+    got = _box((70,), (0,), 1, steps)
+    assert got.dtype == object
+    assert got.tolist() == [math.comb(k + 59, 59) for k in range(70)]
+    ref = np.zeros(70)
+    ref[0] = 1
+    for shift, inverse in steps:
+        _binomial(ref, shift, inverse)
+    assert ref.tolist() != got.tolist()
+    # (1 - x)^40 / (1 - x)^40 gives back 3 - 2x, but its majorant
+    # (1 + x)^40 / (1 - x)^40 passes 2**53 on the way
+    steps = [((1,), False)] * 40 + [((1,), True)] * 40
+    got = _box((70,), (np.array([0, 1]),), np.array([3, -2]), steps)
+    assert got.dtype == object
+    assert got.tolist() == [3, -2] + [0] * 68
+    # to x^9 the majorant stays at 1.2e12 and the int64 path holds; to x^14
+    # it reaches 1.9e16 > 2**53
+    got = _box((10,), (np.array([0, 1]),), np.array([3, -2]), steps)
+    assert got.dtype == np.int64 and got.tolist() == [3, -2] + [0] * 8
+    assert _box((15,), (np.array([0, 1]),), np.array([3, -2]), steps).dtype == object
+
+
+def _assert_same_character(got, ref):
+    """Equal keys in the same order, equal series with Fraction coordinates and values."""
+    assert list(got.terms) == list(ref.terms)
+    for key, s in ref.terms.items():
+        g = got.terms[key]
+        assert all(type(c) is Fraction for c in key)
+        assert (g.den, g.order, list(g.terms.items())) == (s.den, s.order, list(s.terms.items())), key
+        assert all(type(c) is Fraction for c in g.terms.values())
+
+
+def _default_depth(rs, lam, order):
+    """The default window of ``irreducible_character`` for dominant integral lam."""
+    return int(2 * sum(rs.weight_to_root(lam))) + order * rs.highest_root.height
+
+
+@pytest.mark.parametrize("cartan", ["A1", "A2", "A3", "B2", "B3", "C3", "G2"])
+def test_verma_characters_match_the_object_box(cartan):
+    rs = build_root_system(CartanType.parse(cartan))
+    for order in (1, 2, 3):
+        got = verma_character(rs, rs.zero_weight(), order)
+        depth = order * (max(r.height for r in rs.positive_roots) + 1)
+        one = TwoVarCharacter(rs.rank, {rs.zero_weight().coords: QSeries.one(order + 1)})
+        _assert_same_character(got, divide_by_denominator_object_box(rs, rs.zero_weight(), one, order, depth, True))
+
+
+def _irreducible_cases():
+    for cartan, orders in [("A1", range(21)), *((c, range(3)) for c in ("A2", "A3", "B2", "B3", "C3", "G2")),
+                           ("D4", [1])]:
+        for order in orders:
+            yield cartan, (1, 1), 0, order
+    for p, q in [(3, 2), (5, 2), (5, 3)]:
+        yield "A1", (Fraction(p, q) - 2, q), 0, 8
+    for cartan, order in [("A1", 8), ("A2", 2), ("B2", 2), ("G2", 2)]:
+        yield cartan, (2, 1), 1, order
+
+
+def test_irreducible_characters_match_the_object_box():
+    for cartan, (level, stride), fundamental, order in _irreducible_cases():
+        rs = build_root_system(CartanType.parse(cartan))
+        lam = rs.fundamental_weight(0) if fundamental else rs.zero_weight()
+        got = irreducible_character(rs, lam, level, stride, order)
+        num = kac_wakimoto_numerator(rs, lam, level, stride, order)
+        ref = divide_by_denominator_object_box(rs, lam, num, order, _default_depth(rs, lam, order), True)
+        _assert_same_character(got, ref)
+
+
+@pytest.mark.parametrize("lam, level, stride, order", [
+    ((Fraction(1, 2),), 1, 1, 3),  # drops in (1/2)Z at an integral level
+    ((Fraction(-1, 2),), Fraction(-1, 2), 2, 4),  # admissible, drops in (1/2)Z
+    ((Fraction(2, 3),), Fraction(1, 3), 1, 3),
+])
+def test_fractional_weight_characters_match_the_object_box(a1, lam, level, stride, order):
+    lam = Weight.of(*lam)
+    got = irreducible_character(a1, lam, level, stride, order, depth=12)
+    num = kac_wakimoto_numerator(a1, lam, level, stride, order)
+    _assert_same_character(got, divide_by_denominator_object_box(a1, lam, num, order, 12, True))
+    assert got.terms and any(s.den > 1 for s in got.terms.values())
+
+
+def test_weight_past_int64_offsets_matches_the_object_box():
+    """lam = 4e17 varpi_2 of C3 at level 4e17 (depth 0): the walk's offsets
+    times 10, the largest column sum of 2 A^{-1}, pass 2**63, so int64 cannot
+    be shown to hold their simple-root coordinates, and Python ints take
+    them."""
+    c3 = build_root_system(CartanType.parse("C3"))
+    lam, level = Weight.of(0, 4 * 10**17, 0), 4 * 10**17
+    got = irreducible_character(c3, lam, level, 1, 1, depth=0)
+    num = kac_wakimoto_numerator(c3, lam, level, 1, 1)
+    assert max(abs(c) * 10 for key in num.terms for c in key) >= 2**63
+    _assert_same_character(got, divide_by_denominator_object_box(c3, lam, num, 1, 0, True))
+    assert len(got.terms) == 14
+
+
+def test_python_int_rerun_gives_the_same_series(monkeypatch):
+    """With the exactness bound at 1 every nonzero box fails the certificate
+    and reruns on Python ints: characters, triple product and BRST series
+    come out as on float64."""
+    a2 = build_root_system(CartanType.parse("A2"))
+    lv = make_admissible_level(build_root_system(CartanType.parse("A1")), 5, 3)
+    calls = {
+        "verma": lambda: verma_character(a2, a2.zero_weight(), 3),
+        "irreducible": lambda: irreducible_character(a2, a2.fundamental_weight(0), 2, 1, 2),
+        "admissible": lambda: irreducible_character(lv.root_system, lv.root_system.zero_weight(), lv.k, 3, 8),
+        "triple": lambda: _triple_product_lhs(40),
+        "brst": lambda: brst_character(30)["two_var"],
+    }
+    fast = {name: f() for name, f in calls.items()}
+    dtypes = Counter()
+
+    def spy(*args):
+        box = _box(*args)
+        dtypes[box.dtype] += 1
+        return box
+
+    monkeypatch.setattr(qseries, "_FLOAT_EXACT", 1)
+    monkeypatch.setattr(qseries, "_box", spy)
+    for name, f in calls.items():
+        slow = f()
+        if isinstance(slow, dict):
+            assert list(slow.items()) == list(fast[name].items()), name
+            assert all(type(c) is Fraction for c in slow.values())
+        else:
+            _assert_same_character(slow, fast[name])
+    assert dtypes == {np.dtype(object): len(calls)}
 
 
 def test_specialization_commutes_with_multiplication(a1):
