@@ -46,16 +46,78 @@ class FusionTable:
             raise FusionError("N_{v a}^b != delta_a^b")
         if not np.array_equal(n, n.transpose(1, 0, 2)):
             raise FusionError("fusion coefficients not symmetric in (a, b)")
-        # With (M_a)_{b,e} = N_ab^e and the symmetry above, associativity
-        # sum_e N_ab^e N_ec^d == sum_e N_bc^e N_ae^d is M_a M_c == M_c M_a:
-        # one a at a time against every c > a, as stacked BLAS products.
-        # Exact while every partial sum (an integer of at most size * max^2)
-        # is representable: float32 below 2^24, float64 below 2^53.
-        top = int(np.abs(n).max(initial=0))
-        f = n.astype(_exact_float(size, top))
-        for a in range(size - 1):
-            if not np.array_equal(f[a] @ f[a + 1:], f[a + 1:] @ f[a]):
+        # Light's test: the g with (y g) z = y (g z) for all y, z form a
+        # subalgebra holding the unit, so one g that generates the ring
+        # proves associativity.  With (M_g)_{y,e} = sum_i g_i N_yi^e and the
+        # symmetry above, (y g) z = sum_e (M_g)_{y,e} N_ez^., so the test is
+        # one (n x n) @ (n x n^2) product equal to its (y, z) transpose.
+        # g has pseudo-random weights in [1, 2^12], and _generates proves
+        # exactly that it generates.  The product is exact in float64 while
+        # size^2 * 2^12 * max^2 < 2^53.  Past that, or where the proof fails,
+        # every basis vector is a g: the n^5 check, with partial sums of at
+        # most size * max^2, in the float _exact_float picks.
+        top = max(int(n.max()), -int(n.min()))
+        flat = n.reshape(size, size * size)
+        gens = None
+        if size * size * top * top << _WEIGHT_BITS < 2**53:
+            f = flat.astype(np.float64)
+            g = (_weights(size) @ f).reshape(1, size, size)
+            if _generates(g[0].astype(np.int64), v):
+                gens = g
+        if gens is None:
+            f = flat.astype(_exact_float(size, top))
+            gens = f.reshape(size, size, size)
+        for g in gens:
+            left = (g @ f).reshape(size, size, size)
+            if not np.array_equal(left, left.transpose(1, 0, 2)):
                 raise FusionError("fusion coefficients are not associative")
+
+
+_WEIGHT_BITS = 12
+_PRIME = 2**25 - 39  # size * p^2 < 2^63: _generates' row products fit in int64
+
+
+def _weights(size: int) -> np.ndarray:
+    """1 + the top 12 bits of splitmix64 of 1..size: fixed pseudo-random weights.
+
+    (splitmix64's last step, z ^ (z >> 31), leaves the top bits as they are.)
+    """
+    z = np.arange(1, size + 1, dtype=np.uint64)
+    z *= 0x9E3779B97F4A7C15
+    z ^= z >> 30
+    z *= 0xBF58476D1CE4E5B9
+    z ^= z >> 27
+    z *= 0x94D049BB133111EB
+    z >>= 64 - _WEIGHT_BITS
+    return z.astype(np.int64) + 1
+
+
+def _generates(m: np.ndarray, v: int) -> bool:
+    """Whether the rows e_v, e_v m, e_v m^2, ..., e_v m^(n-1) have rank n mod _PRIME.
+
+    With m = M_g these rows are 1, g, g g, ...: rank n means g generates the
+    ring.  Rank n modulo a prime leaves a minor that is non-zero modulo it,
+    so non-zero: a proof, not a guess.  The elimination is fraction-free,
+    and every product of two residues stays below p^2.
+    """
+    size = m.shape[0]
+    if size * _PRIME * _PRIME >= 2**63:
+        return False
+    m = m % _PRIME
+    k = np.zeros((size, size), dtype=np.int64)
+    k[0, v] = 1
+    for i in range(1, size):
+        np.matmul(k[i - 1], m, out=k[i])
+        k[i] %= _PRIME
+    for c in range(size):
+        if not k[c, c]:
+            rows = np.flatnonzero(k[c:, c])
+            if not rows.size:
+                return False
+            k[[c, c + rows[0]]] = k[[c + rows[0], c]]
+        rest = k[c + 1:, c:]
+        rest[:] = (k[c, c] * rest - rest[:, :1] * k[c, c:]) % _PRIME
+    return True
 
 
 def _exact_float(size: int, top: int) -> type:
@@ -180,8 +242,8 @@ def verlinde(s: SMatrix, vacuum: Optional[int] = None) -> FusionTable:
         raise FusionError(f"fusion coefficients not integral (residual {residual:.3e})")
     if rounded.min() < -INTEGRALITY_TOL:
         raise FusionError("negative fusion coefficient")
-    coeffs = rounded.astype(np.int64)
-    coeffs[coeffs < 0] = 0
+    coeffs = rounded.astype(np.int64)  # the gate above leaves 0 or -0.0, both cast to 0
+    del raw, rounded  # the n^3 complex and float tensors, before the axiom check's own
     dims = (s.entries[vacuum] / s.entries[vacuum, vacuum]).real
     table = FusionTable(
         labels=list(s.labels),

@@ -9,7 +9,9 @@ from affw.fusion import (
     FusionTable,
     _exact_float,
     _find_vacuum,
+    _generates,
     _verlinde_raw,
+    _weights,
     charge_conjugation,
     find_vacuum,
     fusion_ring_isomorphic,
@@ -404,3 +406,79 @@ def test_verlinde_refuses_a_bad_vacuum():
     zero = SMatrix(["0", "1"], np.array([[0, 1], [1, 0]], dtype=complex), "unitary", {})
     with pytest.raises(FusionError, match="vacuum row 1 has a zero entry"):
         verlinde(zero, 1)
+
+
+GENERATED_CASES = [
+    "KP A1 k=9", "KP A1 k=10", "KP A1 k=11", "KP A1 k=40", "KP A2 k=6", "KP A2 k=9",
+    "KP A3 k=4", "KP A4 k=3", "KP A8 k=2", "KP D4 k=1", "KP E6 k=2", "KP E7 k=2", "KP E8 k=3",
+    "FKW A1 (11,10)", "FKW A2 (8,5)", "FKW A2 (7,4)",
+    "subregular D4 (7,5)", "subregular D4 (9,4)", "subregular D5 (9,7)", "subregular D6 (11,8)",
+    "subregular E6 (13,10)", "subregular E7 (19,15)",
+]
+
+
+@pytest.mark.parametrize("case", GENERATED_CASES)
+def test_one_generator_proves_associativity(case, monkeypatch):
+    # the pseudo-random g generates every ring built here, so check_axioms
+    # never falls back to the n^5 check (the only caller of _exact_float)
+    table = verlinde(_case(case))
+    size, v = table.size, table.vacuum
+    m = (_weights(size) @ table.coefficients.reshape(size, size * size)).reshape(size, size)
+    assert _generates(m, v)
+    fallback = []
+    monkeypatch.setattr("affw.fusion._exact_float", lambda *args: fallback.append(args))
+    table.check_axioms()
+    assert fallback == []
+
+
+def test_weights_are_fixed_and_in_range():
+    w = _weights(4096)
+    assert w.dtype == np.int64 and w.min() >= 1 and w.max() <= 2**12
+    assert np.array_equal(_weights(5), w[:5])
+
+
+@pytest.mark.parametrize("a, b, c", [(1, 2, 3), (12, 40, 0), (7, 30, 54)])
+def test_check_axioms_catches_one_changed_kp_a2_coefficient(a, b, c):
+    # N_ab^c = N_ba^c + 1 on the KP A2 k=9 table keeps the unit and the
+    # symmetry; g still generates, so the one-generator product decides
+    table = verlinde(_case("KP A2 k=9"))
+    n = table.coefficients.copy()
+    size = table.size
+    assert table.vacuum == 0
+    n[a, b, c] += 1
+    n[b, a, c] = n[a, b, c]
+    assert _generates((_weights(size) @ n.reshape(size, size * size)).reshape(size, size), 0)
+    if is_associative_einsum(n):
+        _table(n).check_axioms()
+    else:
+        with pytest.raises(FusionError, match="not associative"):
+            _table(n).check_axioms()
+
+
+def _nilpotent(size, products):
+    """Unit 0; ``products`` maps (a, b) to a basis element, every other product of non-units is 0."""
+    e = np.eye(size, dtype=np.int64)
+    n = np.zeros((size, size, size), dtype=np.int64)
+    n[0], n[:, 0] = e, e
+    for (a, b), c in products.items():
+        n[a, b] = n[b, a] = e[c]
+    return n
+
+
+@pytest.mark.parametrize("products, associative", [
+    ({}, True),  # 1, x, y with x x = x y = y y = 0
+    ({(1, 2): 3, (2, 3): 3}, False),  # x y = z, y z = z: (y y) x = 0 but y (y x) = z
+])
+def test_check_axioms_falls_back_where_g_does_not_generate(products, associative):
+    # every g spans only 1, g and (in the second ring) z, so the proof fails
+    # and every basis vector is tested
+    n = _nilpotent(3 + bool(products), products)
+    size = n.shape[0]
+    m = (_weights(size) @ n.reshape(size, size * size)).reshape(size, size)
+    assert not _generates(m, 0)
+    assert is_associative_einsum(n) is associative
+    if associative:
+        _table(n).check_axioms()
+    else:
+        with pytest.raises(FusionError, match="not associative"):
+            _table(n).check_axioms()
