@@ -52,16 +52,17 @@ class FusionTable:
         # symmetry above, (y g) z = sum_e (M_g)_{y,e} N_ez^., so the test is
         # one (n x n) @ (n x n^2) product equal to its (y, z) transpose.
         # g has pseudo-random weights in [1, 2^12], and _generates proves
-        # exactly that it generates.  The product is exact in float64 while
-        # size^2 * 2^12 * max^2 < 2^53.  Past that, or where the proof fails,
+        # exactly that it generates.  Its partial sums are integers of at
+        # most size^2 * 2^12 * max^2; past 2^53, or where the proof fails,
         # every basis vector is a g: the n^5 check, with partial sums of at
-        # most size * max^2, in the float _exact_float picks.
+        # most size * max^2.  Each runs in the float _exact_float picks for
+        # its bound: float32 below 2^24, float64 below 2^53.
         top = max(int(n.max()), -int(n.min()))
         flat = n.reshape(size, size * size)
         gens = None
         if size * size * top * top << _WEIGHT_BITS < 2**53:
-            f = flat.astype(np.float64)
-            g = (_weights(size) @ f).reshape(1, size, size)
+            f = flat.astype(_exact_float(size * size << _WEIGHT_BITS, top))
+            g = (_weights(size).astype(f.dtype) @ f).reshape(1, size, size)
             if _generates(g[0].astype(np.int64), v):
                 gens = g
         if gens is None:
@@ -74,22 +75,23 @@ class FusionTable:
 
 
 _WEIGHT_BITS = 12
+_MASK64 = 2**64 - 1
 _PRIME = 2**25 - 39  # size * p^2 < 2^63: _generates' row products fit in int64
 
 
 def _weights(size: int) -> np.ndarray:
     """1 + the top 12 bits of splitmix64 of 1..size: fixed pseudo-random weights.
 
-    (splitmix64's last step, z ^ (z >> 31), leaves the top bits as they are.)
+    splitmix64's last step, z ^ (z >> 31), leaves the top bits as they are.
+    Python ints keep numpy's uint64 loops, and their pages, out of the check.
     """
-    z = np.arange(1, size + 1, dtype=np.uint64)
-    z *= 0x9E3779B97F4A7C15
-    z ^= z >> 30
-    z *= 0xBF58476D1CE4E5B9
-    z ^= z >> 27
-    z *= 0x94D049BB133111EB
-    z >>= 64 - _WEIGHT_BITS
-    return z.astype(np.int64) + 1
+    w = []
+    for i in range(1, size + 1):
+        z = i * 0x9E3779B97F4A7C15 & _MASK64
+        z = (z ^ z >> 30) * 0xBF58476D1CE4E5B9 & _MASK64
+        z = (z ^ z >> 27) * 0x94D049BB133111EB & _MASK64
+        w.append((z >> 64 - _WEIGHT_BITS) + 1)
+    return np.array(w, dtype=np.int64)
 
 
 def _generates(m: np.ndarray, v: int) -> bool:
@@ -151,10 +153,22 @@ def _verlinde_raw(s: np.ndarray, vacuum: int, pairs: Optional[np.ndarray] = None
     return ((s / s[vacuum]) @ pairs).reshape(n, n, n)
 
 
+def _residual(raw: np.ndarray, rounded: np.ndarray) -> float:
+    """max |raw - rounded|, a quarter of the rows at a time.
+
+    The complex difference of a whole n^3 tensor would be the largest array
+    of a vacuum search.
+    """
+    step = -(-len(raw) // 4)
+    return float(np.max([
+        np.abs(raw[i:i + step] - rounded[i:i + step]).max() for i in range(0, len(raw), step)
+    ]))  # np.max, not max: a NaN in any quarter is the result, as before
+
+
 def _integral_nonnegative(raw: np.ndarray) -> bool:
     rounded = np.round(raw.real)
     return bool(
-        np.abs(raw - rounded).max() < INTEGRALITY_TOL
+        _residual(raw, rounded) < INTEGRALITY_TOL
         and rounded.min() > -INTEGRALITY_TOL
     )
 
@@ -237,7 +251,7 @@ def verlinde(s: SMatrix, vacuum: Optional[int] = None) -> FusionTable:
     else:
         raw = _verlinde_raw(s.entries, vacuum)
     rounded = np.round(raw.real)
-    residual = float(np.abs(raw - rounded).max())
+    residual = _residual(raw, rounded)
     if residual >= INTEGRALITY_TOL:
         raise FusionError(f"fusion coefficients not integral (residual {residual:.3e})")
     if rounded.min() < -INTEGRALITY_TOL:

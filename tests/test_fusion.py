@@ -419,16 +419,18 @@ GENERATED_CASES = [
 
 @pytest.mark.parametrize("case", GENERATED_CASES)
 def test_one_generator_proves_associativity(case, monkeypatch):
-    # the pseudo-random g generates every ring built here, so check_axioms
-    # never falls back to the n^5 check (the only caller of _exact_float)
+    # check_axioms runs the generation proof once, and it succeeds: no table
+    # built here falls back to the n^5 check
     table = verlinde(_case(case))
-    size, v = table.size, table.vacuum
-    m = (_weights(size) @ table.coefficients.reshape(size, size * size)).reshape(size, size)
-    assert _generates(m, v)
-    fallback = []
-    monkeypatch.setattr("affw.fusion._exact_float", lambda *args: fallback.append(args))
+    proofs = []
+
+    def recording(m, v):
+        proofs.append(_generates(m, v))
+        return proofs[-1]
+
+    monkeypatch.setattr("affw.fusion._generates", recording)
     table.check_axioms()
-    assert fallback == []
+    assert proofs == [True]
 
 
 def test_weights_are_fixed_and_in_range():
