@@ -49,11 +49,13 @@ class FusionTable:
         # Light's test: the g with (y g) z = y (g z) for all y, z form a
         # subalgebra holding the unit, so one g that generates the ring
         # proves associativity.  With (M_g)_{y,e} = sum_i g_i N_yi^e and the
-        # symmetry above, (y g) z = sum_e (M_g)_{y,e} N_ez^., so the test is
-        # one (n x n) @ (n x n^2) product equal to its (y, z) transpose.
-        # g has pseudo-random weights in [1, 2^12], and _generates proves
+        # symmetry above, (y g) z = sum_e (M_g)_{y,e} N_ze^., so the test is
+        # M_g times each N_z, n^4 multiply-adds, equal to its (y, z)
+        # transpose.  One product per z, not one (n x n) @ (n x n^2): the
+        # wide one maps about 0.3 MB more of the BLAS buffer for good.
+        # g has pseudo-random weights in [1, 2^8], and _generates proves
         # exactly that it generates.  Its partial sums are integers of at
-        # most size^2 * 2^12 * max^2; past 2^53, or where the proof fails,
+        # most size^2 * 2^8 * max^2; past 2^53, or where the proof fails,
         # every basis vector is a g: the n^5 check, with partial sums of at
         # most size * max^2.  Each runs in the float _exact_float picks for
         # its bound: float32 below 2^24, float64 below 2^53.
@@ -68,19 +70,23 @@ class FusionTable:
         if gens is None:
             f = flat.astype(_exact_float(size, top))
             gens = f.reshape(size, size, size)
+        stack = f.reshape(size, size, size)
         for g in gens:
-            left = (g @ f).reshape(size, size, size)
+            left = g @ stack  # left[z, y] = (y g) z
             if not np.array_equal(left, left.transpose(1, 0, 2)):
                 raise FusionError("fusion coefficients are not associative")
 
 
-_WEIGHT_BITS = 12
+# 8 bits keep the one-g product in float32 while size * max < 256 (KP A2
+# k=9: 55 * 4).  With 12 bits such tables need float64, whose BLAS kernels
+# no other fusion step runs: about 0.2 MB more resident for good.
+_WEIGHT_BITS = 8
 _MASK64 = 2**64 - 1
 _PRIME = 2**25 - 39  # size * p^2 < 2^63: _generates' row products fit in int64
 
 
 def _weights(size: int) -> np.ndarray:
-    """1 + the top 12 bits of splitmix64 of 1..size: fixed pseudo-random weights.
+    """1 + the top _WEIGHT_BITS bits of splitmix64 of 1..size: fixed pseudo-random weights.
 
     splitmix64's last step, z ^ (z >> 31), leaves the top bits as they are.
     Python ints keep numpy's uint64 loops, and their pages, out of the check.
@@ -153,22 +159,10 @@ def _verlinde_raw(s: np.ndarray, vacuum: int, pairs: Optional[np.ndarray] = None
     return ((s / s[vacuum]) @ pairs).reshape(n, n, n)
 
 
-def _residual(raw: np.ndarray, rounded: np.ndarray) -> float:
-    """max |raw - rounded|, a quarter of the rows at a time.
-
-    The complex difference of a whole n^3 tensor would be the largest array
-    of a vacuum search.
-    """
-    step = -(-len(raw) // 4)
-    return float(np.max([
-        np.abs(raw[i:i + step] - rounded[i:i + step]).max() for i in range(0, len(raw), step)
-    ]))  # np.max, not max: a NaN in any quarter is the result, as before
-
-
 def _integral_nonnegative(raw: np.ndarray) -> bool:
     rounded = np.round(raw.real)
     return bool(
-        _residual(raw, rounded) < INTEGRALITY_TOL
+        np.abs(raw - rounded).max() < INTEGRALITY_TOL
         and rounded.min() > -INTEGRALITY_TOL
     )
 
@@ -251,7 +245,7 @@ def verlinde(s: SMatrix, vacuum: Optional[int] = None) -> FusionTable:
     else:
         raw = _verlinde_raw(s.entries, vacuum)
     rounded = np.round(raw.real)
-    residual = _residual(raw, rounded)
+    residual = float(np.abs(raw - rounded).max())
     if residual >= INTEGRALITY_TOL:
         raise FusionError(f"fusion coefficients not integral (residual {residual:.3e})")
     if rounded.min() < -INTEGRALITY_TOL:
