@@ -274,6 +274,47 @@ def test_smatrix_output_is_pinned(spec, capsys):
     assert hashlib.sha256(text.encode()).hexdigest() == SMATRIX_DIGESTS[spec]
 
 
+@pytest.mark.parametrize("argv", [["smatrix", *spec.split()] for spec in SMATRIX_DIGESTS]
+                         + [["weights", "--type", "D6", "--p", "11", "--q", "8"]])
+def test_stdout_is_the_indented_dump_byte_for_byte(argv, capsys):
+    # the output contract: ASCII JSON, keys sorted, two-space indent
+    assert main(argv) == 0
+    out = capsys.readouterr().out
+    assert out == json.dumps(json.loads(out), indent=2, sort_keys=True) + "\n"
+
+
+# SHA-256 of the stdout of `affw fusion --from s.json` without its
+# rounding_residual line (a float the BLAS build may move), and of the CSV
+# table, pinned so that the written bytes stay identical
+FUSION_DIGESTS = {
+    "--variant integrable --type A2 --level 6":
+        "ec51c56279c4a2c075d172aed308bac52ff3d080bbc570ccfa81680bd7a50bf3",
+    "--variant principal --type A1 --p 11 --q 10":
+        "743eae5410e0b0cf36575d6ca1416ec5d64f4774017b1cb9044d0657e18a6e07",
+}
+FUSION_CSV_DIGEST = "cac540ecfd8bdc1628aed503851a5cfda674553044f9fa58156038de18d0cc6a"
+
+
+@pytest.mark.parametrize("spec", list(FUSION_DIGESTS))
+def test_fusion_output_is_pinned(spec, tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)  # config.from is the path as given
+    assert main(["smatrix", *spec.split(), "--out", "s.json"]) == 0
+    capsys.readouterr()
+    assert main(["fusion", "--from", "s.json"]) == 0
+    out = capsys.readouterr().out
+    kept = "".join(line for line in out.splitlines(True) if '"rounding_residual"' not in line)
+    assert len(kept) < len(out)
+    assert hashlib.sha256(kept.encode()).hexdigest() == FUSION_DIGESTS[spec]
+
+
+def test_fusion_csv_is_pinned(tmp_path):
+    spath, cpath = tmp_path / "s.json", tmp_path / "f.csv"
+    assert main(["smatrix", "--variant", "integrable", "--type", "A2", "--level", "6",
+                 "--out", str(spath)]) == 0
+    assert main(["fusion", "--from", str(spath), "--format", "csv", "--out", str(cpath)]) == 0
+    assert hashlib.sha256(cpath.read_bytes()).hexdigest() == FUSION_CSV_DIGEST
+
+
 def test_bad_input_exits_cleanly(tmp_path, capsys, monkeypatch):
     smatrix = tmp_path / "s.json"
     assert main(["smatrix", "--variant", "integrable", "--type", "A1", "--level", "1",
