@@ -1,5 +1,7 @@
 import hashlib
 import json
+import math
+import random
 import subprocess
 import sys
 
@@ -305,6 +307,52 @@ def test_fusion_output_is_pinned(spec, tmp_path, capsys, monkeypatch):
     kept = "".join(line for line in out.splitlines(True) if '"rounding_residual"' not in line)
     assert len(kept) < len(out)
     assert hashlib.sha256(kept.encode()).hexdigest() == FUSION_DIGESTS[spec]
+
+
+_HOSTILE = ['"', "\\", '\\"', "\\\\", "[", "]", "{", "}", ",", ":", ": ", "\n", "\\u00e9",
+            "é", "∑", "\ud800", "\x00", " ", "a", '", "', '"]', "[]", "{}", '{"a": 1}']
+
+
+def _random_json(r: random.Random, depth: int = 0):
+    """A random value json.dumps can write: nested lists, tuples and dicts
+    (empty ones at every depth), dict keys of one kind per dict (str, int,
+    float or bool), and hostile strings and floats."""
+    kind = r.randrange(4) if depth < 6 else 0
+    if kind == 0:
+        return r.choice([
+            None, True, False, 0, r.randrange(-(10 ** 30), 10 ** 30),
+            r.uniform(-1, 1) * 10.0 ** r.randrange(-30, 30),
+            math.nan, math.inf, -math.inf, -0.0, np.float64(r.random()),
+            "".join(r.choice(_HOSTILE) for _ in range(r.randrange(5))),
+        ])
+    size = r.randrange(4)  # 0: an empty container
+    if kind == 1:
+        return [_random_json(r, depth + 1) for _ in range(size)]
+    if kind == 2:
+        return tuple(_random_json(r, depth + 1) for _ in range(size))
+    key = r.choice([
+        lambda: "".join(r.choice(_HOSTILE) for _ in range(r.randrange(4))),
+        lambda: r.randrange(-100, 100),
+        lambda: r.choice([0.5, -0.0, 1e20, math.inf, -math.inf, np.float64(0.25)]),
+        lambda: r.choice([True, False]),
+    ])
+    return {key(): _random_json(r, depth + 1) for _ in range(size)}
+
+
+def test_dumps_is_json_dumps_indented_byte_for_byte():
+    for seed in range(3000):
+        obj = _random_json(random.Random(seed))
+        assert cli._dumps(obj) == json.dumps(obj, indent=2, sort_keys=True), seed
+    for obj in ([[[[]]], {}], {"a": {"b": {"c": []}}, "d": [{}]}, "[1, {}]", [], {}, 0, -0.0):
+        assert cli._dumps(obj) == json.dumps(obj, indent=2, sort_keys=True)
+
+
+@pytest.mark.parametrize("obj", [{1: 0, "1": 0}, [0, {"a": {None: 0, True: 1}}], {0.5: 0, "x": 1}])
+def test_dumps_refuses_mixed_keys_like_json_dumps(obj):
+    with pytest.raises(TypeError):
+        json.dumps(obj, indent=2, sort_keys=True)
+    with pytest.raises(TypeError):
+        cli._dumps(obj)
 
 
 def test_fusion_csv_is_pinned(tmp_path):
