@@ -16,7 +16,9 @@ scratch directory (``git archive``), and every (workload, seed, trace) runs on
 REV and on the checkout, alternating which side goes first.  Per workload the
 file then adds, for each end-to-end metric that BENCHMARK.json declares, each
 side's median and quartiles over its untraced runs and the number of pairs
-the checkout won (ties count for neither).
+the checkout won (ties count for neither), and for each per-layer metric each
+side's median and quartiles over its ``--trace 1`` runs, with no win count:
+one traced pair shows where a saving sits, not that it holds.
 """
 
 from __future__ import annotations
@@ -76,22 +78,26 @@ def spread(values: list[float]) -> dict:
     return {"median": statistics.median(values), "q1": q1, "q3": q3, "runs": len(values)}
 
 
-def summary(pairs: list[tuple[dict, dict]], end_to_end: list[dict]) -> dict:
-    """Per metric: both sides' spread and the pairs the checkout won."""
+def summary(pairs: list[tuple[dict, dict]], end_to_end: list[dict], per_layer: list[dict]) -> dict:
+    """Per end-to-end metric, over the untraced pairs: both sides' spread and
+    the pairs the checkout won.  Per per-layer metric, over the traced pairs:
+    both sides' spread."""
     out = {}
-    for m in end_to_end:
-        got = [(metric(p, m["name"]), metric(h, m["name"])) for p, h in pairs if p["trace"] == 0]
-        got = [(p, h) for p, h in got if p is not None and h is not None]
-        if not got:
-            continue
-        sign = 1 if m["better"] == "lower" else -1
-        out[m["name"]] = {
-            "better": m["better"],
-            "parent": spread([p for p, _ in got]),
-            "head": spread([h for _, h in got]),
-            "wins": sum(sign * (p - h) > 0 for p, h in got),
-            "pairs": len(got),
-        }
+    for trace, metrics in ((0, end_to_end), (1, per_layer)):
+        for m in metrics:
+            got = [(metric(p, m["name"]), metric(h, m["name"])) for p, h in pairs if p["trace"] == trace]
+            got = [(p, h) for p, h in got if p is not None and h is not None]
+            if not got:
+                continue
+            out[m["name"]] = {
+                "better": m["better"],
+                "parent": spread([p for p, _ in got]),
+                "head": spread([h for _, h in got]),
+                "pairs": len(got),
+            }
+            if trace == 0:
+                sign = 1 if m["better"] == "lower" else -1
+                out[m["name"]]["wins"] = sum(sign * (p - h) > 0 for p, h in got)
     return out
 
 
@@ -134,7 +140,8 @@ def main(argv=None) -> int:
                 (r["machine"] for r in runs if r["side"] == "head" and r["machine"]), None)
             record["workloads"][workload] = {"runs": runs}
             if pairs:
-                record["workloads"][workload]["summary"] = summary(pairs, spec["end_to_end"])
+                record["workloads"][workload]["summary"] = summary(
+                    pairs, spec["end_to_end"], spec["per_layer"])
     finally:
         if scratch is not None:
             shutil.rmtree(scratch, ignore_errors=True)

@@ -10,7 +10,8 @@ import pytest
 
 RECORD = Path(__file__).resolve().parent.parent / "bench" / "record.py"
 
-# prints a machine line and a result object whose slowest_job_s is seed / SPEED
+# prints a machine line and a result object whose slowest_job_s is seed / SPEED;
+# a traced run adds the per-layer cli.self_s, seed / (10 SPEED)
 STUB = textwrap.dedent("""\
     import argparse, json
     SPEED = {speed}
@@ -22,12 +23,16 @@ STUB = textwrap.dedent("""\
     print("ok: nothing to report")
     metrics = {{"slowest_job_s": {{"value": int(a.seed) / SPEED, "unit": "s"}},
                "failed_frac": {{"value": 0.5, "unit": "ratio"}}}}
+    if a.trace == "1":
+        metrics["cli.self_s"] = {{"value": int(a.seed) / (10 * SPEED), "unit": "s"}}
     print(json.dumps({{"correct": True, "attempted": 3, "failed": 0, "metrics": metrics}}))
 """)
 
 SPEC = {"end_to_end": [{"name": "slowest_job_s", "unit": "s", "better": "lower", "bound": 0.25},
                        {"name": "failed_frac", "unit": "ratio", "better": "lower", "bound": 0.1},
-                       {"name": "solve_s", "unit": "s", "better": "lower", "bound": 0.25}]}
+                       {"name": "solve_s", "unit": "s", "better": "lower", "bound": 0.25}],
+        "per_layer": [{"name": "cli.self_s", "unit": "s", "better": "lower"},
+                      {"name": "fusion.self_s", "unit": "s", "better": "lower"}]}
 
 
 @pytest.fixture
@@ -94,3 +99,26 @@ def test_record_against_a_revision_alternates_and_counts_wins(record, tmp_path):
         "head": {"median": 2.0, "q1": 1.0, "q3": 3.0, "runs": 3},
     }
     assert summary["failed_frac"]["wins"] == 0  # ties count for neither side
+
+
+def test_record_summarises_per_layer_metrics_over_traced_pairs(record, tmp_path):
+    root = tmp_path / "repo"
+    _checkout(root, 1)
+    _git(root, "init", "-q")
+    _git(root, "add", ".")
+    _git(root, "commit", "-q", "-m", "slow stub")
+    _checkout(root, 2)
+    _git(root, "commit", "-q", "-am", "fast stub")
+    assert record.main(["--tag", "traced", "--root", str(root), "--runner", "stub.py", "--out", str(tmp_path),
+                        "--workloads", "w", "--seeds", "4", "--trace", "0", "1",
+                        "--against", "HEAD~1"]) == 0
+    summary = json.loads((tmp_path / "BENCH_traced.json").read_text())["workloads"]["w"]["summary"]
+    assert set(summary) == {"slowest_job_s", "failed_frac", "cli.self_s"}  # fusion.self_s never printed
+    # the end-to-end metrics come from the untraced pair only, with a win count
+    assert summary["slowest_job_s"]["pairs"] == 1 and summary["slowest_job_s"]["wins"] == 1
+    # a per-layer metric: each side's value over the traced pairs, and no win count
+    assert summary["cli.self_s"] == {
+        "better": "lower", "pairs": 1,
+        "parent": {"median": 0.4, "q1": 0.4, "q3": 0.4, "runs": 1},
+        "head": {"median": 0.2, "q1": 0.2, "q3": 0.2, "runs": 1},
+    }
