@@ -78,7 +78,8 @@ def _dumps(obj) -> str:
     flat = json.dumps(obj, sort_keys=True, separators=(",", ": ")).encode("ascii")
     masked = flat.replace(b"\\\\", b"__").replace(b'\\"', b"__") if b"\\" in flat else flat
     hits = np.flatnonzero(np.frombuffer(masked.translate(_TOKENS), bool))
-    c = np.frombuffer(flat, np.uint8)[hits]
+    a = np.frombuffer(flat, np.uint8)
+    c = a[hits]
     quote = c == ord('"')
     structure = ~(quote | np.logical_xor.accumulate(quote))
     pos, c = hits[structure], c[structure]
@@ -95,7 +96,7 @@ def _dumps(obj) -> str:
     dest = np.repeat(shift, np.diff(at, prepend=0, append=len(flat)))
     dest += np.arange(len(flat))
     out = np.full(len(flat) + shift[-1], ord(" "), np.uint8)
-    out[dest] = np.frombuffer(flat, np.uint8)
+    out[dest] = a
     out[at + shift[:-1]] = ord("\n")
     return out.tobytes().decode("ascii")
 
