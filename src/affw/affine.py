@@ -127,6 +127,16 @@ def enumerate_P_plus_k(rs: RootSystem, k: int) -> list[Weight]:
     return [Weight.of(*c) for c in _dominant_by_level(rs, k)]
 
 
+def _count_P_plus_k(rs: RootSystem, k: int) -> int:
+    """``len(enumerate_P_plus_k(rs, k))`` without enumerating: the ways to pay
+    k in coins of the comarks and of 1 (lambda_0), in O(rank k) integer steps."""
+    ways = [1] * (k + 1)  # in coins of 1 alone
+    for c in rs.comarks:
+        for t in range(c, k + 1):
+            ways[t] += ways[t - c]
+    return ways[k]
+
+
 # -- label sets ---------------------------------------------------------------
 
 

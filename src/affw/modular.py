@@ -28,11 +28,9 @@ import functools
 import json
 import math
 import os
-import threading
 import zipfile
 import zlib
 from collections import deque
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -42,6 +40,7 @@ import numpy as np
 from .affine import (
     AdmissibleLevel,
     SubregularLabel,
+    _count_P_plus_k,
     _star_wall,
     alpha_star,
     enumerate_P_plus_k,
@@ -62,6 +61,11 @@ __all__ = [
 ]
 
 NORMALIZATION_TOL = 1e-8
+# largest Kac-Peterson Weyl sum, in label pairs times entries of a W' matrix:
+# one batch holds every pair, and KP D4 k=12 (1,036 labels, 4 x 4) peaks
+# 1,036-1,052 MiB above its start, about 64 bytes per pair entry, so this
+# is about 2 GiB
+MAX_KP_PAIR_ENTRIES = 1 << 25
 CHECKPOINT_FORMAT = 5  # bump when the saved partial sums change layout
 
 
@@ -240,6 +244,33 @@ def _frame(rs: RootSystem) -> _Frame:
     return _FRAMES[t]
 
 
+def _eliminate(a: np.ndarray, n: int) -> np.ndarray:
+    """Eliminate the first ``n`` columns of a stack ``(b, m, w)`` in place, with
+    partial pivoting, and return the signed product of the ``n`` pivots.
+
+    Row operations reach every column, so the last ``m - n`` rows are left
+    reduced by the first ``n`` columns; the pivot rows themselves are not
+    written back.  Every operation is linear in each single column past the
+    first ``n``, and a zero pivot gives 0 rather than an error.
+    """
+    rows = np.arange(len(a))
+    det, odd = np.ones(len(a), a.dtype), np.zeros(len(a), bool)
+    for k in range(n):
+        col = a[:, k:, k]
+        mag = col.real * col.real
+        if np.iscomplexobj(col):
+            mag += col.imag * col.imag
+        p = k + np.argmax(mag, axis=1)
+        top = a[rows, p]
+        a[rows, p] = a[:, k]
+        piv = top[:, k]
+        det *= piv
+        odd ^= p != k  # a row swap
+        lower = a[:, k + 1 :, k] / np.where(piv == 0, 1, piv)[:, None]
+        a[:, k + 1 :, k + 1 :] -= lower[:, :, None] * top[:, None, k + 1 :]
+    return np.where(odd, -det, det)
+
+
 def _det(a: np.ndarray) -> np.ndarray:
     """Determinants of a stack ``(..., m, m)`` by elimination with partial pivoting.
 
@@ -248,32 +279,39 @@ def _det(a: np.ndarray) -> np.ndarray:
     through a logarithm), and a singular matrix gives 0 rather than an error.
     """
     shape, m = a.shape[:-2], a.shape[-1]
-    a = a.reshape(-1, m, m).copy()
-    rows = np.arange(len(a))
-    det = np.ones(len(a), a.dtype)
-    for k in range(m):
-        col = a[:, k:, k]
-        p = k + np.argmax(col.real * col.real + col.imag * col.imag, axis=1)
-        top = a[rows, p].copy()
-        a[rows, p] = a[:, k]
-        a[:, k] = top
-        piv = a[:, k, k]
-        det = np.where(p == k, det, -det) * piv
-        lower = a[:, k + 1 :, k] / np.where(piv == 0, 1, piv)[:, None]
-        a[:, k + 1 :, k + 1 :] -= lower[:, :, None] * a[:, None, k, k + 1 :]
-    return det.reshape(shape)
+    a = a.reshape(-1, m, m).copy()  # rebound, so a stack built for the call is freed
+    return (_eliminate(a, m - 1) * a[:, -1, -1]).reshape(shape)
+
+
+def _replaced_dets(x: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """``sum_r det(x with column m - k + r replaced by z[..., r])`` for a stack
+    x ``(..., m, m)`` and its k replacement columns z ``(..., m, k)``.
+
+    The first m - k columns, which the variants share, are eliminated once on
+    ``[x | z]``; each variant then is the product of those pivots times a
+    k x k determinant of the reduced rows.  The sum is linear in z like each
+    determinant.
+    """
+    shape, (m, k) = z.shape[:-2], z.shape[-2:]
+    a = np.concatenate([x, z], axis=-1).reshape(-1, m, m + k)
+    det = _eliminate(a, m - k)
+    rest = a[:, m - k :, m - k :]  # (b, k, 2k): the replaced columns and z, reduced
+    variants = np.repeat(rest[None, :, :, :k], k, axis=0)
+    r = np.arange(k)
+    variants[r, :, :, r] = rest[:, :, k:].transpose(2, 0, 1)
+    return (det * _det(variants).sum(axis=0)).reshape(shape)
 
 
 def _inner_sum(family: str, e: np.ndarray, dn: Optional[np.ndarray] = None) -> np.ndarray:
     """``sum_{u in W'} eps(u) e^{N(u)}`` from ``e = exp(N)`` (``(..., m, m)``,
-    N imaginary) or, given the real t-derivative ``dn`` of N, its derivative.
+    N imaginary) or, given the real t-derivative ``dn`` ``(..., m, k)`` of the
+    last k columns of N (the others do not depend on t), its derivative.
 
     A_m: det e^N.  B_m, C_m: det(e^N - e^-N).  D_m: the half sum of
     det(e^N + e^-N) and det(e^N - e^-N).  As e^-N = conj(e^N), B, C and D
     reduce to real determinants of Re e and Im e.  The derivative of a
     determinant is the sum over r of the determinant with column r replaced
-    by the derivative of that column; only the columns where ``dn`` is not
-    zero contribute.
+    by the derivative of that column (:func:`_replaced_dets`).
     """
     m = e.shape[-1]
     if family == "A":
@@ -285,10 +323,10 @@ def _inner_sum(family: str, e: np.ndarray, dn: Optional[np.ndarray] = None) -> n
                  ((2j) ** m / 2, e.imag, -1j * (2j) ** m / 2, e.real)]
     if dn is None:
         return sum(c * d for (c, _, _, _), d in zip(parts, _det(np.stack([x for _, x, _, _ in parts]))))
-    cols = np.flatnonzero(dn.reshape(-1, m).any(axis=0))
-    swap = (cols[:, None] == np.arange(m)).reshape((len(cols),) + (1,) * (e.ndim - 1) + (m,))
-    dets = _det(np.stack([np.where(swap, dn * y, x) for _, x, _, y in parts]))
-    return sum(c * d.sum(axis=0) for (_, _, c, _), d in zip(parts, dets))
+    # one call per part: stacking the parts, as above, doubles the working
+    # set and made E8's batches slower
+    k = dn.shape[-1]
+    return sum(c * _replaced_dets(x, dn * y[..., m - k :]) for _, x, c, y in parts)
 
 
 def _frame_pairings(fr: _Frame, x: np.ndarray, y: np.ndarray, cs: range):
@@ -340,6 +378,12 @@ def _weyl_sum(
             raise SMatrixError(f"the half-group kernel needs coef <eta, alpha_*> integral "
                                f"(coef = {coef}), not <eta, alpha_*> = {left[:, node].tolist()}")
         star = (_weight_ints([root.weight]), np.array([probe], dtype=np.int64))
+        # the t-part (w alpha_*, X) moves the columns r with (alpha_*, f_r) != 0
+        # (two: alpha_* is a root of W'); putting them last multiplies every
+        # determinant by the sign of that permutation
+        moved = star[0][0] @ fr.proj[0] != 0
+        order = np.argsort(moved, kind="stable")
+        sign = (-1) ** int(np.cumsum(moved)[~moved].sum())
     # without a probe, left = right gives A_ij = A_ji (w -> w^-1): pairs i <= j
     symmetric = probe is None and np.array_equal(left, right)
     if symmetric:
@@ -356,18 +400,17 @@ def _weyl_sum(
         q = np.einsum("pn,cnk,pk->cp", left[rows], fr.gram[batch.start:batch.stop], right[cols])
         # N[c, pair, s, r]: the left weight on the columns, where the probe's
         # derivative replaces them
-        n_int = (xp[None, :, None, :] % jper) * (yp[:, :, :, None] % jper) % jper * k % jper
+        n_int = (xp % jper * k % jper)[None, :, None, :] * (yp[:, :, :, None] % jper) % jper
         perp = (q % lper) * (lden // fr.den_gram) \
             - s.denominator * (lden // jden) * np.einsum("pr,cpr->cp", xp % lper, yp % lper)
         phase = fr.parity[batch.start:batch.stop, None] * ltab[perp % lper * coef.numerator % lper]
         if star is None:
             terms = phase * _inner_sum(fr.family, jtab[n_int])
         else:
-            # alpha_* is a root of W' for every type that has an alpha_*, so
-            # the t-part (w alpha_*, X) has no perp term
+            # alpha_* is a root of W', so the t-part has no perp term
             ap, xpx = _frame_pairings(fr, *star, batch)
-            dn = s.denominator * xpx[:, 0][:, :, None] * ap[0][None, None, :] / jden
-            terms = phase * _inner_sum(fr.family, jtab[n_int], dn[:, None])
+            dn = s.denominator * xpx[:, 0][:, :, None] * ap[0][moved][None, None, :] / jden
+            terms = sign * phase * _inner_sum(fr.family, jtab[n_int[..., order]], dn[:, None])
         for t in terms:
             total += t
     out = np.zeros((len(left), len(right)), complex)
@@ -419,6 +462,15 @@ def kac_peterson(rs: RootSystem, k: int) -> SMatrix:
     """
     if k < 0:
         raise SMatrixError("level must be a non-negative integer")
+    entries = _frame(rs).proj.shape[2] ** 2
+    # the multiples of one fundamental weight of the least comark alone give
+    # k // comark + 1 labels, so a level far past the bound is not counted
+    count = k // min(rs.comarks) + 1
+    if count**2 * entries <= MAX_KP_PAIR_ENTRIES:
+        count = _count_P_plus_k(rs, k)
+    if count**2 * entries > MAX_KP_PAIR_ENTRIES:
+        raise SMatrixError(f"Kac-Peterson {rs.cartan_type} at level {k} has at least {count} labels: "
+                           f"{count}^2 pairs of {entries} entries pass {MAX_KP_PAIR_ENTRIES}")
     labels = enumerate_P_plus_k(rs, k)
     n = k + rs.dual_coxeter
     rho = rs.weyl_vector
@@ -569,21 +621,16 @@ def subregular_S(
 
     K and F are :func:`_weyl_sum` over the cosets of W/W'; F is summed on the
     distinct nu only (a single global constant when p = h_check, as for E8 at
-    (30, 29)).  ``workers`` (at least 1) threads take the cosets, never more
-    threads than a round has cosets, and their contributions are added in
-    coset order, so the result does not depend on the number of workers.  A
-    round with one task (one worker, or one coset as in D4-D6) runs in the
-    calling thread and starts none.  With a ``checkpoint``, once
-    ``checkpoint_every`` Weyl elements have passed, and at the end, the run
-    pauses at a coset boundary and saves the partial sums and the next coset
-    there (npz), where a rerun of the same job resumes; without one the
-    workers take all cosets in one round.  If a worker raises or the run is
-    interrupted, every worker stops after its coset and the last checkpoint
-    stays valid.
+    (30, 29)).  The cosets are summed one after another in coset order.  With
+    a ``checkpoint``, after every ceil(``checkpoint_every`` / |W'|) cosets
+    and at the end, the run saves the partial sums and the next coset there
+    (npz), replacing the file atomically, where a rerun of the same job
+    resumes; an interrupted run leaves the last checkpoint valid.
     A checkpoint of another job or an unreadable one, one whose directory
     does not exist, or a ``checkpoint_every`` below 1 is refused before the
-    run starts.  Only the streamed job of ``affwbench`` sets ``workers`` and
-    ``checkpoint``.
+    run starts.  ``workers`` has no effect; a value below 1 is still refused.
+    It stays only for the streamed job of ``affwbench``, which sets it and
+    ``checkpoint``, and goes with them (ROADMAP item 1(b)).
     """
     if workers < 1:
         raise SMatrixError(f"workers must be a positive integer, not {workers}")
@@ -607,10 +654,6 @@ def subregular_S(
     fr = _frame(rs)
     cosets = len(fr.parity)
 
-    def coset(c: int) -> tuple:
-        return (_weyl_sum(rs, es, es, Fraction(p, q), default_probe(rs), range(c, c + 1)),
-                _weyl_sum(rs, nu_rows, nu_rows, Fraction(q, p), None, range(c, c + 1)))
-
     kern = np.zeros((len(es), len(es)), complex)
     f_nu = np.zeros((len(nu_rows), len(nu_rows)), complex)
     done = 0
@@ -627,45 +670,13 @@ def subregular_S(
         if os.path.exists(checkpoint):
             kern, f_nu, _, done = _checkpoint_load(checkpoint, fingerprint)
             done = int(done)
-    lock, halt = threading.Lock(), threading.Event()
-
-    def work(todo, parts):
-        try:
-            while not halt.is_set():
-                with lock:
-                    c = next(todo, None)
-                if c is None:
-                    break
-                parts[c] = coset(c)
-        except BaseException:
-            halt.set()  # the other workers stop after their coset
-            raise
-
-    # a pause only serves a save; it is one for all workers, so saves do not depend on them
-    step = -(-checkpoint_every // fr.size) if checkpoint else cosets
-    pool = None
-    try:
-        while done < cosets:
-            stop = min(cosets, done + step)
-            todo, parts = iter(range(done, stop)), {}
-            tasks = min(workers, stop - done)
-            if tasks == 1:
-                work(todo, parts)
-            else:
-                pool = pool or ThreadPoolExecutor(workers)
-                for f in [pool.submit(work, todo, parts) for _ in range(tasks)]:
-                    f.result()
-            for c in range(done, stop):
-                kern += parts[c][0]
-                f_nu += parts[c][1]
-            done = stop
-            if checkpoint:
-                _checkpoint_save(checkpoint, fingerprint, kernel=kern, nu=f_nu,
-                                 count=done * fr.size, next=done)
-    finally:
-        halt.set()
-        if pool:
-            pool.shutdown()
+    step, start = -(-checkpoint_every // fr.size), done
+    for c in range(start, cosets):
+        kern += _weyl_sum(rs, es, es, Fraction(p, q), default_probe(rs), range(c, c + 1))
+        f_nu += _weyl_sum(rs, nu_rows, nu_rows, Fraction(q, p), None, range(c, c + 1))
+        done = c + 1
+        if checkpoint and ((done - start) % step == 0 or done == cosets):
+            _checkpoint_save(checkpoint, fingerprint, kernel=kern, nu=f_nu, count=done * fr.size, next=done)
 
     f = f_nu[np.ix_(nu_of, nu_of)]
     cross = _cross_phase(rs, es, nus) * _cross_phase(rs, nus, es)

@@ -9,6 +9,7 @@ import pytest
 
 from affw.affine import (
     AffineDataError,
+    _count_P_plus_k,
     _dominant_by_level,
     _regular,
     _subregular_eta,
@@ -101,6 +102,19 @@ def test_P_plus_k(a1, a2):
         assert len(enumerate_P_plus_k(a1, k)) == k + 1
     assert len(enumerate_P_plus_k(a2, 1)) == 3
     assert enumerate_P_plus_k(a2, 2)[0] == a2.zero_weight()
+
+
+def test_label_count_is_the_enumerated_length():
+    """The coin-change count of P_+^k against the enumeration, on the
+    Kac-Peterson cases the suite builds and the larger ones that size the
+    refusal (D4 k=12, A1 k=40)."""
+    cases = [(name, k) for name in ["A1", "A2", "A3", "A4", "A5", "B2", "B3", "B4", "C2", "C3", "C4",
+                                    "D4", "D5", "D6", "E6", "F4", "G2"] for k in range(4)]
+    cases += [("A1", 40), ("A2", 9), ("A8", 2), ("B3", 4), ("D4", 12), ("E7", 2), ("E8", 2), ("E8", 3),
+              ("G2", 5)]
+    for name, k in cases:
+        rs = build_root_system(CartanType.parse(name))
+        assert _count_P_plus_k(rs, k) == len(enumerate_P_plus_k(rs, k)), (name, k)
 
 
 def test_enumerate_regular(a2):

@@ -257,9 +257,9 @@ SMATRIX_DIGESTS = {
     "--variant subregular --type D4 --p 9 --q 4":
         "e65672ba949e04a75456d908578fedeeddb92697decd2c9dd3b138cc53d64ae0",
     "--variant subregular --type D5 --p 9 --q 7":
-        "681189beb8e0f6622f0320c125d49728e691f6eb440336906b98cccf2beb8f60",
+        "dc9f40f84bd3e1bc7449b87e1846cf67e033a6aba5337c8b901dbc543dbc7c76",
     "--variant subregular --type D6 --p 11 --q 8":
-        "0ef1f084aafc2411c7aa91a89718edd3c28ae2bf83045ad97b361f2f9f16bae9",
+        "5d228f06bfa7f30a792413aa51a6bb28463f1fca574345e969fcaaec5c9fc8cf",
     "--variant principal --type A2 --p 8 --q 5":
         "1b5aa78308a748e215a0a115b222e0d9ad0fd7bef6298751dfda59f83e7f36e4",
     "--variant integrable --type A2 --level 3":
@@ -424,6 +424,8 @@ def test_bad_input_exits_cleanly(tmp_path, capsys, monkeypatch):
         ["smatrix", "--variant", "subregular", "--type", "D4", "--p", "7", "--q", "4",
          "--checkpoint-every", "5"],
         ["smatrix", "--variant", "subregular", "--type", "D4", "--p", "7", "--q", "4", "--probe", "alt"],
+        # 71,071 labels, an 81 GB matrix: refused by its label count before any work
+        ["smatrix", "--variant", "integrable", "--type", "D4", "--level", "40"],
         # a rank past the cap, refused before any root data are built
         ["roots", "--type", "A33"],
         # a rank in non-ASCII digits (the Extended Arabic-Indic two)
@@ -484,6 +486,7 @@ def test_bad_input_exits_cleanly(tmp_path, capsys, monkeypatch):
         assert "must be finite" in errors[f"fusion --from {path}"]
     assert all(rc == 2 for argv, rc in codes.items() if argv.startswith("smatrix"))
     assert "empty principal label set" in errors["smatrix --variant principal --type B2 --p 5 --q 2"]
+    assert "D4 at level 40 has at least 71071 labels" in errors["smatrix --variant integrable --type D4 --level 40"]
     for flag in ("--workers", "--checkpoint", "--checkpoint-every", "--probe"):
         removed = [e for argv, e in errors.items() if argv.startswith("smatrix") and f" {flag} " in argv]
         assert len(removed) == 1 and f"unrecognized arguments: {flag} " in removed[0], flag

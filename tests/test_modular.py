@@ -1,7 +1,6 @@
 import json
 import math
 import os
-import sys
 
 import numpy as np
 import pytest
@@ -17,6 +16,8 @@ from affw.modular import (
     fkw_principal,
     kac_peterson,
     subregular_S,
+    _det,
+    _replaced_dets,
     _weight_ints,
     _weyl_sum,
 )
@@ -58,6 +59,23 @@ def test_kac_peterson_unitary_symmetric_s4(name, k):
     assert s.symmetry_residual() < 1e-9
     s4 = np.linalg.matrix_power(s.entries, 4)
     assert np.abs(s4 - np.eye(s.size)).max() < 1e-9
+
+
+def test_kac_peterson_refuses_by_label_count_before_enumerating(monkeypatch):
+    """D4 k=40 (71,071 labels) and a level past any count are refused; D4
+    k=12 (1,036 labels) passes the bound and goes on to enumerate."""
+    import affw.modular as modular
+
+    def enumerates(*args):
+        raise LookupError("enumerated")
+
+    monkeypatch.setattr(modular, "enumerate_P_plus_k", enumerates)
+    d4 = build_root_system(CartanType.parse("D4"))
+    for k, count in ((40, 71071), (10**19, 10**19 + 1)):
+        with pytest.raises(SMatrixError, match=f"at least {count} labels"):
+            kac_peterson(d4, k)
+    with pytest.raises(LookupError, match="enumerated"):
+        kac_peterson(d4, 12)
 
 
 def test_kac_peterson_charge_conjugation_is_permutation(a1):
@@ -325,6 +343,41 @@ def test_weyl_sum_matches_the_exact_walk():
                 assert abs(mpmath.mpc(fast[i, j]) - ref) <= 1e-12 * abs(ref), (case, i, j)
 
 
+@pytest.mark.parametrize("dtype,m,k", [(np.longdouble, 8, 2), (np.longdouble, 5, 2), (np.longdouble, 6, 1),
+                                       (np.longdouble, 4, 4), (np.clongdouble, 4, 2), (np.clongdouble, 7, 3)])
+def test_shared_column_derivative_matches_the_full_eliminations(dtype, m, k):
+    """The shared elimination against ``_det`` of each replaced matrix, on
+    seeded real longdouble stacks (the B/C and D parts) and complex ones
+    (family A), each a batch of three parts of 40 matrices."""
+    rng = np.random.default_rng(2901 + 10 * m + k)
+
+    def draw(*shape):
+        out = rng.standard_normal(shape).astype(dtype)
+        return out + 1j * rng.standard_normal(shape) if dtype == np.clongdouble else out
+
+    x, z = draw(3, 40, m, m), draw(3, 40, m, k)
+
+    def by_full_eliminations(x):
+        total = 0
+        for r in range(k):
+            y = x.copy()
+            y[..., m - k + r] = z[..., r]
+            total = total + _det(y)
+        return total
+
+    fast, slow = _replaced_dets(x, z), by_full_eliminations(x)
+    assert fast.shape == (3, 40) and fast.dtype == dtype
+    assert np.abs(fast - slow).max() <= 1e-15 * np.abs(slow).max()
+    # linear in the replaced columns: a power of two scales the result exactly
+    for scale in (2.0, 0.125, 1024.0):
+        assert np.array_equal(_replaced_dets(x, scale * z), scale * fast)
+    # a zero shared block makes every variant singular: exactly 0, as _det gives
+    if k < m:
+        x[..., : m - k] = 0
+        assert not by_full_eliminations(x).any()
+        assert not _replaced_dets(x, z).any()
+
+
 def test_degenerate_kernel_refuses_weights_off_the_star_wall():
     """The half-group kernel is half the full-group sum only when
     <eta, alpha_*> = 0 (mod q); other left weights are refused."""
@@ -435,13 +488,7 @@ def test_streamed_kernel_parallel_matches_serial():
     k1 = subregular_S(lv, workers=1).provenance["kernel"]
     k2 = subregular_S(lv, workers=2).provenance["kernel"]
     assert np.abs(k1 - k2).max() == 0
-    # more threads than cores, switching as often as the interpreter allows
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        k5 = subregular_S(lv, workers=5).provenance["kernel"]
-    finally:
-        sys.setswitchinterval(interval)
+    k5 = subregular_S(lv, workers=5).provenance["kernel"]
     assert np.array_equal(k1, k5)
 
 
@@ -509,78 +556,19 @@ def test_checkpoint_resumes_an_interrupted_walk(tmp_path, monkeypatch, workers, 
     assert not os.path.exists(ck + ".tmp")
 
 
-def test_a_failing_worker_stops_the_others(monkeypatch, e6_level):
-    import threading
-
-    import affw.modular as modular
-
-    weyl_sum, calls, first, failed = modular._weyl_sum, [], [], []
-
-    def fails_off_the_first_thread(*args):
-        calls.append(1)
-        first[:] = first or [threading.get_ident()]
-        if threading.get_ident() != first[0]:
-            failed[:] = failed or [len(calls)]
-            raise RuntimeError("a worker failed")
-        return weyl_sum(*args)
-
-    monkeypatch.setattr(modular, "_weyl_sum", fails_off_the_first_thread)
-    # switching as often as the interpreter allows, so the second thread takes a coset early
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        with pytest.raises(RuntimeError, match="a worker failed"):
-            subregular_S(e6_level, workers=2)
-    finally:
-        sys.setswitchinterval(interval)
-    # the first thread finishes at most the coset it holds (two sums)
-    # instead of the rest of the 27 cosets
-    assert len(calls) - failed[0] <= 2
-
-
-def test_only_a_checkpoint_pauses_the_workers(e6_level):
-    """Without a checkpoint the run is one round of cosets: each worker is
-    submitted once, however small ``checkpoint_every`` is (1,920 elements is
-    one coset of W(D5), so pausing for it would make 27 rounds)."""
-    from concurrent.futures import ThreadPoolExecutor
-    from unittest.mock import patch
-
-    fresh = subregular_S(e6_level)
-    with patch.object(ThreadPoolExecutor, "submit", autospec=True,
-                      side_effect=ThreadPoolExecutor.submit) as submit:
-        sm = subregular_S(e6_level, checkpoint_every=1920, workers=2)
-    assert submit.call_count == 2
-    assert np.array_equal(sm.entries, fresh.entries)
-    assert sm.provenance["weyl_elements"] == e6_level.root_system.weyl_order
-
-
-def test_no_more_threads_than_cosets(e6_level):
-    """A round with one task runs in the calling thread: D4 is one coset, so
-    ``workers=2`` submits nothing to a pool, while E6 (27 cosets) submits two
-    tasks in its one round.  Both equal ``workers=1``."""
-    from concurrent.futures import ThreadPoolExecutor
-    from unittest.mock import patch
-
-    d4 = make_admissible_level(build_root_system(CartanType.parse("D4")), 9, 4)
-    for lv, tasks in ((d4, 0), (e6_level, 2)):
-        fresh = subregular_S(lv)
-        with patch.object(ThreadPoolExecutor, "submit", autospec=True,
-                          side_effect=ThreadPoolExecutor.submit) as submit:
-            sm = subregular_S(lv, workers=2)
-        assert submit.call_count == tasks
-        assert np.array_equal(sm.entries, fresh.entries)
-
-
 def test_one_worker_starts_no_thread_and_no_fingerprint(e6_level):
-    """Without a checkpoint nothing is fingerprinted, and one worker runs every
-    round in the calling thread."""
+    """Without a checkpoint nothing is fingerprinted, and no value of
+    ``workers`` starts a thread: every coset runs in the calling thread."""
     import threading
     import zlib
     from unittest.mock import patch
 
-    with patch.object(threading.Thread, "start", side_effect=AssertionError("a thread started")), \
-            patch.object(zlib, "crc32", side_effect=AssertionError("a fingerprint was built")):
-        subregular_S(e6_level, workers=1)
+    fresh = subregular_S(e6_level)
+    for workers in (1, 2):
+        with patch.object(threading.Thread, "start", side_effect=AssertionError("a thread started")), \
+                patch.object(zlib, "crc32", side_effect=AssertionError("a fingerprint was built")):
+            sm = subregular_S(e6_level, workers=workers)
+        assert np.array_equal(sm.entries, fresh.entries)
 
 
 def test_checkpoints_do_not_depend_on_workers(tmp_path, monkeypatch, e6_level):
@@ -588,30 +576,23 @@ def test_checkpoints_do_not_depend_on_workers(tmp_path, monkeypatch, e6_level):
 
     lv = e6_level
     weyl_sum, saved = modular._weyl_sum, {}
-    # switching as often as the interpreter allows, so that workers start
-    # taking cosets while the others are still being handed the pause
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        for workers in (1, 2, 5):
-            calls = []
+    for workers in (1, 2, 5):
+        calls = []
 
-            def dies_in_the_fourth_pause(*args):
-                calls.append(1)
-                # checkpoint_every=5000 gives pauses of 3 cosets of 1,920 elements,
-                # two sums each: call 21 is in the fourth pause, after 9 cosets
-                if len(calls) > 20:
-                    raise KeyboardInterrupt
-                return weyl_sum(*args)
+        def dies_in_the_fourth_pause(*args):
+            calls.append(1)
+            # checkpoint_every=5000 gives pauses of 3 cosets of 1,920 elements,
+            # two sums each: call 21 is in the fourth pause, after 9 cosets
+            if len(calls) > 20:
+                raise KeyboardInterrupt
+            return weyl_sum(*args)
 
-            monkeypatch.setattr(modular, "_weyl_sum", dies_in_the_fourth_pause)
-            ck = str(tmp_path / f"ck{workers}.npz")
-            with pytest.raises(KeyboardInterrupt):
-                subregular_S(lv, checkpoint=ck, checkpoint_every=5000, workers=workers)
-            with np.load(ck) as data:
-                saved[workers] = {k: data[k] for k in data.files}
-    finally:
-        sys.setswitchinterval(interval)
+        monkeypatch.setattr(modular, "_weyl_sum", dies_in_the_fourth_pause)
+        ck = str(tmp_path / f"ck{workers}.npz")
+        with pytest.raises(KeyboardInterrupt):
+            subregular_S(lv, checkpoint=ck, checkpoint_every=5000, workers=workers)
+        with np.load(ck) as data:
+            saved[workers] = {k: data[k] for k in data.files}
     for workers in (1, 2, 5):
         assert (int(saved[workers]["count"]), int(saved[workers]["next"])) == (17280, 9)
         assert saved[workers].keys() == saved[1].keys()
