@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import os
@@ -101,9 +102,12 @@ def _dumps(obj) -> str:
     return out.tobytes().decode("ascii")
 
 
-def _emit(payload: dict, args, default_name: str):
-    payload = {"affw_version": __version__, "config": payload.pop("config"), **payload}
-    text = _dumps(payload)
+def _document(payload: dict) -> str:
+    """The indented JSON of a subcommand's ``payload`` and the version."""
+    return _dumps({"affw_version": __version__, **payload})
+
+
+def _put(text: str, args, default_name: str):
     path = _out_path(args, default_name)
     if path:
         _write(path, text + "\n")
@@ -111,11 +115,12 @@ def _emit(payload: dict, args, default_name: str):
         print(text)
 
 
-def _complex_matrix(m: np.ndarray) -> list:
-    def f(x):
-        return float(f"{x:.12g}")
+def _emit(payload: dict, args, default_name: str):
+    _put(_document(payload), args, default_name)
 
-    return [[[f(z.real), f(z.imag)] for z in row] for row in m]
+
+def _complex_matrix(m: np.ndarray) -> list:
+    return [[[float(f"{z.real:.12g}"), float(f"{z.imag:.12g}")] for z in row] for row in m.tolist()]
 
 
 def _root_system(args) -> liealg.RootSystem:
@@ -306,11 +311,32 @@ def _read_smatrix(path) -> modular.SMatrix:
         raise CliError(f"cannot read an S-matrix from {path}: {e}", EXIT_VALIDATION)
 
 
-def _nonzero_coefficients(table: fusion.FusionTable) -> list:
-    """[a, b, c, N_ab^c] for every nonzero coefficient, in C order of (a, b, c)."""
+def _nonzero_coefficients(table: fusion.FusionTable) -> np.ndarray:
+    """Rows (a, b, c, N_ab^c) for every nonzero coefficient, in C order of (a, b, c)."""
     idx = np.argwhere(table.coefficients)
-    vals = table.coefficients[tuple(idx.T)]
-    return np.column_stack([idx, vals]).tolist()
+    return np.column_stack([idx, table.coefficients[tuple(idx.T)]])
+
+
+# one coefficient as _dumps writes the dict {"a", "b", "c", "N"} in the list of
+# a top-level key: keys sorted, "N" first
+_COEFFICIENT = '    {\n      "N": %d,\n      "a": %d,\n      "b": %d,\n      "c": %d\n    }'
+
+
+def _fusion_document(payload: dict, table: fusion.FusionTable) -> str:
+    """:func:`_document` of ``payload`` plus ``"coefficients"``, the list of
+    {"a", "b", "c", "N"} dicts of the table's nonzero coefficients, byte for
+    byte, written from the integer rows in one format call.
+
+    The list is dumped as [] and then filled in.  A newline and two spaces
+    begin a key of the top-level dict and nothing else, so the first
+    '\\n  "coefficients": []' is that key.
+    """
+    text = _document({**payload, "coefficients": []})
+    rows = _nonzero_coefficients(table)
+    if not len(rows):
+        return text
+    entries = ",\n".join([_COEFFICIENT] * len(rows)) % tuple(rows[:, [3, 0, 1, 2]].ravel().tolist())
+    return text.replace('\n  "coefficients": []', '\n  "coefficients": [\n' + entries + "\n  ]", 1)
 
 
 def cmd_fusion(args):
@@ -318,12 +344,12 @@ def cmd_fusion(args):
     try:
         table = fusion.verlinde(sm)
     except fusion.FusionError as e:
-        raise CliError(str(e), EXIT_TOLERANCE)
+        raise CliError(str(e), EXIT_VALIDATION if e.refused else EXIT_TOLERANCE)
     if args.format == "csv":
         buf = io.StringIO()
         w = csv.writer(buf)
         w.writerow(["a", "b", "c", "N"])
-        w.writerows([a, b, c, n] for a, b, c, n in _nonzero_coefficients(table))
+        w.writerows(_nonzero_coefficients(table).tolist())
         _write(_out_path(args, "fusion.csv") or "fusion.csv", buf.getvalue())
         return
     payload = {
@@ -333,11 +359,8 @@ def cmd_fusion(args):
         "max_coefficient": table.max_coefficient,
         "rounding_residual": table.rounding_residual,
         "quantum_dimensions": [float(f"{d:.12g}") for d in table.quantum_dimensions],
-        "coefficients": [
-            {"a": a, "b": b, "c": c, "N": n} for a, b, c, n in _nonzero_coefficients(table)
-        ],
     }
-    _emit(payload, args, "fusion.json")
+    _put(_fusion_document(payload, table), args, "fusion.json")
 
 
 def cmd_ope(args):
@@ -581,9 +604,16 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """``main``'s parser, built once per process: building one is about 1 ms,
+    and ``parse_args`` keeps nothing of a call in it."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
     try:
-        args = build_parser().parse_args(argv)
+        args = _parser().parse_args(argv)
         args.func(args)
     except CliError as e:
         print(json.dumps({"error": str(e), "exit_code": e.code}), file=sys.stderr)

@@ -19,10 +19,18 @@ __all__ = ["FusionTable", "FusionError", "find_vacuum", "verlinde", "fusion_ring
 INTEGRALITY_TOL = 1e-6
 PERMUTATION_TOL = 1e-9  # how far charge_conjugation lets S^2 stray from a permutation
 ZERO_TOL = 1e-12  # an S-matrix entry this small counts as zero: its row cannot be the vacuum
+# n^3 past this is refused before any work: verlinde peaks 53 (KP A2 k=9) and
+# 62 (KP A3 k=4) bytes per n^3 entry above its start, so at 64 this is about
+# 2 GiB, n <= 322.  KP D4 k=12 (1,036 labels) would need about 36 GB
+MAX_VERLINDE_ENTRIES = 1 << 25
 
 
 class FusionError(ValueError):
-    pass
+    """A table that fails its gate; ``refused`` when the S-matrix was too large to try."""
+
+    def __init__(self, msg, refused=False):
+        super().__init__(msg)
+        self.refused = refused
 
 
 @dataclass
@@ -159,34 +167,48 @@ def _verlinde_raw(s: np.ndarray, vacuum: int, pairs: Optional[np.ndarray] = None
     return ((s / s[vacuum]) @ pairs).reshape(n, n, n)
 
 
-def _integral_nonnegative(raw: np.ndarray) -> bool:
+def _gate(raw: np.ndarray) -> tuple[np.ndarray, float]:
+    """The rounded real part of a Verlinde tensor and the largest |raw - rounded|.
+
+    The difference is taken in ``raw`` itself, which is left holding it, so no
+    second complex array of its size is made.
+    """
     rounded = np.round(raw.real)
-    return bool(
-        np.abs(raw - rounded).max() < INTEGRALITY_TOL
-        and rounded.min() > -INTEGRALITY_TOL
-    )
+    raw.real -= rounded
+    return rounded, float(np.abs(raw).max())
 
 
-def _passing_tensor(s: np.ndarray, v: int, pairs: np.ndarray) -> Optional[np.ndarray]:
-    """Row ``v``'s Verlinde tensor if it is non-negative integral, else None.
+def _integral_nonnegative(rounded: np.ndarray, residual: float) -> bool:
+    return residual < INTEGRALITY_TOL and rounded.min() > -INTEGRALITY_TOL
+
+
+def _refuse_large(s: SMatrix):
+    if s.size**3 > MAX_VERLINDE_ENTRIES:
+        raise FusionError(f"a Verlinde tensor of {s.size} labels has {s.size}^3 entries, "
+                          f"past {MAX_VERLINDE_ENTRIES}", refused=True)
+
+
+def _passing_tensor(s: np.ndarray, v: int, pairs: np.ndarray) -> Optional[tuple[np.ndarray, float]]:
+    """Row ``v``'s gated Verlinde tensor if it is non-negative integral, else None.
 
     The a = 0 slice N_{0b}^c(v), one (n) @ (n x n^2) product, is tested
     first, so a row it rules out never gets the full n^3 tensor.
     """
     n = s.shape[0]
-    if not _integral_nonnegative(((s[0] / s[v]) @ pairs).reshape(n, n)):
+    if not _integral_nonnegative(*_gate(((s[0] / s[v]) @ pairs).reshape(n, n))):
         return None
-    raw = _verlinde_raw(s, v, pairs)
-    return raw if _integral_nonnegative(raw) else None
+    gated = _gate(_verlinde_raw(s, v, pairs))
+    return gated if _integral_nonnegative(*gated) else None
 
 
-def _find_vacuum(s: SMatrix) -> tuple[int, np.ndarray]:
-    """:func:`find_vacuum` and the vacuum's Verlinde tensor.
+def _find_vacuum(s: SMatrix) -> tuple[int, np.ndarray, float]:
+    """:func:`find_vacuum`, and the vacuum's rounded Verlinde tensor and residual.
 
     Each row's tensor is dropped before the next row is tested, so at most
     one n^3 tensor is alive; the winner's is rebuilt only when a row of its
     group was tested after it.
     """
+    _refuse_large(s)
     if s.normalization != "unitary":
         raise FusionError("find_vacuum needs a unitary S-matrix")
     e = s.entries
@@ -202,14 +224,16 @@ def _find_vacuum(s: SMatrix) -> tuple[int, np.ndarray]:
     ):
         passing = []
         for v in group:
-            raw = None  # free the last tensor before building the next
-            raw = _passing_tensor(e, v, pairs)
-            if raw is not None:
+            gated = None  # free the last tensor before building the next
+            gated = _passing_tensor(e, v, pairs)
+            if gated is not None:
                 passing.append(v)
                 if len(passing) == 2 and group is not rows:
                     break  # this group cannot decide; only the error needs every row
         if len(passing) == 1:
-            return passing[0], _verlinde_raw(e, passing[0], pairs) if raw is None else raw
+            if gated is None:
+                gated = _gate(_verlinde_raw(e, passing[0], pairs))
+            return passing[0], *gated
     if not passing:
         raise FusionError("no vacuum candidate: wrong label set or normalisation")
     raise FusionError(f"vacuum is not unique: candidates {passing}")
@@ -225,7 +249,8 @@ def find_vacuum(s: SMatrix) -> int:
     constructor's declared vacuum (``provenance["vacuum"]``), then every
     row.  The first group in which exactly one row passes decides.  When
     none does, no passing row or several are a :class:`FusionError`, a
-    structural error upstream.
+    structural error upstream.  An S-matrix past ``MAX_VERLINDE_ENTRIES``
+    is refused as :func:`verlinde` refuses it.
     """
     return _find_vacuum(s)[0]
 
@@ -234,24 +259,24 @@ def verlinde(s: SMatrix, vacuum: Optional[int] = None) -> FusionTable:
     """The fusion table of ``s`` against ``vacuum`` (:func:`find_vacuum` when None).
 
     A ``vacuum`` that is not an index in ``range(n)``, or whose row has a zero
-    entry, is a :class:`FusionError`.
+    entry, is a :class:`FusionError`, and so is an S-matrix whose n^3 tensor
+    passes ``MAX_VERLINDE_ENTRIES`` (``refused``, before any work).
     """
     if vacuum is None:
-        vacuum, raw = _find_vacuum(s)
+        vacuum, rounded, residual = _find_vacuum(s)
     elif not (isinstance(vacuum, (int, np.integer)) and 0 <= vacuum < s.size):
         raise FusionError(f"vacuum must be a label index in range({s.size}), not {vacuum!r}")
     elif np.abs(s.entries[vacuum]).min() < ZERO_TOL:
         raise FusionError(f"vacuum row {vacuum} has a zero entry")
     else:
-        raw = _verlinde_raw(s.entries, vacuum)
-    rounded = np.round(raw.real)
-    residual = float(np.abs(raw - rounded).max())
+        _refuse_large(s)
+        rounded, residual = _gate(_verlinde_raw(s.entries, vacuum))
     if residual >= INTEGRALITY_TOL:
         raise FusionError(f"fusion coefficients not integral (residual {residual:.3e})")
     if rounded.min() < -INTEGRALITY_TOL:
         raise FusionError("negative fusion coefficient")
     coeffs = rounded.astype(np.int64)  # the gate above leaves 0 or -0.0, both cast to 0
-    del raw, rounded  # the n^3 complex and float tensors, before the axiom check's own
+    del rounded  # the n^3 float tensor, before the axiom check's own
     dims = (s.entries[vacuum] / s.entries[vacuum, vacuum]).real
     table = FusionTable(
         labels=list(s.labels),

@@ -363,6 +363,89 @@ def test_fusion_csv_is_pinned(tmp_path):
     assert hashlib.sha256(cpath.read_bytes()).hexdigest() == FUSION_CSV_DIGEST
 
 
+def _coefficient_tables():
+    """Seeded int64 tables, n from 1 to 12, from sparse to dense, N up to
+    10^6, the vacuum slice the identity; then one entry, and none."""
+    rng = np.random.default_rng(30)
+    for _ in range(120):
+        n = int(rng.integers(1, 13))
+        density, top = rng.choice([0.0, 0.02, 0.3, 1.0]), int(rng.choice([1, 10, 10**6]))
+        table = rng.integers(0, top + 1, (n, n, n)) * (rng.random((n, n, n)) < density)
+        v = int(rng.integers(n))
+        table[v] = np.eye(n, dtype=np.int64)
+        yield table, v
+    one = np.zeros((1, 1, 1), dtype=np.int64)
+    one[0, 0, 0] = 1
+    yield one, 0
+    yield np.zeros((3, 3, 3), dtype=np.int64), 0
+
+
+def test_fusion_document_is_json_dumps_of_the_coefficient_dicts():
+    # labels that hold the key the coefficient list is spliced at
+    labels = [{"weight": ["1", "0"]}, {"coefficients": []}, '\n  "coefficients": []', [[], {}]]
+    for coeffs, v in _coefficient_tables():
+        table = fusion.FusionTable(labels, coeffs, v, np.ones(len(coeffs)), int(coeffs.max()), 1e-15)
+        payload = {"config": {"command": "fusion", "format": "json", "from": "s.json"},
+                   "labels": labels, "vacuum": v, "max_coefficient": table.max_coefficient,
+                   "rounding_residual": 1e-15, "quantum_dimensions": [1.0] * len(coeffs)}
+        dicts = [{"a": a, "b": b, "c": c, "N": int(coeffs[a, b, c])}
+                 for a, b, c in np.ndindex(coeffs.shape) if coeffs[a, b, c]]
+        expected = json.dumps({"affw_version": __version__, **payload, "coefficients": dicts},
+                              indent=2, sort_keys=True)
+        assert cli._fusion_document(payload, table) == expected
+    assert '"coefficients": []' in expected
+
+
+def test_reused_parser_writes_what_a_fresh_one_writes(tmp_path, capsys, monkeypatch):
+    """``main`` keeps one parser per process; a fixed sequence of calls, bad
+    ones between good ones, gives the same exits and bytes as with a fresh
+    ``build_parser()`` per call."""
+    monkeypatch.setattr(cli, "time", type("Clock", (), {"perf_counter": staticmethod(lambda: 0.0)}))
+    calls = [
+        ["smatrix", "--variant", "integrable", "--type", "A2", "--level", "2", "--out", "s.json"],
+        ["fusion", "--from", "s.json", "--format", "csv", "--out", "f.csv"],
+        ["fusion", "--from", "s.json"],
+        ["smatrix", "--variant", "principal", "--type", "A1", "--p", "11", "--q", "10"],
+        ["smatrix", "--variant", "integrable", "--type", "A1", "--level", "6"],
+        ["fusion", "--from", "s.json", "--format", "xml"],  # argparse refuses it
+        ["fusion", "--from", "s.json", "--out", "f.json"],
+        ["smatrix", "--variant", "integrable", "--type", "A2"],  # a CliError: no --level
+        ["fusion", "--from", "s.json"],
+        ["weights", "--type", "A1", "--variant", "principal", "--p", "3", "--q", "2"],
+    ]
+
+    def run(where):
+        where.mkdir()
+        monkeypatch.chdir(where)
+        seen = []
+        for argv in calls:
+            rc = main(argv)
+            out = capsys.readouterr()
+            seen.append((rc, out.out, out.err, {p.name: p.read_bytes() for p in sorted(where.iterdir())}))
+        return seen
+
+    reused = run(tmp_path / "reused")
+    assert [rc for rc, *_ in reused] == [0, 0, 0, 0, 0, 2, 0, 2, 0, 0]
+    monkeypatch.setattr(cli, "_parser", cli.build_parser)
+    assert run(tmp_path / "fresh") == reused
+
+
+def test_fusion_past_the_entry_bound_exits_2(tmp_path, capsys, monkeypatch):
+    spath, fpath = tmp_path / "s.json", tmp_path / "f.json"
+    assert main(["smatrix", "--variant", "integrable", "--type", "A1", "--level", "1",
+                 "--out", str(spath)]) == 0
+    capsys.readouterr()
+    monkeypatch.setattr(fusion, "MAX_VERLINDE_ENTRIES", 2**3 - 1)
+    assert main(["fusion", "--from", str(spath), "--out", str(fpath)]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1
+    assert json.loads(err[0]) == {
+        "error": "a Verlinde tensor of 2 labels has 2^3 entries, past 7", "exit_code": 2}
+    assert not fpath.exists()
+    monkeypatch.setattr(fusion, "MAX_VERLINDE_ENTRIES", 2**3)
+    assert main(["fusion", "--from", str(spath), "--out", str(fpath)]) == 0
+
+
 def test_bad_input_exits_cleanly(tmp_path, capsys, monkeypatch):
     smatrix = tmp_path / "s.json"
     assert main(["smatrix", "--variant", "integrable", "--type", "A1", "--level", "1",

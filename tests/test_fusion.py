@@ -193,8 +193,9 @@ def test_blas_kernels_match_einsum_oracle(case):
     sm = _case(case)
     s = sm.entries
     cands = candidate_vacua_einsum(s)
-    v, raw = _find_vacuum(sm)
-    assert np.array_equal(raw, _verlinde_raw(s, v))
+    v, rounded, residual = _find_vacuum(sm)
+    raw = _verlinde_raw(s, v)
+    assert np.array_equal(rounded, np.round(raw.real)) and residual == np.abs(raw - np.round(raw.real)).max()
     table = verlinde(sm)
     assert table.vacuum == v
     assert v in cands
@@ -260,6 +261,31 @@ def test_find_vacuum_builds_one_tensor(case, monkeypatch):
     monkeypatch.setattr("affw.fusion._verlinde_raw", counting)
     assert find_vacuum(_case(case)) == 0
     assert built == [0]
+
+
+def test_verlinde_refuses_past_the_entry_bound_before_any_tensor(monkeypatch):
+    """One label past MAX_VERLINDE_ENTRIES ** (1/3) is refused by every entry
+    point before ``_pairs`` or ``_verlinde_raw`` runs; at the bound they run."""
+    import affw.fusion as fusion
+
+    def builds(*args):
+        raise LookupError("built an n^3 array")
+
+    monkeypatch.setattr(fusion, "_pairs", builds)
+    monkeypatch.setattr(fusion, "_verlinde_raw", builds)
+    n = round(fusion.MAX_VERLINDE_ENTRIES ** (1 / 3))
+    n += n**3 <= fusion.MAX_VERLINDE_ENTRIES
+    assert (n - 1) ** 3 <= fusion.MAX_VERLINDE_ENTRIES < n**3
+    for size, refused in ((n, True), (n - 1, False)):
+        sm = SMatrix(list(range(size)), np.full((size, size), size**-0.5, complex), "unitary", {"vacuum": 0})
+        for call in (find_vacuum, verlinde, lambda s: verlinde(s, 0)):
+            if refused:
+                with pytest.raises(FusionError, match=rf"^a Verlinde tensor of {n} labels") as e:
+                    call(sm)
+                assert e.value.refused
+            else:
+                with pytest.raises(LookupError, match="built an n\\^3 array"):
+                    call(sm)
 
 
 def test_kac_peterson_a8_level2():
